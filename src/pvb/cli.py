@@ -325,7 +325,10 @@ def cmd_solve(args) -> int:
     except MpsError as exc:
         raise CliError(str(exc)) from None
     config = _solver_config(args.mode, _resolve_knobs(args), args)
-    result = solve(mip, config)
+    try:
+        result = solve(mip, config)
+    except SolverError as exc:
+        raise CliError(f"{args.instance}: solver failed: {exc}") from None
     header = (
         "instance", "mode", "status", "objective", "bound",
         "nodes", "sb_lps", "sb_iters",

@@ -9,12 +9,24 @@ phase-1 basis. Pricing is Dantzig until the objective stalls, then
 Bland's rule for guaranteed termination. Every linear solve goes through
 numpy; a singular basis or an exhausted safety cap raises instead of
 returning a silently wrong answer.
+
+A solve may instead start warm from the optimal basis of a parent LP
+that differs only in its column bounds. That basis stays dual feasible,
+so a bounded dual simplex restores primal feasibility (or proves the
+child infeasible when a dual ratio test finds no entering column) and
+the primal loop then certifies optimality, normally without a pivot.
+A warm start that cannot be used (singular basis, a nonbasic column at
+an infinite bound, a dual phase that reaches the iteration cap, or a
+violation too small to certify infeasibility that no column can fix)
+falls back to the cold two-phase solve, and the pivots of both attempts
+are counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +37,7 @@ ITERATION_LIMIT = "iteration_limit"
 
 _COST_TOL = 1e-9
 _FEAS_TOL = 1e-9
+_PHASE1_TOL = 1e-7
 _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 60
 
@@ -35,12 +48,38 @@ class SolverError(RuntimeError):
     """Numerical failure: singular basis, lost feasibility, or a blown cap."""
 
 
+class ExtendedSystem(NamedTuple):
+    """[A | I] with one ranged slack per row, built once per constraint set."""
+
+    M: np.ndarray
+    c: np.ndarray
+    slack_lo: np.ndarray
+    slack_hi: np.ndarray
+
+
+class Basis(NamedTuple):
+    """An optimal basis over an extended system, for warm starts.
+
+    columns holds the basic column of each row and state the status of
+    every structural and slack column (basic, at lower, at upper, free).
+    """
+
+    system: ExtendedSystem
+    columns: np.ndarray
+    state: np.ndarray
+
+
 @dataclass
 class LpResult:
     status: str
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    basis: Basis | None = None
+
+
+class _ColdRestart(Exception):
+    """The warm start cannot be used; solve from scratch instead."""
 
 
 def _start_value(lo: float, hi: float) -> float:
@@ -158,52 +197,124 @@ class _Tableau:
                     bland = True
             last_obj = obj
 
+    def dual(self, b, c, cap):
+        """Bounded dual simplex until the basis is primal feasible.
 
-def _extend(objective, matrix, senses, lower, upper):
+        Returns True once every basic value is within its bounds (the
+        caller's primal run then certifies optimality) and False when the
+        most violated row has no entering column, which proves the LP
+        infeasible. Raises _ColdRestart on a singular basis, on reaching
+        cap, or when a violation too small to certify infeasibility is
+        stuck.
+        """
+        M, lo, hi, state, z = self.M, self.lo, self.hi, self.state, self.z
+        basis = self.basis
+        # a fixed column cannot move, so it never enters
+        movable = lo < hi
+        at_lower = (state == _AT_LOWER) & movable
+        at_upper = (state == _AT_UPPER) & movable
+        while True:
+            try:
+                B_inv = np.linalg.inv(M[:, basis])
+            except np.linalg.LinAlgError:
+                raise _ColdRestart from None
+            z[basis] = 0.0
+            zb = B_inv @ (b - M @ z)
+            z[basis] = zb
+            below = lo[basis] - zb
+            above = zb - hi[basis]
+            violation = np.maximum(below, above)
+            r = int(np.argmax(violation))
+            if violation[r] <= _FEAS_TOL:
+                # park each fixed nonbasic column on the side its reduced
+                # cost calls for, so the primal run need not flip it
+                d = c - (c[basis] @ B_inv) @ M
+                parked = ~movable & (state != _BASIC)
+                state[parked & (d < 0.0)] = _AT_UPPER
+                state[parked & (d >= 0.0)] = _AT_LOWER
+                return True
+            if self.iterations >= cap:
+                raise _ColdRestart
+            to_lower = below[r] > above[r]
+            W = B_inv @ M
+            # g_j > 0: raising x_j moves the leaving variable toward its bound
+            g = -W[r] if to_lower else W[r]
+            eligible = (at_lower & (g > _PIVOT_TOL)) | (at_upper & (g < -_PIVOT_TOL))
+            (cand,) = np.nonzero(eligible)
+            if not cand.size:
+                if violation[r] <= _PHASE1_TOL:
+                    raise _ColdRestart
+                return False
+            # dual step each candidate allows; Harris two-pass ratio test:
+            # the largest |g| among steps within the tolerance-relaxed minimum
+            d = c[cand] - c[basis] @ W[:, cand]
+            step = np.maximum(d / g[cand], 0.0)
+            size = np.abs(g[cand])
+            bound = np.min(step + _COST_TOL / size)
+            q = int(cand[np.argmax(np.where(step <= bound, size, -1.0))])
+            self.iterations += 1
+            out = basis[r]
+            if to_lower:
+                z[out], state[out] = lo[out], _AT_LOWER
+            else:
+                z[out], state[out] = hi[out], _AT_UPPER
+            at_lower[out] = to_lower and movable[out]
+            at_upper[out] = not to_lower and movable[out]
+            basis[r] = q
+            state[q] = _BASIC
+            at_lower[q] = at_upper[q] = False
+
+    def warm_basis(self, system: ExtendedSystem) -> Basis:
+        """This optimal basis over the columns of system.
+
+        A basic artificial is pinned at zero and parallel to its row's
+        slack, which a nonsingular basis therefore keeps nonbasic; the
+        slack takes its place without changing the duals.
+        """
+        width = system.M.shape[1]
+        columns = self.basis.copy()
+        state = self.state[:width].copy()
+        for i, k in enumerate(columns):
+            if k >= width:
+                row = int(np.flatnonzero(self.M[:, k])[0])
+                columns[i] = width - self.M.shape[0] + row
+                state[columns[i]] = _BASIC
+        return Basis(system, columns, state)
+
+
+def _extend(objective, matrix, senses) -> ExtendedSystem:
     """Append one ranged slack per row; returns the equality system."""
     m, n = matrix.shape
-    M = np.hstack([matrix, np.eye(m)])
-    lo = np.concatenate([lower, np.zeros(m)])
-    hi = np.concatenate([upper, np.zeros(m)])
+    slack_lo = np.zeros(m)
+    slack_hi = np.zeros(m)
     for i, sense in enumerate(senses):
         if sense == "<=":
-            lo[n + i], hi[n + i] = 0.0, math.inf
+            slack_hi[i] = math.inf
         elif sense == ">=":
-            lo[n + i], hi[n + i] = -math.inf, 0.0
-        elif sense == "=":
-            lo[n + i], hi[n + i] = 0.0, 0.0
-        else:
+            slack_lo[i] = -math.inf
+        elif sense != "=":
             raise ValueError(f"unknown row sense {sense!r}")
+    M = np.hstack([matrix, np.eye(m)])
     c = np.concatenate([objective, np.zeros(m)])
-    return M, lo, hi, c
+    return ExtendedSystem(M, c, slack_lo, slack_hi)
 
 
-def solve_bounded_lp(
-    objective,
-    matrix,
-    senses,
-    rhs,
-    lower,
-    upper,
-    iteration_limit: int | None = None,
-) -> LpResult:
-    """Minimize objective @ x subject to matrix x (senses) rhs, lower <= x <= upper.
+def _warm_tableau(warm: Basis, lo, hi) -> _Tableau:
+    """A tableau on warm's basis with the nonbasic columns at the new bounds."""
+    state = warm.state.copy()
+    z = np.where(state == _AT_LOWER, lo, np.where(state == _AT_UPPER, hi, 0.0))
+    nonbasic = state != _BASIC
+    if (state[nonbasic] == _FREE).any() or not np.isfinite(z[nonbasic]).all():
+        raise _ColdRestart
+    return _Tableau(warm.system.M, lo, hi, warm.columns.copy(), state, z)
 
-    iteration_limit caps total simplex iterations across both phases; when
-    it bites after feasibility is established, the result carries the best
-    feasible objective so far with status iteration_limit. Running out
-    during phase 1 is a SolverError since nothing is certified yet.
-    """
-    objective = np.asarray(objective, dtype=float)
-    matrix = np.asarray(matrix, dtype=float).reshape(len(senses), len(objective))
-    rhs = np.asarray(rhs, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    m, n = matrix.shape
-    if np.any(lower > upper):
-        return LpResult(INFEASIBLE, None, None, 0)
 
-    M, lo, hi, c = _extend(objective, matrix, senses, lower, upper)
+def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, bool]:
+    """Phase 1 from the slack basis; returns the tableau and whether the LP
+    is feasible. On success the artificials are pinned at zero."""
+    M, c = system.M, system.c
+    m = M.shape[0]
+    n = M.shape[1] - m
     z = np.array([_start_value(lo[j], hi[j]) for j in range(n + m)])
     state = np.array([_start_state(lo[j], hi[j]) for j in range(n + m)], dtype=np.int8)
 
@@ -213,7 +324,7 @@ def solve_bounded_lp(
     art_cols = []
     art_rows = []
     for i in range(m):
-        target = rhs[i] - matrix[i] @ z[:n]
+        target = rhs[i] - M[i, :n] @ z[:n]
         s = n + i
         if lo[s] - _FEAS_TOL <= target <= hi[s] + _FEAS_TOL:
             z[s] = min(max(target, lo[s]), hi[s])
@@ -232,38 +343,94 @@ def solve_bounded_lp(
         M = np.hstack([M, np.column_stack(art_cols)])
         lo = np.concatenate([lo, np.zeros(n_art)])
         hi = np.concatenate([hi, np.full(n_art, math.inf)])
-        c = np.concatenate([c, np.zeros(n_art)])
         z = np.concatenate([z, np.array([v for _, v in art_rows])])
         state = np.concatenate([state, np.full(n_art, _BASIC, dtype=np.int8)])
         for k, (i, _) in enumerate(art_rows):
             basis[i] = n + m + k
 
-    cap = iteration_limit if iteration_limit is not None else 200 * (n + m) + 2000
     tab = _Tableau(M, lo, hi, basis, state, z)
-
     if n_art:
-        c1 = np.zeros(len(c))
+        c1 = np.zeros(n + m + n_art)
         c1[n + m :] = 1.0
         status = tab.run(c1, cap)
         if status == ITERATION_LIMIT:
             raise SolverError("iteration cap exhausted before certifying feasibility")
         if status == UNBOUNDED:
             raise SolverError("phase 1 reported unbounded; artificial costs are >= 0")
-        if float(c1 @ tab.z) > 1e-7:
-            return LpResult(INFEASIBLE, None, None, tab.iterations)
+        if float(c1 @ tab.z) > _PHASE1_TOL:
+            return tab, False
         # artificials are pinned at zero for the real objective
         tab.lo[n + m :] = 0.0
         tab.hi[n + m :] = 0.0
+    return tab, True
 
+
+def solve_bounded_lp(
+    objective,
+    matrix,
+    senses,
+    rhs,
+    lower,
+    upper,
+    iteration_limit: int | None = None,
+    warm_start: Basis | None = None,
+) -> LpResult:
+    """Minimize objective @ x subject to matrix x (senses) rhs, lower <= x <= upper.
+
+    iteration_limit caps total simplex iterations across both phases; when
+    it bites after feasibility is established, the result carries the best
+    feasible objective so far with status iteration_limit. Running out
+    during phase 1 is a SolverError since nothing is certified yet.
+
+    warm_start is the basis of an optimal result for the same objective
+    and rows under other column bounds; the solve then starts from it
+    with the dual simplex. An optimal result carries its basis.
+    """
+    objective = np.asarray(objective, dtype=float)
+    matrix = np.asarray(matrix, dtype=float).reshape(len(senses), len(objective))
+    rhs = np.asarray(rhs, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    m, n = matrix.shape
+    if np.any(lower > upper):
+        return LpResult(INFEASIBLE, None, None, 0)
+
+    if warm_start is None:
+        system = _extend(objective, matrix, senses)
+    else:
+        system = warm_start.system
+        if system.M.shape != (m, n + m):
+            raise ValueError("warm start belongs to a system of another shape")
+    lo = np.concatenate([lower, system.slack_lo])
+    hi = np.concatenate([upper, system.slack_hi])
+    cap = iteration_limit if iteration_limit is not None else 200 * (n + m) + 2000
+
+    spent = 0
+    tab = None
+    if warm_start is not None:
+        try:
+            tab = _warm_tableau(warm_start, lo, hi)
+            if not tab.dual(rhs, system.c, cap):
+                return LpResult(INFEASIBLE, None, None, tab.iterations)
+        except _ColdRestart:
+            spent = tab.iterations if tab is not None else 0
+            tab = None
+    if tab is None:
+        tab, feasible = _cold_tableau(system, rhs, lo, hi, cap)
+        if not feasible:
+            return LpResult(INFEASIBLE, None, None, spent + tab.iterations)
+
+    c = np.concatenate([system.c, np.zeros(len(tab.z) - n - m)])
     status = tab.run(c, cap)
+    iterations = spent + tab.iterations
     x = tab.z[:n].copy()
     obj = float(objective @ x)
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None, tab.iterations)
+        return LpResult(UNBOUNDED, None, None, iterations)
     if status == ITERATION_LIMIT:
         if iteration_limit is None:
             raise SolverError("simplex failed to converge within the safety cap")
-        return LpResult(ITERATION_LIMIT, x, obj, tab.iterations)
+        return LpResult(ITERATION_LIMIT, x, obj, iterations)
     residual = matrix @ x
     for i, sense in enumerate(senses):
         bad = (
@@ -273,4 +440,4 @@ def solve_bounded_lp(
         )
         if bad:
             raise SolverError(f"optimal point violates row {i}")
-    return LpResult(OPTIMAL, x, obj, tab.iterations)
+    return LpResult(OPTIMAL, x, obj, iterations, tab.warm_basis(system))

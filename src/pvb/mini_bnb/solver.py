@@ -12,6 +12,8 @@ scanned candidates against predicted ones for reliable candidates.
 Node selection is best bound so that node counts compare branching
 quality rather than incumbent luck. An SB child LP that proves
 infeasible doubles as a cutoff certificate: that child is never queued.
+Every LP below the root, SB child or queued node, starts warm from its
+parent node's optimal basis.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .simplex import (
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    Basis,
     SolverError,
     solve_bounded_lp,
 )
@@ -59,8 +62,7 @@ class Pseudocost:
     Gains enter divided by the fractional distance to the branching
     bound, the usual normalization that makes histories comparable
     across fractionalities. A variable counts as reliable once both
-    directions have at least `threshold` recorded observations. Every
-    update is appended to `log` so a replay can audit the averages.
+    directions have at least `threshold` recorded observations.
     """
 
     def __init__(self, n_cols: int, threshold: int = 2) -> None:
@@ -73,7 +75,6 @@ class Pseudocost:
         self.down_count = np.zeros(n_cols, dtype=np.int64)
         self.up_sum = np.zeros(n_cols)
         self.up_count = np.zeros(n_cols, dtype=np.int64)
-        self.log: list[tuple[int, float | None, float | None]] = []
 
     def update(
         self,
@@ -92,7 +93,6 @@ class Pseudocost:
                 raise ValueError(f"invalid per-unit gain {value!r}")
             sums[j] += value
             counts[j] += 1
-        self.log.append((j, down_per_unit, up_per_unit))
 
     def reliable(self, j: int) -> bool:
         return min(self.down_count[j], self.up_count[j]) >= self.threshold
@@ -207,6 +207,7 @@ def strong_branch_candidate(
     xj: float,
     node_objective: float,
     iteration_limit: int = 500,
+    warm_start: Basis | None = None,
 ) -> SbEval:
     """Solve both child LPs for rounding x_j down and up.
 
@@ -214,7 +215,8 @@ def strong_branch_candidate(
     child reports an infinite gain, which doubles as a cutoff
     certificate for that side. A child stopped by the per-candidate
     iteration limit still contributes its reached objective to the gain
-    but certifies no bound beyond the node's own.
+    but certifies no bound beyond the node's own. warm_start, the node
+    LP's optimal basis, restarts both children from the node's vertex.
     """
     frac = xj - math.floor(xj)
     if min(frac, 1.0 - frac) <= 1e-9:
@@ -230,7 +232,10 @@ def strong_branch_candidate(
             hi2[j] = new_hi
         if new_lo is not None:
             lo2[j] = new_lo
-        res = solve_bounded_lp(c, A, senses, b, lo2, hi2, iteration_limit=iteration_limit)
+        res = solve_bounded_lp(
+            c, A, senses, b, lo2, hi2, iteration_limit=iteration_limit,
+            warm_start=warm_start,
+        )
         iters += res.iterations
         if res.status == INFEASIBLE:
             gains.append(math.inf)
@@ -261,6 +266,7 @@ def select_branching_variable(
     samples: GainAccumulator,
     config: SolverConfig,
     gap: float | None = None,
+    warm_start: Basis | None = None,
 ) -> ScanOutcome:
     """Pick the branching column among the fractional candidates.
 
@@ -272,7 +278,8 @@ def select_branching_variable(
 
     gap is the objective distance this node's subtree is expected to
     close; a positive value arms the expected-tree-size stop in dynamic
-    mode, None or nonpositive leaves only the hard caps.
+    mode, None or nonpositive leaves only the hard caps. warm_start is
+    the node LP's optimal basis, handed on to every SB child.
     """
     candidates = list(candidates)
     if not candidates:
@@ -308,7 +315,7 @@ def select_branching_variable(
     for j in order:
         ev = strong_branch_candidate(
             c, A, senses, b, lo, hi, j, float(x[j]), node_objective,
-            config.child_iteration_limit,
+            config.child_iteration_limit, warm_start,
         )
         evaluated[j] = ev
         sb_iterations += ev.iterations
@@ -393,8 +400,9 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     incumbent_obj: float | None = None
     incumbent_x: np.ndarray | None = None
     estimate: float | None = None
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = [
-        (-math.inf, 0, lo0, hi0)
+    # entries carry the parent's optimal basis; the root starts cold
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, Basis | None]] = [
+        (-math.inf, 0, lo0, hi0, None)
     ]
     seq = 0
     nodes = sb_lp_solves = sb_iterations = 0
@@ -405,12 +413,12 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         if config.node_limit is not None and nodes >= config.node_limit:
             status = NODE_LIMIT
             break
-        parent_bound, _, lo, hi = heapq.heappop(heap)
+        parent_bound, _, lo, hi, warm_start = heapq.heappop(heap)
         if incumbent_obj is not None and parent_bound >= incumbent_obj - _PRUNE_TOL:
             # best-bound order: every remaining node is at least as bad
             heap.clear()
             break
-        res = solve_bounded_lp(c, A, senses, b, lo, hi)
+        res = solve_bounded_lp(c, A, senses, b, lo, hi, warm_start=warm_start)
         nodes += 1
         if res.status == INFEASIBLE:
             continue
@@ -438,7 +446,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         gap = min(targets) - obj if targets else None
         outcome = select_branching_variable(
             c, A, senses, b, lo, hi, x, obj, res.iterations,
-            fractional, pseudocost, samples, config, gap,
+            fractional, pseudocost, samples, config, gap, res.basis,
         )
         sb_lp_solves += outcome.sb_lp_solves
         sb_iterations += outcome.sb_iterations
@@ -478,7 +486,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             if new_lo is not None:
                 lo2[j] = new_lo
             seq += 1
-            heapq.heappush(heap, (child_bound, seq, lo2, hi2))
+            heapq.heappush(heap, (child_bound, seq, lo2, hi2, res.basis))
 
     if status is None:
         status = OPTIMAL if incumbent_obj is not None else INFEASIBLE

@@ -99,7 +99,12 @@ def tail_cdf_mp(family, theta, g):
 
 
 def linprog_lp(c, a, senses, rhs, lower, upper):
-    """LP reference via scipy's HiGHS wrapper. Returns (status, objective)."""
+    """LP reference via scipy's HiGHS wrapper. Returns (status, objective).
+
+    HiGHS presolve can report status 2 (infeasible) for an LP that is
+    really unbounded, so a status-2 answer is re-solved without presolve
+    and called infeasible only if that solve agrees.
+    """
     import scipy.optimize
 
     rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
@@ -113,15 +118,22 @@ def linprog_lp(c, a, senses, rhs, lower, upper):
         else:
             rows_eq.append(list(row))
             rhs_eq.append(b)
-    res = scipy.optimize.linprog(
-        c,
-        A_ub=rows_ub or None,
-        b_ub=rhs_ub or None,
-        A_eq=rows_eq or None,
-        b_eq=rhs_eq or None,
-        bounds=list(zip(lower, upper)),
-        method="highs",
-    )
+
+    def highs(presolve):
+        return scipy.optimize.linprog(
+            c,
+            A_ub=rows_ub or None,
+            b_ub=rhs_ub or None,
+            A_eq=rows_eq or None,
+            b_eq=rhs_eq or None,
+            bounds=list(zip(lower, upper)),
+            method="highs",
+            options={"presolve": presolve},
+        )
+
+    res = highs(True)
+    if res.status == 2:
+        res = highs(False)
     if res.status == 0:
         return "optimal", float(res.fun)
     if res.status == 2:

@@ -264,6 +264,20 @@ class TestSolve:
         code, _, stderr = run(capsys, "solve", str(path))
         assert code == 2 and "ENDATA" in stderr
 
+    def test_solver_error_exits_2_and_names_instance(self, capsys, monkeypatch):
+        import pvb.cli as cli
+        from pvb.mini_bnb import SolverError
+
+        def failing(*args, **kwargs):
+            raise SolverError("singular working basis")
+
+        monkeypatch.setattr(cli, "solve", failing)
+        path = str(EXAMPLES / "tiny-knapsack.mps")
+        code, stdout, stderr = run(capsys, "solve", path)
+        assert code == 2 and stdout == ""
+        assert "internal error" not in stderr
+        assert path in stderr and "singular working basis" in stderr
+
     def test_internal_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         import pvb.cli as cli
 

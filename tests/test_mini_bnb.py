@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pvb.distributions import GainAccumulator
 from pvb.lookahead import (
@@ -75,10 +77,65 @@ def build(objective, rows, lower=0.0, upper=math.inf, integer=False, name="t"):
     )
 
 
+class RecordingPseudocost(Pseudocost):
+    """Pseudocost that keeps every update call, so a test can replay them."""
+
+    def __init__(self, n_cols, threshold=2):
+        super().__init__(n_cols, threshold)
+        self.calls = []
+
+    def update(self, j, down_per_unit, up_per_unit):
+        super().update(j, down_per_unit, up_per_unit)
+        self.calls.append((j, down_per_unit, up_per_unit))
+
+
 def geomean(values, shift):
     return math.exp(
         sum(math.log(v + shift) for v in values) / len(values)
     ) - shift
+
+
+@st.composite
+def parent_and_child_lps(draw):
+    """A feasible LP, plus which bound of which column its child moves.
+
+    Rows pass through a point x0 inside the box, most of them exactly, so
+    x0 is feasible and usually a degenerate vertex; rows are scaled by
+    powers of ten, and columns are boxed, bounded below only, or free.
+    """
+
+    def vec(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), float)
+
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 5))
+    a = vec(st.integers(-5, 6), m * n).reshape(m, n)
+    c = vec(st.integers(-9, 9), n)
+    lower = vec(st.sampled_from([0.0, 0.0, 0.0, -4.0, -math.inf]), n)
+    upper = np.where(lower == 0.0, 5.0, math.inf)
+    x0 = vec(st.integers(0, 5), n)
+    senses = draw(st.lists(st.sampled_from(["<=", "<=", ">=", "="]), min_size=m, max_size=m))
+    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[sense] for sense in senses])
+    b = a @ x0 + sign * vec(st.sampled_from([0, 0, 0, 1, 3]), m)
+    scale = vec(st.sampled_from([1e-2, 1.0, 1.0, 1e2]), m)
+    a, b = a * scale[:, None], b * scale
+    j = draw(st.integers(0, n - 1))
+    side = draw(st.sampled_from(["down", "up", "fix"]))
+    shift = draw(st.integers(0, 6))
+    return c, a, senses, b, lower, upper, j, side, shift
+
+
+def tighten(x, lower, upper, j, side, shift):
+    """Child bounds: cut column j below or above x_j by shift more steps,
+    or fix it near x_j; large shifts often leave no feasible point."""
+    lo2, hi2 = lower.copy(), upper.copy()
+    if side == "down":
+        hi2[j] = min(upper[j], math.floor(x[j]) - shift)
+    elif side == "up":
+        lo2[j] = max(lower[j], math.ceil(x[j]) + shift)
+    else:
+        lo2[j] = hi2[j] = math.floor(x[j]) + shift - 3
+    return lo2, hi2
 
 
 class TestSimplex:
@@ -147,6 +204,17 @@ class TestSimplex:
                 [3.0, 3.0], iteration_limit=1,
             )
 
+    def test_unbounded_lp_that_highs_presolve_calls_infeasible(self):
+        # HiGHS with presolve answers status 2 (infeasible) here; the
+        # oracle's re-solve without presolve agrees with pvb
+        c = [-2.0, 2.0, 7.0]
+        a = [[100.0, -500.0, 400.0], [0.05, -0.05, 0.06], [600.0, 0.0, 0.0], [0.05, 0.0, 0.0]]
+        senses = ["<=", ">=", ">=", ">="]
+        b = [1400.0, 0.14, 900.0, -0.03]
+        lower, upper = [-math.inf, 0.0, -math.inf], [math.inf, 6.0, math.inf]
+        assert linprog_lp(c, a, senses, b, lower, upper) == ("unbounded", None)
+        assert solve_bounded_lp(c, a, senses, b, lower, upper).status == UNBOUNDED
+
     @pytest.mark.parametrize("seed", range(150))
     def test_fuzz_against_highs(self, seed):
         rng = np.random.default_rng(20_000 + seed)
@@ -164,6 +232,122 @@ class TestSimplex:
         assert res.status == ref_status
         if ref_status == "optimal":
             assert res.objective == pytest.approx(ref_obj, abs=1e-6)
+
+
+class TestWarmStart:
+    @settings(
+        max_examples=600, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(parent_and_child_lps())
+    def test_fuzz_child_matches_cold_and_highs(self, case):
+        c, a, senses, b, lower, upper, j, side, shift = case
+        parent = solve_bounded_lp(c, a, senses, b, lower, upper)
+        if parent.status != OPTIMAL:
+            return
+        lo2, hi2 = tighten(parent.x, lower, upper, j, side, shift)
+        warm = solve_bounded_lp(c, a, senses, b, lo2, hi2, warm_start=parent.basis)
+        cold = solve_bounded_lp(c, a, senses, b, lo2, hi2)
+        ref_status, ref_obj = linprog_lp(c, a, senses, b, lo2, hi2)
+        assert warm.status == cold.status == ref_status
+        if ref_status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+            assert warm.objective == pytest.approx(ref_obj, abs=1e-6)
+            assert warm.basis is not None
+
+    def test_children_need_half_the_pivots(self):
+        # guards the warm start itself: SB children restarted from the
+        # root basis against the same children solved from scratch
+        mip = sparse_multiknapsack(20, 12, 1)
+        c, a, senses, b, lo, hi = mip.dense()
+        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        fractional = [
+            j for j in range(mip.n_cols)
+            if min(root.x[j] % 1.0, 1.0 - root.x[j] % 1.0) > 1e-6
+        ]
+        assert len(fractional) >= 4
+        warm_iters = cold_iters = 0
+        for j in fractional:
+            args = (c, a, senses, b, lo, hi, j, float(root.x[j]), root.objective)
+            warm = strong_branch_candidate(*args, warm_start=root.basis)
+            cold = strong_branch_candidate(*args)
+            assert warm.down_gain == pytest.approx(cold.down_gain, abs=1e-9)
+            assert warm.up_gain == pytest.approx(cold.up_gain, abs=1e-9)
+            warm_iters += warm.iterations
+            cold_iters += cold.iterations
+        assert warm_iters <= cold_iters / 2
+
+    def test_infeasible_child_is_certified_by_the_dual(self):
+        # x0 + x1 >= 3 with both capped at 2; fixing x0 at 0 leaves x1 short
+        c, a, senses, b = [1.0, 1.0], [[1.0, 1.0]], [">="], [3.0]
+        parent = solve_bounded_lp(c, a, senses, b, [0.0, 0.0], [2.0, 2.0])
+        assert parent.status == OPTIMAL
+        child = solve_bounded_lp(
+            c, a, senses, b, [0.0, 0.0], [0.0, 2.0], warm_start=parent.basis
+        )
+        assert child.status == INFEASIBLE
+        assert child.iterations == 0
+
+    def test_free_nonbasic_column_falls_back_to_cold(self):
+        # the free x1 has zero cost and sits nonbasic at 0 in the parent
+        c, a, senses, b = [-1.0, 0.0], [[1.0, 0.0]], ["<="], [4.0]
+        lower, upper = [0.0, -math.inf], [math.inf, math.inf]
+        parent = solve_bounded_lp(c, a, senses, b, lower, upper)
+        assert parent.status == OPTIMAL
+        child = solve_bounded_lp(
+            c, a, senses, b, lower, [2.0, math.inf], warm_start=parent.basis
+        )
+        cold = solve_bounded_lp(c, a, senses, b, lower, [2.0, math.inf])
+        assert child.status == OPTIMAL
+        assert child.objective == pytest.approx(-2.0)
+        assert child.iterations == cold.iterations
+
+    def test_capped_dual_phase_falls_back_and_counts_both(self):
+        mip = sparse_multiknapsack(20, 12, 1)
+        c, a, senses, b, lo, hi = mip.dense()
+        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        j = next(
+            j for j in range(mip.n_cols)
+            if min(root.x[j] % 1.0, 1.0 - root.x[j] % 1.0) > 1e-6
+        )
+        lo2 = lo.copy()
+        lo2[j] = 1.0
+        warm = solve_bounded_lp(c, a, senses, b, lo2, hi, warm_start=root.basis)
+        assert warm.status == OPTIMAL and warm.iterations >= 2
+        # one pivot short of the warm solve, so the dual phase cannot finish
+        cap = warm.iterations - 1
+        capped = solve_bounded_lp(
+            c, a, senses, b, lo2, hi, iteration_limit=cap, warm_start=root.basis
+        )
+        cold = solve_bounded_lp(c, a, senses, b, lo2, hi, iteration_limit=cap)
+        assert capped.status == cold.status
+        assert capped.objective == pytest.approx(cold.objective)
+        assert capped.iterations == cap + cold.iterations
+
+    def test_solve_warm_starts_every_lp_below_the_root(self, monkeypatch):
+        from pvb.mini_bnb import solver
+
+        starts = []
+        original = solver.solve_bounded_lp
+
+        def recording(*args, warm_start=None, **kwargs):
+            starts.append(warm_start)
+            return original(*args, warm_start=warm_start, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_bounded_lp", recording)
+        res = solve(sparse_multiknapsack(20, 12, 1), FIXED)
+        assert res.status == OPTIMAL and res.sb_lp_solves > 0
+        assert len(starts) == res.nodes + res.sb_lp_solves
+        assert starts[0] is None
+        assert all(basis is not None for basis in starts[1:])
+
+    def test_warm_start_of_another_shape_is_rejected(self):
+        parent = solve_bounded_lp([1.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
+        with pytest.raises(ValueError, match="another shape"):
+            solve_bounded_lp(
+                [1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [0.0, 0.0], [1.0, 1.0],
+                warm_start=parent.basis,
+            )
 
 
 FIXTURE = """* hand-written instance covering every supported record
@@ -387,14 +571,14 @@ class TestPseudocost:
 
     def test_log_replays_to_same_averages(self):
         rng = np.random.default_rng(5)
-        pc = Pseudocost(4, threshold=3)
+        pc = RecordingPseudocost(4, threshold=3)
         for _ in range(30):
             j = int(rng.integers(0, 4))
             down = float(rng.random()) if rng.random() < 0.8 else None
             up = float(rng.random()) if rng.random() < 0.8 else None
             pc.update(j, down, up)
         replay = Pseudocost(4, threshold=3)
-        for j, down, up in pc.log:
+        for j, down, up in pc.calls:
             replay.update(j, down, up)
         assert np.array_equal(replay.down_sum, pc.down_sum)
         assert np.array_equal(replay.up_sum, pc.up_sum)
@@ -441,19 +625,19 @@ class TestSelect:
 
     def test_single_candidate_scan(self):
         mip = build([-1.0, -1.0], [([2.0, 0.0], "<=", 1.0)], upper=1.0, integer=(True, False))
-        outcome, pc, res = run_select(mip)
+        outcome, pc, res = run_select(mip, pseudocost=RecordingPseudocost(2))
         assert outcome.column == 0
         assert outcome.reason == CUTOFF_FOUND  # up child is infeasible
         assert outcome.reveals == 1 and outcome.sb_lp_solves == 2
         assert not outcome.node_infeasible
-        assert pc.log == [(0, pytest.approx(1.0), None)]
+        assert pc.calls == [(0, pytest.approx(1.0), None)]
 
     def test_cutoff_both_sides_marks_node_infeasible(self):
         mip = build([-1.0], [([2.0], "=", 1.0)], upper=1.0, integer=True)
-        outcome, pc, _ = run_select(mip)
+        outcome, pc, _ = run_select(mip, pseudocost=RecordingPseudocost(1))
         assert outcome.reason == CUTOFF_FOUND
         assert outcome.node_infeasible
-        assert pc.log == []
+        assert pc.calls == []
 
     def test_budget_stop(self):
         mip = sparse_multiknapsack(20, 12, 3)
