@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .gains import GeomGain, is_zero_gain
 
@@ -27,10 +30,6 @@ MAX_BUILT_NODES = 10**7
 
 class CapacityError(RuntimeError):
     """Gap/gain ratio too extreme for exact tree enumeration."""
-
-
-class PoolExhaustedError(RuntimeError):
-    """Signal that every candidate of a PvbInstance has been revealed."""
 
 
 @dataclass(frozen=True)
@@ -66,26 +65,28 @@ class TreeCost:
         return cls(final_tree_nodes, 2 * reveals, final_tree_nodes + 2 * reveals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PvbInstance:
     """A gap target plus a pool of hidden geometric-mean gains."""
 
     gap: float
     pool: tuple[float, ...]
-    revealed_count: int = field(default=0)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gap) and self.gap > 0):
             raise ValueError(f"gap must be positive, got {self.gap!r}")
-        self.pool = tuple(float(g) for g in self.pool)
+        object.__setattr__(self, "pool", tuple(float(g) for g in self.pool))
         for g in self.pool:
             if not (math.isfinite(g) and g >= 0):
                 raise ValueError(f"invalid pool gain: {g!r}")
-        if not 0 <= self.revealed_count <= len(self.pool):
-            raise ValueError("revealed_count out of range")
 
-    def clone(self) -> "PvbInstance":
-        return replace(self, revealed_count=0)
+    @cached_property
+    def reveal_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool as float64 with zero-classified gains set to 0.0, and
+        math.log of each nonzero gain (0.0 for zeros). Built on first use."""
+        gains = [0.0 if is_zero_gain(g) else g for g in self.pool]
+        logs = [math.log(g) if g else 0.0 for g in gains]
+        return np.array(gains, dtype=float), np.array(logs, dtype=float)
 
 
 def _gain_value(gain) -> float:
@@ -171,21 +172,6 @@ def build_svb_tree(gap: float, variable: AbstractVariable) -> int:
     if total > MAX_BUILT_NODES:
         raise CapacityError(f"tree has {total} nodes, over the {MAX_BUILT_NODES} guard")
     return total
-
-
-def reveal_next(instance: PvbInstance, order) -> float:
-    """Reveal the next hidden gain under `order`, a permutation of the pool.
-
-    Costs 2 nodes in TreeCost accounting (one SB branching plus restart);
-    the caller keeps that tally.
-    """
-    if instance.revealed_count >= len(instance.pool):
-        raise PoolExhaustedError(
-            f"all {len(instance.pool)} candidates already revealed"
-        )
-    gain = instance.pool[order[instance.revealed_count]]
-    instance.revealed_count += 1
-    return gain
 
 
 def load_pool(path: str) -> tuple[float, ...]:

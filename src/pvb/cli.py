@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .abstract_tree import PvbInstance
+from .abstract_tree import CapacityError, PvbInstance
 from .distributions import FAMILIES, fit_report
 from .gains import DEFAULT_EPSILON, GainFileError, load_gain_series
 from .lookahead import FixedLookaheadConfig, ProbLookaheadConfig
@@ -287,7 +287,7 @@ def cmd_simulate(args) -> int:
         table = run_campaign(
             spec, workers=cfg.workers, fixed=cfg.knobs.fixed(), prob=cfg.knobs.prob()
         )
-    except UnclosableError as exc:
+    except (UnclosableError, CapacityError) as exc:
         raise CliError(str(exc)) from None
     header = ("gap", "strategy", "mean_total_nodes", "mean_sb_nodes")
     rows = [

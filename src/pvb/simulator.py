@@ -1,16 +1,30 @@
 """Monte-Carlo harness comparing stopping strategies on abstract instances.
 
-A trial reveals pool gains in a fresh uniform permutation, refits the gain
-distribution after every reveal (probabilistic strategies only), and stops
-when the active rule says so. The reported cost is the perfect tree of the
-best depth found plus two nodes per reveal.
+A trial reveals pool gains in a uniform random permutation until the
+strategy stops; its cost is the perfect tree of the best depth found plus
+two nodes per reveal. run_trial prices a trial with array code rather
+than a reveal-by-reveal loop:
 
-The probabilistic strategies here apply the expected-tree-size test at
-every iteration with no streak cap: in the abstract model the criterion is
-free to run SB longer than the fixed rule whenever more scanning is
-expected to pay for itself, which is exactly how it escapes the fixed
-rule's blowup at large gaps. The phi-gated variant with hard caps lives in
-the solver's branching rule, not here.
+- `full` reveals the whole pool, so it has a closed form: every gain
+  revealed and depth ceil(G / largest gain). No permutation is drawn.
+- `fixed` finds the improvements from a running maximum of the permuted
+  gains and the first streak or budget stop from prefix counts.
+- The probabilistic strategies take the running sums a GainAccumulator
+  would hold after every prefix, derive each prefix's fit with the same
+  float operations as GainAccumulator.fit, and evaluate the
+  expected-tree-size test for all prefixes at once as a prefixes x depth
+  array, 64 reveals at first and wider only while no stop falls inside.
+
+Every decision is the per-reveal rule's: a prefix whose array E[t_{i+1}]
+lies within a relative 1e-9 of t_i, or whose best depth exceeds 52, is
+re-decided by the scalar expected_nodes_if_continue.
+
+The probabilistic strategies apply the expected-tree-size test after every
+reveal with no streak cap: in the abstract model the criterion is free to
+run SB longer than the fixed rule whenever more scanning is expected to
+pay for itself, which is exactly how it escapes the fixed rule's blowup at
+large gaps. The phi-gated variant with hard caps lives in the solver's
+branching rule, not here.
 
 Campaigns aggregate means per (gap, strategy) cell with one rng stream per
 trial index, so results do not depend on execution order or worker count.
@@ -18,28 +32,37 @@ trial index, so results do not depend on execution order or worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_tree import UNBOUNDED, PvbInstance
-from .distributions import DegenerateFitError
-from .gains import is_zero_gain
+from .abstract_tree import CapacityError, PvbInstance, svb_depth
+from .distributions import GainAccumulator
 from .lookahead import (
+    BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
-    CONTINUE,
+    LOOKAHEAD_EXHAUSTED,
     NO_EXPECTED_IMPROVEMENT,
-    Decision,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     SbSession,
     expected_nodes_if_continue,
+    iteration_budget,
+    max_lookahead,
     nodes_if_stop,
-    should_continue,
+    should_continue,  # noqa: F401 - perfbench's tracer wraps simulator.should_continue
 )
 
 STRATEGIES = ("fixed", "full", "prob-exp", "prob-mixed-exp", "prob-mixed-pareto")
+
+# tail family and mass point of each probabilistic strategy's fit
+_PROB_FITS = {
+    "prob-exp": ("exponential", False),
+    "prob-mixed-exp": ("exponential", True),
+    "prob-mixed-pareto": ("pareto", True),
+}
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -47,6 +70,23 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # least 2**513 nodes, so the scan keeps going (and the per-reveal test stays
 # O(depth) instead of chasing astronomical d_min values).
 _MAX_EVAL_DEPTH = 512
+
+# Deepest final tree a trial may report: 2**1023 - 1 nodes is the largest
+# size whose campaign mean still converts to a float.
+MAX_FINAL_DEPTH = 1022
+
+# Above this depth a float64 2**(d+1) absorbs the -1 + 2i that the scalar
+# test adds to t_i as an exact integer, so the array test never decides there.
+_EXACT_FLOAT_DEPTH = 52
+
+# Relative distance of E[t_{i+1}] from t_i under which the array test defers
+# to the scalar one; the two differ by well under 1e-12 relative.
+_SCALAR_MARGIN = 1e-9
+
+_FIRST_WINDOW = 64
+
+_DEPTHS = np.arange(1, _MAX_EVAL_DEPTH + 1, dtype=float)
+_WEIGHTS = np.ldexp(1.0, np.arange(2, _MAX_EVAL_DEPTH + 2)) - 1.0  # 2**(d+1) - 1
 
 
 class UnclosableError(RuntimeError):
@@ -102,54 +142,139 @@ class CampaignRow:
     mean_sb_nodes: float
 
 
-def _never_stop(session: SbSession) -> Decision:
-    return Decision(False, CONTINUE)
+def _prefix_windows(n: int):
+    """Prefix lengths to evaluate: [0, 64), then four times wider up to n."""
+    lo, hi = 0, min(_FIRST_WINDOW, n)
+    while True:
+        yield lo, hi
+        if hi == n:
+            return
+        lo, hi = hi, min(4 * hi, n)
 
 
-def _resolve_policy(strategy, fixed: FixedLookaheadConfig, prob: ProbLookaheadConfig):
-    """Map a strategy name (or a callable session -> Decision) to a policy."""
-    if callable(strategy):
-        return getattr(strategy, "__name__", "custom"), strategy
-    if strategy == "full":
-        return strategy, _never_stop
-    if strategy == "fixed":
-        return strategy, lambda session: should_continue(session, fixed)
-    try:
-        family, mass_point = {
-            "prob-exp": ("exponential", False),
-            "prob-mixed-exp": ("exponential", True),
-            "prob-mixed-pareto": ("pareto", True),
-        }[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+def _fixed_trial(gains: np.ndarray, order: np.ndarray, fixed: FixedLookaheadConfig):
+    """(reveals, reason, best gain) of the fixed rule on one permutation."""
+    lmax = max_lookahead(fixed)
+    budget = iteration_budget(0.0, fixed.K)
+    stop = None
+    for lo, hi in _prefix_windows(len(order)):
+        v = gains[order[:hi]]
+        best = np.maximum.accumulate(v)
+        if stop is None:
+            i = np.arange(1, hi + 1)
+            improved = v > np.concatenate(([0.0], best[:-1]))
+            streak = i - np.maximum.accumulate(np.where(improved, i, 0))
+            hits = np.flatnonzero(((streak >= lmax) | (2.0 * i >= budget))[lo:])
+            if hits.size:
+                stop = lo + int(hits[0])
+                reason = LOOKAHEAD_EXHAUSTED if streak[stop] >= lmax else BUDGET_EXHAUSTED
+        if stop is not None:
+            # a stop with no nonzero gain yet waits for the first one
+            usable = np.flatnonzero(best[stop:] > 0.0)
+            if usable.size:
+                k = stop + int(usable[0])
+                return k + 1, reason, float(best[k])
+    return len(order), CANDIDATES_EXHAUSTED, float(best[-1])
 
-    def policy(session: SbSession) -> Decision:
-        if session.d_min == UNBOUNDED:
-            return Decision(False, CONTINUE)
-        if session.d_min == 1:
-            # the gap closes in one branching; nothing left to improve
-            return Decision(True, NO_EXPECTED_IMPROVEMENT)
-        if session.samples.n_nonzero < prob.min_nonzero_samples:
-            return Decision(False, CONTINUE)
-        if session.d_min > _MAX_EVAL_DEPTH:
-            return Decision(False, CONTINUE)
-        try:
-            dist = session.samples.fit(family, mass_point=mass_point)
-        except DegenerateFitError:
-            return Decision(False, CONTINUE)
-        if dist.degenerate:
-            return Decision(False, CONTINUE)
-        if expected_nodes_if_continue(session, dist) >= nodes_if_stop(session).total:
-            return Decision(True, NO_EXPECTED_IMPROVEMENT)
-        return Decision(False, CONTINUE)
 
-    return strategy, policy
+def _expected_next_totals(gap, reveals, depth, p0, family, theta):
+    """Array E[t_{i+1}] for prefixes with 2 <= depth <= _MAX_EVAL_DEPTH.
+
+    The terms of lookahead.expected_nodes_if_continue, one row per prefix,
+    written with tail survivals S_k at G/k: P[depth 1] = (1-p0) S_1,
+    P[depth k] = (1-p0)(S_k - S_{k-1}) for 1 < k < d_min, and the last
+    bucket takes P[G <= G/(d_min-1)]. Rounding differs from the scalar sum.
+    """
+    top = int(depth.max())
+    g = gap / _DEPTHS[: top - 1]
+    if family == "exponential":
+        tail = np.exp(-theta[0][:, None] * g)
+    else:
+        xm, alpha = theta
+        tail = np.minimum(xm[:, None] / g, 1.0) ** alpha[:, None]
+    steps = np.maximum(tail[:, 1:] - tail[:, :-1], 0.0)
+    steps[_DEPTHS[1 : top - 1] >= depth[:, None]] = 0.0
+    q = 1.0 - p0
+    last = p0 + q * (1.0 - tail[np.arange(len(depth)), depth - 2])
+    return (
+        q * (_WEIGHTS[0] * np.maximum(tail[:, 0], 5e-324) + steps @ _WEIGHTS[1 : top - 1])
+        + _WEIGHTS[depth - 1] * last
+        + 2.0 * (reveals + 1)
+    )
+
+
+def _scalar_stops(gap, reveals, depth, zero_count, nonzero_sum, sum_logs, nonzero_min,
+                  family, mass_point) -> bool:
+    """The scalar expected-size test for one prefix, rebuilt from its sums."""
+    samples = GainAccumulator(
+        count=reveals,
+        zero_count=zero_count,
+        nonzero_sum=nonzero_sum,
+        sum_logs=sum_logs,
+        nonzero_min=nonzero_min,
+    )
+    session = SbSession(gap=gap, iteration=reveals, d_min=depth, samples=samples)
+    dist = samples.fit(family, mass_point=mass_point)
+    return expected_nodes_if_continue(session, dist) >= nodes_if_stop(session).total
+
+
+def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
+    """(reveals, reason, best gain) of a probabilistic strategy on one permutation.
+
+    Applies the rule's gates in order to every prefix: no nonzero gain yet
+    (continue), depth 1 (stop), too few nonzero samples, depth past
+    _MAX_EVAL_DEPTH or a degenerate fit (continue); then stop once
+    E[t_{i+1}] >= t_i.
+    """
+    for lo, hi in _prefix_windows(len(order)):
+        idx = order[:hi]
+        v, lg = gains[idx], logs[idx]
+        i = np.arange(1, hi + 1)  # reveals so far, the accumulator's count
+        nonzero = v > 0.0
+        n1 = np.cumsum(nonzero)
+        best = np.maximum.accumulate(v)
+        lowest = np.minimum.accumulate(np.where(nonzero, v, np.inf))
+        sums = np.cumsum(v)  # zeros add 0.0, so these are the running sums
+        sum_logs = np.cumsum(lg)
+        with np.errstate(all="ignore"):
+            depth = np.ceil(gap / best)  # inf before the first nonzero gain
+            if not mass_point:
+                p0, theta, fitted = np.zeros(hi), (i / sums,), True
+            elif family == "pareto":
+                # log of the running minimum, taken from the entry that set it
+                at_min = np.maximum.accumulate(np.where(nonzero & (v == lowest), i - 1, 0))
+                log_ratio_sum = sum_logs - n1 * lg[at_min]
+                p0, theta = (i - n1) / i, (lowest, n1 / log_ratio_sum)
+                fitted = (n1 >= 2) & (log_ratio_sum > 0.0)
+            else:
+                p0, theta, fitted = (i - n1) / i, (n1 / sums,), True
+            test = (depth >= 2) & (depth <= _MAX_EVAL_DEPTH) & (n1 >= min_nonzero) & fitted
+            stop = depth[lo:] == 1
+            rescan = np.zeros(hi - lo, dtype=bool)
+            rows = lo + np.flatnonzero(test[lo:])
+            if rows.size:
+                d = depth[rows].astype(np.int64)
+                th = tuple(t[rows] for t in theta)
+                expected = _expected_next_totals(gap, i[rows], d, p0[rows], family, th)
+                stop_total = np.ldexp(1.0, d + 1) - 1.0 + 2.0 * i[rows]
+                clear = np.abs(expected - stop_total) > _SCALAR_MARGIN * stop_total
+                exact = clear & (d <= _EXACT_FLOAT_DEPTH) & np.isfinite(th[-1])
+                stop[rows - lo] = exact & (expected >= stop_total)
+                rescan[rows - lo] = ~exact
+        for k in np.flatnonzero(stop | rescan):
+            r = lo + int(k)
+            if stop[k] or _scalar_stops(
+                gap, r + 1, int(depth[r]), int(r + 1 - n1[r]), float(sums[r]),
+                float(sum_logs[r]), float(lowest[r]), family, mass_point,
+            ):
+                return r + 1, NO_EXPECTED_IMPROVEMENT, float(best[r])
+    return len(order), CANDIDATES_EXHAUSTED, float(best[-1])
 
 
 def run_trial(
     instance: PvbInstance,
     gap: float,
-    strategy,
+    strategy: str,
     rng: np.random.Generator,
     fixed: FixedLookaheadConfig | None = None,
     prob: ProbLookaheadConfig | None = None,
@@ -158,39 +283,44 @@ def run_trial(
 
     A stop with no usable candidate yet is deferred: reveals continue until
     some nonzero gain makes a tree buildable. The gap argument overrides
-    the instance's base gap so one pool serves a whole gap grid.
+    the instance's base gap so one pool serves a whole gap grid. `full`
+    draws nothing from rng; every other strategy draws one permutation.
+    Raises CapacityError when the final depth exceeds MAX_FINAL_DEPTH.
     """
-    if not gap > 0:
-        raise ValueError(f"gap must be positive, got {gap!r}")
-    pool = instance.pool
-    if not pool or all(is_zero_gain(g) for g in pool):
+    if not (math.isfinite(gap) and gap > 0):
+        raise ValueError(f"gap must be positive and finite, got {gap!r}")
+    gains, logs = instance.reveal_arrays
+    if not gains.any():
         raise UnclosableError("every pool gain is zero; the gap cannot be closed")
-    name, policy = _resolve_policy(
-        strategy, fixed or FixedLookaheadConfig(), prob or ProbLookaheadConfig()
-    )
-    order = rng.permutation(len(pool))
-    session = SbSession(gap=gap)
-    reason = None
-    for idx in order:
-        session.observe(str(int(idx)), pool[idx])
-        if reason is None:
-            decision = policy(session)
-            if decision.stop:
-                reason = decision.reason
-        if reason is not None and session.d_min != UNBOUNDED:
-            break
-    if reason is None:
-        reason = CANDIDATES_EXHAUSTED
-    depth = int(session.d_min)
+    if strategy == "full":
+        reveals, reason, best = len(gains), CANDIDATES_EXHAUSTED, float(gains.max())
+    elif strategy == "fixed":
+        reveals, reason, best = _fixed_trial(
+            gains, rng.permutation(len(gains)), fixed or FixedLookaheadConfig()
+        )
+    elif strategy in _PROB_FITS:
+        family, mass_point = _PROB_FITS[strategy]
+        reveals, reason, best = _prob_trial(
+            gains, logs, rng.permutation(len(gains)), gap, family, mass_point,
+            (prob or ProbLookaheadConfig()).min_nonzero_samples,
+        )
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    depth = svb_depth(gap, best)
+    if depth > MAX_FINAL_DEPTH:
+        raise CapacityError(
+            f"best depth {depth} at gap {gap!r} exceeds {MAX_FINAL_DEPTH}:"
+            f" a tree of 2**{depth + 1} - 1 nodes has no float mean"
+        )
     final = (1 << (depth + 1)) - 1
     return TrialResult(
-        strategy=name,
+        strategy=strategy,
         gap=gap,
-        reveals=session.iteration,
+        reveals=reveals,
         stop_reason=reason,
         final_tree_nodes=final,
-        sb_nodes=2 * session.iteration,
-        total_nodes=final + 2 * session.iteration,
+        sb_nodes=2 * reveals,
+        total_nodes=final + 2 * reveals,
     )
 
 

@@ -195,3 +195,183 @@ def mc_expected_next_total(rng, p0, family, theta, gap, d_min, iteration, n):
     depth = np.minimum(depth, d_min)
     totals = 2.0 ** (depth + 1) - 1.0 + 2.0 * (iteration + 1)
     return float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(n))
+
+
+# ------------------------------------------------- abstract-model trial
+
+_ZERO_TOL = 1e-9  # gains below this are exact zeros (the mass point)
+_MAX_EVAL_DEPTH = 512
+
+
+class _RefSession:
+    """One trial's scan state: best depth, streak, spend and fit sums."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.iteration = 0
+        self.d_min = math.inf
+        self.best_gain = 0.0
+        self.no_improvement_streak = 0
+        self.budget_used = 0.0
+        self.zero_count = 0
+        self.nonzero_sum = 0.0
+        self.sum_logs = 0.0
+        self.nonzero_min = math.inf
+
+    def observe(self, gain):
+        gain = float(gain)
+        if gain < _ZERO_TOL:
+            self.zero_count += 1
+        else:
+            self.nonzero_sum += gain
+            self.sum_logs += math.log(gain)
+            self.nonzero_min = min(self.nonzero_min, gain)
+        self.iteration += 1
+        self.budget_used += 2.0
+        if not gain < _ZERO_TOL and gain > self.best_gain:
+            self.best_gain = gain
+            self.d_min = math.ceil(self.gap / gain)
+            self.no_improvement_streak = 0
+        else:
+            self.no_improvement_streak += 1
+
+
+def _ref_fit(s, family, mass_point):
+    """(p0, theta) by closed-form MLE, or None where the fit is degenerate."""
+    n1 = s.iteration - s.zero_count
+    if not mass_point:
+        if s.nonzero_sum <= 0:
+            return None
+        theta = (s.iteration / s.nonzero_sum,)
+        p0 = 0.0
+    else:
+        p0 = s.zero_count / s.iteration
+        if n1 == 0:
+            return None
+        if family == "pareto":
+            if n1 < 2:
+                return None
+            log_ratio_sum = s.sum_logs - n1 * math.log(s.nonzero_min)
+            if log_ratio_sum <= 0:
+                return None
+            theta = (s.nonzero_min, n1 / log_ratio_sum)
+        else:
+            theta = (n1 / s.nonzero_sum,)
+    for t in theta:
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"invalid {family} parameter {t!r}")
+    return p0, theta
+
+
+def _ref_cdf(p0, family, theta, g):
+    if family == "exponential":
+        tail = -math.expm1(-theta[0] * g) if g > 0 else 0.0
+    else:
+        xm, alpha = theta
+        tail = 1.0 - (xm / g) ** alpha if g > xm else 0.0
+    return p0 + (1.0 - p0) * tail
+
+
+def _ref_survival(p0, family, theta, g):
+    if family == "exponential":
+        s = math.exp(-theta[0] * g) if g > 0 else 1.0
+    else:
+        xm, alpha = theta
+        s = (xm / g) ** alpha if g > xm else 1.0
+    return (1.0 - p0) * max(s, 5e-324)
+
+
+def _ref_expected_next_total(s, p0, family, theta):
+    """E[t_{i+1}]: depth probabilities from CDF differences, last bucket absorbing."""
+    ps = [_ref_survival(p0, family, theta, s.gap)]
+    prev = _ref_cdf(p0, family, theta, s.gap)
+    for d in range(2, s.d_min):
+        cur = _ref_cdf(p0, family, theta, s.gap / d)
+        ps.append(max(prev - cur, 0.0))
+        prev = cur
+    ps.append(prev)
+    expected_final = sum((2.0 ** (d + 1) - 1.0) * p for d, p in enumerate(ps, start=1))
+    return expected_final + 2.0 * (s.iteration + 1)
+
+
+def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
+    """One abstract-model trial walked reveal by reveal, as a plain dict.
+
+    Reveals pool gains in rng.permutation order and asks the strategy after
+    every reveal; a stop before any nonzero gain is deferred until one
+    appears. `strategy` is one of the five campaign names or a callable
+    session -> (stop, reason). `fixed` and `prob` are read for L, K,
+    uninit_fraction and min_nonzero_samples only (defaults 9, 10**6, 0.0,
+    5). Tree sizes are Python ints; a best depth above 1022 is reported
+    with final_tree_nodes and total_nodes None instead of being built.
+    Raises ValueError for a gap that is not positive and finite and
+    LookupError for a pool without a nonzero gain.
+    """
+    L = getattr(fixed, "L", 9)
+    K = getattr(fixed, "K", 10**6)
+    uninit = getattr(fixed, "uninit_fraction", 0.0)
+    min_nonzero = getattr(prob, "min_nonzero_samples", 5)
+    if not (math.isfinite(gap) and gap > 0):
+        raise ValueError(f"gap must be positive and finite, got {gap!r}")
+    if not pool or all(g < _ZERO_TOL for g in pool):
+        raise LookupError("every pool gain is zero")
+
+    def fixed_policy(s):
+        if s.no_improvement_streak >= (1.0 + uninit) * L:
+            return True, "lookahead_exhausted"
+        if s.budget_used >= 0.0 + K:
+            return True, "budget_exhausted"
+        return False, "continue"
+
+    def prob_policy(family, mass_point):
+        def policy(s):
+            if s.d_min == math.inf:
+                return False, "continue"
+            if s.d_min == 1:
+                return True, "no_expected_improvement"
+            if s.iteration - s.zero_count < min_nonzero or s.d_min > _MAX_EVAL_DEPTH:
+                return False, "continue"
+            fitted = _ref_fit(s, family, mass_point)
+            if fitted is None:
+                return False, "continue"
+            p0, theta = fitted
+            stop_total = (1 << (s.d_min + 1)) - 1 + 2 * s.iteration
+            if _ref_expected_next_total(s, p0, family, theta) >= stop_total:
+                return True, "no_expected_improvement"
+            return False, "continue"
+
+        return policy
+
+    if callable(strategy):
+        name, policy = getattr(strategy, "__name__", "custom"), strategy
+    else:
+        name = strategy
+        policy = {
+            "full": lambda s: (False, "continue"),
+            "fixed": fixed_policy,
+            "prob-exp": prob_policy("exponential", False),
+            "prob-mixed-exp": prob_policy("exponential", True),
+            "prob-mixed-pareto": prob_policy("pareto", True),
+        }[strategy]
+    session = _RefSession(gap)
+    reason = None
+    for idx in rng.permutation(len(pool)):
+        session.observe(pool[idx])
+        if reason is None:
+            stop, why = policy(session)
+            if stop:
+                reason = why
+        if reason is not None and session.d_min != math.inf:
+            break
+    depth = int(session.d_min)
+    final = (1 << (depth + 1)) - 1 if depth <= 1022 else None
+    return {
+        "strategy": name,
+        "gap": gap,
+        "reveals": session.iteration,
+        "stop_reason": reason or "candidates_exhausted",
+        "depth": depth,
+        "final_tree_nodes": final,
+        "sb_nodes": 2 * session.iteration,
+        "total_nodes": None if final is None else final + 2 * session.iteration,
+    }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,11 @@ from pvb.abstract_tree import (
     UNBOUNDED,
     AbstractVariable,
     CapacityError,
-    PoolExhaustedError,
     PvbInstance,
     TreeCost,
     build_svb_tree,
     load_pool,
     node_gap,
-    reveal_next,
     save_pool,
     svb_depth,
     svb_tree_size,
@@ -154,29 +153,19 @@ class TestTreeCost:
 
 
 class TestPvbInstance:
-    def test_reveal_in_order(self):
+    def test_is_frozen(self):
         inst = PvbInstance(5.0, (2, 5, 1))
-        order = [0, 1, 2]
-        assert [reveal_next(inst, order) for _ in range(3)] == [2, 5, 1]
+        assert inst.pool == (2.0, 5.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.pool = (1.0,)
 
-    def test_reveal_permutation(self):
-        inst = PvbInstance(5.0, (2, 5, 1))
-        assert reveal_next(inst, [2, 0, 1]) == 1
-
-    def test_exhaustion(self):
-        inst = PvbInstance(5.0, (2, 5, 1))
-        order = [0, 1, 2]
-        for _ in range(3):
-            reveal_next(inst, order)
-        with pytest.raises(PoolExhaustedError):
-            reveal_next(inst, order)
-
-    def test_clone_resets(self):
-        inst = PvbInstance(5.0, (2, 5, 1))
-        reveal_next(inst, [0, 1, 2])
-        fresh = inst.clone()
-        assert fresh.revealed_count == 0
-        assert inst.revealed_count == 1
+    def test_reveal_arrays(self):
+        inst = PvbInstance(5.0, (2.0, 0.0, 5e-10, 1e-9, 3.5))
+        gains, logs = inst.reveal_arrays
+        assert gains.tolist() == [2.0, 0.0, 0.0, 1e-9, 3.5]
+        assert logs.tolist() == [math.log(2.0), 0.0, 0.0, math.log(1e-9), math.log(3.5)]
+        assert inst.reveal_arrays is inst.reveal_arrays
+        assert PvbInstance(5.0, ()).reveal_arrays[0].shape == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ tables, and written CSVs are all observable. Determinism cases compare
 raw output bytes; statistical cases reuse the seeded corpus and pools.
 """
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,17 @@ class TestSimulate:
         code, _, stderr = self.simulate(capsys, path, tmp_path / "o.csv")
         assert code == 2 and "no nonzero gains" in stderr
 
+    def test_tree_too_deep_for_a_float_mean_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.csv"
+        entries = tuple((f"v{i}", GainPair(g, g)) for i, g in enumerate((0.5, 0.0, 1.0)))
+        save_gain_series(path, [GainSeries("root", entries)])
+        code, _, stderr = run(
+            capsys, "simulate", "--instance", str(path), "--gaps", "2000",
+            "--trials", "3", "--seed", "1", "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 2
+        assert "exceeds 1022" in stderr and "internal error" not in stderr
+
     def test_unknown_strategy(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 5)
         code, _, stderr = self.simulate(
@@ -176,6 +188,50 @@ class TestSimulate:
             ])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestSimulateGolden:
+    """Pinned bytes of `pvb simulate` on a fixed pool, grid and seed.
+
+    The digests were taken before the campaign engine became array code;
+    any change to a decision, a count or the formatting moves them. The
+    pool reaches best depths above 52 (gains 0.03 to 0.46 at gaps 24 and
+    30), where the expected-size test compares against exact integers.
+    """
+
+    GOLDEN = {
+        (): (
+            "b025f3efe3f7859467617ecc74a92ed72f7d4b5ba2b90b4a7921d606da92860d",
+            "a23ecb5d4bc4e22926ceada6afd7989b704b8d9d36f6af13bb408963b68a25c8",
+        ),
+        ("--L", "3", "--K", "40", "--min-nonzero-samples", "2"): (
+            "00fbef53626886c4b0f3e284d3fff2d353caa9295722092c3c054dd433e1c60d",
+            "3faa79a6bc8c76cad2916fb77564a45badf807a3071fa5bc14fc1e532ca0015a",
+        ),
+    }
+
+    @staticmethod
+    def pool():
+        values = [0.0 if i % 3 == 0 else 0.05 + ((i * 37) % 61) / 6.0 for i in range(60)]
+        values[7] = 0.03
+        return values
+
+    @pytest.mark.parametrize("extra", list(GOLDEN))
+    def test_csv_and_stdout_match_pinned_digests(self, tmp_path, capsys, extra):
+        path = tmp_path / "pool.gains"
+        entries = tuple((f"v{i}", GainPair(v, v)) for i, v in enumerate(self.pool()))
+        save_gain_series(path, [GainSeries("root", entries)])
+        out = tmp_path / "golden.csv"
+        code, stdout, stderr = run(
+            capsys, "simulate", "--instance", str(path), "--gaps", "1.5,6,24,30",
+            "--trials", "40", "--seed", "5", "--out", str(out), *extra,
+        )
+        assert code == 0, stderr
+        digests = (
+            hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.encode()).hexdigest(),
+        )
+        assert digests == self.GOLDEN[extra]
 
 
 class TestConfigFile:

@@ -1,19 +1,30 @@
 """Trial and campaign harness tests.
 
 The exact-value cases drive trials with preset permutations so every
-arithmetic step is checkable by hand; the trend case reproduces the
-qualitative strategy ordering on a synthetic Pareto pool.
+arithmetic step is checkable by hand; the fuzz case holds the array engine
+to the per-reveal reference walk in tests/oracles.py; the trend case
+reproduces the qualitative strategy ordering on a synthetic Pareto pool.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvb.abstract_tree import PvbInstance, svb_depth
+from pvb.abstract_tree import CapacityError, PvbInstance, svb_depth
 from pvb.gains import is_zero_gain
-from pvb.lookahead import CANDIDATES_EXHAUSTED, Decision, FixedLookaheadConfig, LOOKAHEAD_EXHAUSTED
+from pvb.lookahead import (
+    CANDIDATES_EXHAUSTED,
+    LOOKAHEAD_EXHAUSTED,
+    Decision,
+    FixedLookaheadConfig,
+    ProbLookaheadConfig,
+)
 from pvb.simulator import (
+    MAX_FINAL_DEPTH,
     STRATEGIES,
     CampaignSpec,
     TrialResult,
@@ -21,6 +32,8 @@ from pvb.simulator import (
     run_campaign,
     run_trial,
 )
+
+from oracles import reference_trial
 
 
 class PresetPermutation:
@@ -102,13 +115,99 @@ def test_stop_after_first_reveal_matches_permutation_enumeration():
 
     totals = []
     for order in itertools.permutations(range(5)):
-        r = run_trial(inst, 10.0, greedy, PresetPermutation(order))
-        assert r.reveals == 1
-        totals.append(r.total_nodes)
+        r = reference_trial(inst.pool, 10.0, greedy, PresetPermutation(order))
+        assert r["reveals"] == 1
+        totals.append(r["total_nodes"])
     # each gain leads 24 of the 120 orders; expectation has 2^(d+1)+1 terms
     by_first = [(1 << (svb_depth(10.0, g) + 1)) + 1 for g in pool]
     assert sum(totals) == 24 * sum(by_first)
     assert sum(totals) == 52152
+
+
+def test_callable_and_unknown_strategies_are_refused():
+    inst = make_instance([1.0, 2.0])
+    for strategy in ("sb-magic", lambda session: Decision(True, "first_reveal")):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run_trial(inst, 4.0, strategy, np.random.default_rng(3))
+
+
+def test_bad_gaps_are_refused():
+    inst = make_instance([1.0, 2.0])
+    for gap in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            run_trial(inst, gap, "fixed", np.random.default_rng(4))
+
+
+def test_tree_beyond_the_float_range_raises_before_it_is_built():
+    # a gain just above the zero tolerance at gap 1e3 asks for depth ~1e12
+    inst = make_instance([0.0, 1.5e-9])
+    for strategy in STRATEGIES:
+        with pytest.raises(CapacityError, match="exceeds 1022"):
+            run_trial(inst, 1e3, strategy, np.random.default_rng(5))
+    # the deepest tree that is still allowed
+    r = run_trial(make_instance([1.0]), float(MAX_FINAL_DEPTH), "full", None)
+    assert r.final_tree_nodes == 2 ** (MAX_FINAL_DEPTH + 1) - 1
+
+
+def test_full_sb_is_priced_without_drawing_a_permutation():
+    r = run_trial(make_instance([0.0, 2.0, 3.0, 0.5]), 7.0, "full", None)
+    assert (r.reveals, r.final_tree_nodes, r.total_nodes) == (4, 15, 23)
+
+
+_TRIAL_FIELDS = (
+    "strategy", "gap", "reveals", "stop_reason", "final_tree_nodes", "sb_nodes", "total_nodes",
+)
+
+_log_gain = st.floats(-6.0, 1.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def trial_cases(draw):
+    """Pools, gaps and knobs where the array engine is easiest to get wrong.
+
+    Gains from 1e-6 (depth 1e9 at the largest gap) to 10, zero runs longer
+    than the first 64-reveal window, all-equal nonzeros (a degenerate
+    Pareto fit), pools with one nonzero gain, and gaps up to 1e3 where
+    best depths exceed 52 and the reveal term vanishes in float64.
+    """
+    size = draw(st.one_of(st.integers(1, 64), st.integers(65, 300)))
+    shape = draw(st.sampled_from(["mixed", "mixed", "equal", "single"]))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.6, 0.95]))
+    zero = st.floats(0.0, 1.0).map(lambda u: u < zero_share)
+    zeros = draw(st.lists(zero, min_size=size, max_size=size))
+    if shape == "mixed":
+        pool = [0.0 if z else draw(_log_gain) for z in zeros]
+    elif shape == "equal":
+        value = draw(_log_gain)
+        pool = [0.0 if z else value for z in zeros]
+    else:
+        pool = [0.0] * size
+    if not any(pool):
+        pool[draw(st.integers(0, size - 1))] = draw(_log_gain)
+    gap = 10.0 ** draw(st.floats(-1.0, 3.0))
+    fixed = FixedLookaheadConfig(
+        L=draw(st.integers(1, 12)),
+        K=draw(st.sampled_from([10**6, 10**6, 0, 7, 40, 150])),
+        uninit_fraction=draw(st.sampled_from([0.0, 0.0, 0.25, 1.0])),
+    )
+    prob = ProbLookaheadConfig(min_nonzero_samples=draw(st.integers(1, 8)))
+    return pool, gap, fixed, prob, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(trial_cases())
+def test_array_engine_matches_the_per_reveal_reference(case):
+    pool, gap, fixed, prob, seed = case
+    inst = make_instance(pool)
+    for strategy in STRATEGIES:
+        want = reference_trial(pool, gap, strategy, np.random.default_rng(seed), fixed, prob)
+        if want["final_tree_nodes"] is None:
+            with pytest.raises(CapacityError):
+                run_trial(inst, gap, strategy, np.random.default_rng(seed), fixed, prob)
+            continue
+        got = run_trial(inst, gap, strategy, np.random.default_rng(seed), fixed, prob)
+        for name in _TRIAL_FIELDS:
+            assert getattr(got, name) == want[name], (strategy, name)
 
 
 def test_no_strategy_beats_the_omniscient_tree():
