@@ -6,20 +6,26 @@ column. Phase 1 installs signed artificial columns only on rows whose
 slack cannot absorb the initial residual and minimizes their sum; phase 2
 fixes the artificials to zero and optimizes the real objective from the
 phase-1 basis. Pricing is Dantzig until the objective stalls, then
-Bland's rule for guaranteed termination. Every linear solve goes through
-numpy; a singular basis or an exhausted safety cap raises instead of
-returning a silently wrong answer.
+Bland's rule for guaranteed termination.
+
+The tableau keeps the basis inverse explicitly. Each basis change
+applies a rank-1 (product-form) update to it; the engine factorizes it
+afresh only when the pivot element is below _REFACTOR_PIVOT_TOL or
+after _REFACTOR_INTERVAL updates have accumulated since the last
+factorization. A singular basis or an exhausted safety cap raises
+instead of returning a silently wrong answer.
 
 A solve may instead start warm from the optimal basis of a parent LP
-that differs only in its column bounds. That basis stays dual feasible,
-so a bounded dual simplex restores primal feasibility (or proves the
-child infeasible when a dual ratio test finds no entering column) and
-the primal loop then certifies optimality, normally without a pivot.
-A warm start that cannot be used (singular basis, a nonbasic column at
-an infinite bound, a dual phase that reaches the iteration cap, or a
-violation too small to certify infeasibility that no column can fix)
-falls back to the cold two-phase solve, and the pivots of both attempts
-are counted.
+that differs only in its column bounds. The basis carries its inverse
+and its update count, so the child starts without factorizing. That
+basis stays dual feasible, so a bounded dual simplex restores primal
+feasibility (or proves the child infeasible when a dual ratio test finds
+no entering column) and the primal loop then certifies optimality,
+normally without a pivot. A warm start that cannot be used (a singular
+refactor, a nonbasic column at an infinite bound, a dual phase that
+reaches the iteration cap, or a violation too small to certify
+infeasibility that no column can fix) falls back to the cold two-phase
+solve, and the pivots of both attempts are counted.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ _FEAS_TOL = 1e-9
 _PHASE1_TOL = 1e-7
 _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 60
+_REFACTOR_PIVOT_TOL = 1e-7
+_REFACTOR_INTERVAL = 20
 
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
 
@@ -62,11 +70,15 @@ class Basis(NamedTuple):
 
     columns holds the basic column of each row and state the status of
     every structural and slack column (basic, at lower, at upper, free).
+    inverse is the inverse of M[:, columns], reached by updates rank-1
+    updates since its last factorization. Neither array is ever mutated.
     """
 
     system: ExtendedSystem
     columns: np.ndarray
     state: np.ndarray
+    inverse: np.ndarray
+    updates: int
 
 
 @dataclass
@@ -99,9 +111,13 @@ def _start_state(lo: float, hi: float) -> int:
 
 
 class _Tableau:
-    """Mutable simplex state over the extended column system."""
+    """Mutable simplex state over the extended column system.
 
-    def __init__(self, M, lo, hi, basis, state, z):
+    inverse is B^-1 for B = M[:, basis]; updates counts the rank-1
+    updates applied to it since it was last factorized.
+    """
+
+    def __init__(self, M, lo, hi, basis, state, z, inverse=None, updates=0):
         self.M = M
         self.lo = lo
         self.hi = hi
@@ -109,21 +125,43 @@ class _Tableau:
         self.state = state
         self.z = z
         self.iterations = 0
+        self.inverse = inverse
+        self.updates = updates
+        if inverse is None:
+            self.refactor()
+
+    def refactor(self):
+        """Factorize B^-1 afresh; raises LinAlgError if B is singular."""
+        self.inverse = np.linalg.inv(self.M[:, self.basis])
+        self.updates = 0
+
+    def replace(self, r, q, w):
+        """Make column q basic in row r, where w = B^-1 M[:, q].
+
+        A product-form update carries B^-1 over the basis change unless
+        the pivot w[r] is too small or enough updates have accumulated,
+        in which case B^-1 is factorized again (LinAlgError if singular).
+        """
+        self.basis[r] = q
+        pivot = w[r]
+        if self.updates >= _REFACTOR_INTERVAL or abs(pivot) < _REFACTOR_PIVOT_TOL:
+            self.refactor()
+            return
+        inv = self.inverse
+        row = inv[r] / pivot
+        inv -= w[:, None] * row
+        inv[r] = row
+        self.updates += 1
 
     def run(self, c, cap, bland=False):
         """Optimize c @ z in place; returns OPTIMAL/UNBOUNDED/ITERATION_LIMIT."""
-        M, lo, hi, state, z = self.M, self.lo, self.hi, self.state, self.z
+        M, lo, hi, state, z, basis = self.M, self.lo, self.hi, self.state, self.z, self.basis
         stall = 0
         last_obj = math.inf
         while True:
             if self.iterations >= cap:
                 return ITERATION_LIMIT
-            B = M[:, self.basis]
-            try:
-                y = np.linalg.solve(B.T, c[self.basis])
-            except np.linalg.LinAlgError as exc:
-                raise SolverError("singular working basis") from exc
-            d = c - M.T @ y
+            d = c - (c[basis] @ self.inverse) @ M
             can_inc = ((state == _AT_LOWER) | (state == _FREE)) & (d < -_COST_TOL)
             can_dec = ((state == _AT_UPPER) | (state == _FREE)) & (d > _COST_TOL)
             eligible = can_inc | can_dec
@@ -132,62 +170,47 @@ class _Tableau:
             if bland:
                 j = int(np.flatnonzero(eligible)[0])
             else:
-                j = int(np.argmax(np.where(eligible, np.abs(d), -1.0)))
+                j = int(np.where(eligible, np.abs(d), -1.0).argmax())
             sigma = 1.0 if can_inc[j] else -1.0
 
-            w = np.linalg.solve(B, M[:, j])
-            # basics move as z_B - t*sigma*w; find the blocking bound
+            w = self.inverse @ M[:, j]
+            # basics move as z_B - t*sigma*w; find the blocking bound: the
+            # smallest step within 1e-12, ties to the lowest basic column
+            sw = sigma * w
+            bound = np.where(sw > 0.0, lo[basis], hi[basis])
+            (rows,) = ((np.abs(sw) > _PIVOT_TOL) & np.isfinite(bound)).nonzero()
             t_best = math.inf
-            leave = -1
-            leave_state = _AT_LOWER
-            for i in range(len(self.basis)):
-                wi = sigma * w[i]
-                vi = z[self.basis[i]]
-                if wi > _PIVOT_TOL:
-                    bound = lo[self.basis[i]]
-                    if math.isfinite(bound):
-                        t = (vi - bound) / wi
-                        hit = _AT_LOWER
-                    else:
-                        continue
-                elif wi < -_PIVOT_TOL:
-                    bound = hi[self.basis[i]]
-                    if math.isfinite(bound):
-                        t = (vi - bound) / wi
-                        hit = _AT_UPPER
-                    else:
-                        continue
-                else:
-                    continue
-                if t < -_FEAS_TOL:
-                    t = 0.0
-                if t < t_best - 1e-12 or (
-                    t < t_best + 1e-12
-                    and (leave < 0 or self.basis[i] < self.basis[leave])
-                ):
-                    t_best, leave, leave_state = t, i, hit
+            if rows.size:
+                steps = (z[basis[rows]] - bound[rows]) / sw[rows]
+                steps[steps < -_FEAS_TOL] = 0.0
+                # <= keeps the minimum itself when 1e-12 is below its ulp
+                (near,) = (steps <= steps.min() + 1e-12).nonzero()
+                k = near[np.argmin(basis[rows[near]])]
+                leave, t_best = int(rows[k]), float(steps[k])
             flip = hi[j] - lo[j]  # +inf unless both bounds are finite
             if t_best == math.inf and not math.isfinite(flip):
                 return UNBOUNDED
             self.iterations += 1
             if math.isfinite(flip) and flip <= t_best:
                 # entering variable runs to its other bound; basis unchanged
-                t = flip
-                for i in range(len(self.basis)):
-                    z[self.basis[i]] -= t * sigma * w[i]
+                z[basis] -= flip * sigma * w
                 z[j] = hi[j] if sigma > 0 else lo[j]
                 state[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
             else:
                 t = max(t_best, 0.0)
                 enter_value = z[j] + sigma * t
-                for i in range(len(self.basis)):
-                    z[self.basis[i]] -= t * sigma * w[i]
-                out = self.basis[leave]
-                z[out] = lo[out] if leave_state == _AT_LOWER else hi[out]
-                state[out] = leave_state
-                self.basis[leave] = j
+                z[basis] -= t * sigma * w
+                out = basis[leave]
+                if sw[leave] > 0.0:
+                    z[out], state[out] = lo[out], _AT_LOWER
+                else:
+                    z[out], state[out] = hi[out], _AT_UPPER
                 state[j] = _BASIC
                 z[j] = enter_value
+                try:
+                    self.replace(leave, j, w)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverError("singular working basis") from exc
             obj = float(c @ z)
             if obj < last_obj - 1e-12:
                 stall = 0
@@ -203,9 +226,9 @@ class _Tableau:
         Returns True once every basic value is within its bounds (the
         caller's primal run then certifies optimality) and False when the
         most violated row has no entering column, which proves the LP
-        infeasible. Raises _ColdRestart on a singular basis, on reaching
-        cap, or when a violation too small to certify infeasibility is
-        stuck.
+        infeasible. Raises _ColdRestart on a singular refactor, on
+        reaching cap, or when a violation too small to certify
+        infeasibility is stuck.
         """
         M, lo, hi, state, z = self.M, self.lo, self.hi, self.state, self.z
         basis = self.basis
@@ -214,21 +237,19 @@ class _Tableau:
         at_lower = (state == _AT_LOWER) & movable
         at_upper = (state == _AT_UPPER) & movable
         while True:
-            try:
-                B_inv = np.linalg.inv(M[:, basis])
-            except np.linalg.LinAlgError:
-                raise _ColdRestart from None
+            inv = self.inverse
             z[basis] = 0.0
-            zb = B_inv @ (b - M @ z)
+            zb = inv @ (b - M @ z)
             z[basis] = zb
             below = lo[basis] - zb
             above = zb - hi[basis]
             violation = np.maximum(below, above)
-            r = int(np.argmax(violation))
+            r = int(violation.argmax())
+            y = c[basis] @ inv
             if violation[r] <= _FEAS_TOL:
                 # park each fixed nonbasic column on the side its reduced
                 # cost calls for, so the primal run need not flip it
-                d = c - (c[basis] @ B_inv) @ M
+                d = c - y @ M
                 parked = ~movable & (state != _BASIC)
                 state[parked & (d < 0.0)] = _AT_UPPER
                 state[parked & (d >= 0.0)] = _AT_LOWER
@@ -236,22 +257,23 @@ class _Tableau:
             if self.iterations >= cap:
                 raise _ColdRestart
             to_lower = below[r] > above[r]
-            W = B_inv @ M
             # g_j > 0: raising x_j moves the leaving variable toward its bound
-            g = -W[r] if to_lower else W[r]
+            g = inv[r] @ M
+            if to_lower:
+                g = -g
             eligible = (at_lower & (g > _PIVOT_TOL)) | (at_upper & (g < -_PIVOT_TOL))
-            (cand,) = np.nonzero(eligible)
+            (cand,) = eligible.nonzero()
             if not cand.size:
                 if violation[r] <= _PHASE1_TOL:
                     raise _ColdRestart
                 return False
             # dual step each candidate allows; Harris two-pass ratio test:
             # the largest |g| among steps within the tolerance-relaxed minimum
-            d = c[cand] - c[basis] @ W[:, cand]
-            step = np.maximum(d / g[cand], 0.0)
-            size = np.abs(g[cand])
-            bound = np.min(step + _COST_TOL / size)
-            q = int(cand[np.argmax(np.where(step <= bound, size, -1.0))])
+            gc = g[cand]
+            step = np.maximum((c[cand] - y @ M[:, cand]) / gc, 0.0)
+            size = np.abs(gc)
+            bound = (step + _COST_TOL / size).min()
+            q = int(cand[np.where(step <= bound, size, -1.0).argmax()])
             self.iterations += 1
             out = basis[r]
             if to_lower:
@@ -260,26 +282,33 @@ class _Tableau:
                 z[out], state[out] = hi[out], _AT_UPPER
             at_lower[out] = to_lower and movable[out]
             at_upper[out] = not to_lower and movable[out]
-            basis[r] = q
             state[q] = _BASIC
             at_lower[q] = at_upper[q] = False
+            try:
+                self.replace(r, q, inv @ M[:, q])
+            except np.linalg.LinAlgError:
+                raise _ColdRestart from None
 
     def warm_basis(self, system: ExtendedSystem) -> Basis:
         """This optimal basis over the columns of system.
 
         A basic artificial is pinned at zero and parallel to its row's
         slack, which a nonsingular basis therefore keeps nonbasic; the
-        slack takes its place without changing the duals.
+        slack takes its place without changing the duals. The artificial
+        is +-e_row and the slack e_row, so the swap flips the sign of the
+        matching row of B^-1 when the artificial was negative.
         """
         width = system.M.shape[1]
         columns = self.basis.copy()
         state = self.state[:width].copy()
+        inverse = self.inverse.copy()
         for i, k in enumerate(columns):
             if k >= width:
                 row = int(np.flatnonzero(self.M[:, k])[0])
+                inverse[i] *= self.M[row, k]
                 columns[i] = width - self.M.shape[0] + row
                 state[columns[i]] = _BASIC
-        return Basis(system, columns, state)
+        return Basis(system, columns, state, inverse, self.updates)
 
 
 def _extend(objective, matrix, senses) -> ExtendedSystem:
@@ -306,7 +335,10 @@ def _warm_tableau(warm: Basis, lo, hi) -> _Tableau:
     nonbasic = state != _BASIC
     if (state[nonbasic] == _FREE).any() or not np.isfinite(z[nonbasic]).all():
         raise _ColdRestart
-    return _Tableau(warm.system.M, lo, hi, warm.columns.copy(), state, z)
+    return _Tableau(
+        warm.system.M, lo, hi, warm.columns.copy(), state, z,
+        warm.inverse.copy(), warm.updates,
+    )
 
 
 def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, bool]:
@@ -431,13 +463,8 @@ def solve_bounded_lp(
         if iteration_limit is None:
             raise SolverError("simplex failed to converge within the safety cap")
         return LpResult(ITERATION_LIMIT, x, obj, iterations)
-    residual = matrix @ x
-    for i, sense in enumerate(senses):
-        bad = (
-            (sense == "<=" and residual[i] > rhs[i] + 1e-6)
-            or (sense == ">=" and residual[i] < rhs[i] - 1e-6)
-            or (sense == "=" and abs(residual[i] - rhs[i]) > 1e-6)
-        )
-        if bad:
-            raise SolverError(f"optimal point violates row {i}")
+    slack = rhs - matrix @ x
+    (bad,) = np.nonzero((slack < system.slack_lo - 1e-6) | (slack > system.slack_hi + 1e-6))
+    if bad.size:
+        raise SolverError(f"optimal point violates row {bad[0]}")
     return LpResult(OPTIMAL, x, obj, iterations, tab.warm_basis(system))

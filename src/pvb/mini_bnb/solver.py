@@ -13,7 +13,10 @@ Node selection is best bound so that node counts compare branching
 quality rather than incumbent luck. An SB child LP that proves
 infeasible doubles as a cutoff certificate: that child is never queued.
 Every LP below the root, SB child or queued node, starts warm from its
-parent node's optimal basis.
+parent node's optimal basis. A queued child of the branching column
+whose SB child LP finished optimal within the per-candidate iteration
+limit is not solved again: that LP result serves as the node's LP, since
+the node solve would repeat the same pivots from the same basis.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .simplex import (
     OPTIMAL,
     UNBOUNDED,
     Basis,
+    LpResult,
     SolverError,
     solve_bounded_lp,
 )
@@ -151,17 +155,25 @@ class SolverConfig:
 
 
 class SbEval(NamedTuple):
-    """One candidate's strong-branching measurement."""
+    """One candidate's strong-branching measurement.
+
+    children holds the (down, up) child LP results that can serve as
+    node LPs, None for a side that is not optimal or reached the limit.
+    """
 
     down_gain: float
     up_gain: float
     down_bound: float
     up_bound: float
     iterations: int
+    children: tuple[LpResult | None, LpResult | None]
 
 
 class ScanOutcome(NamedTuple):
-    """select_branching_variable's answer plus its accounting."""
+    """select_branching_variable's answer plus its accounting.
+
+    children are the chosen column's kept SB child LPs (see SbEval).
+    """
 
     column: int
     reason: str
@@ -171,6 +183,7 @@ class ScanOutcome(NamedTuple):
     down_bound: float
     up_bound: float
     node_infeasible: bool
+    children: tuple[LpResult | None, LpResult | None] = (None, None)
 
 
 class BranchDecision(NamedTuple):
@@ -217,11 +230,14 @@ def strong_branch_candidate(
     iteration limit still contributes its reached objective to the gain
     but certifies no bound beyond the node's own. warm_start, the node
     LP's optimal basis, restarts both children from the node's vertex.
+    A child that is optimal in fewer pivots than iteration_limit hit no
+    cap, so its result is the one a node solve would compute and is kept
+    in children.
     """
     frac = xj - math.floor(xj)
     if min(frac, 1.0 - frac) <= 1e-9:
         raise ValueError(f"candidate {j} is integral at {xj!r}")
-    gains, bounds, iters = [], [], 0
+    gains, bounds, kept, iters = [], [], [], 0
     for new_lo, new_hi in (
         (None, math.floor(xj)),
         (math.ceil(xj), None),
@@ -237,6 +253,9 @@ def strong_branch_candidate(
             warm_start=warm_start,
         )
         iters += res.iterations
+        kept.append(
+            res if res.status == OPTIMAL and res.iterations < iteration_limit else None
+        )
         if res.status == INFEASIBLE:
             gains.append(math.inf)
             bounds.append(math.inf)
@@ -248,7 +267,7 @@ def strong_branch_candidate(
             bounds.append(node_objective)
         else:
             raise SolverError("child LP unbounded under a bounded parent")
-    return SbEval(gains[0], gains[1], bounds[0], bounds[1], iters)
+    return SbEval(gains[0], gains[1], bounds[0], bounds[1], iters, tuple(kept))
 
 
 def select_branching_variable(
@@ -360,7 +379,7 @@ def select_branching_variable(
         both = math.isinf(ev.down_gain) and math.isinf(ev.up_gain)
         return ScanOutcome(
             cutoff_j, reason, reveals, 2 * reveals, sb_iterations,
-            ev.down_bound, ev.up_bound, both,
+            ev.down_bound, ev.up_bound, both, ev.children,
         )
 
     final = dict(measured)
@@ -371,9 +390,10 @@ def select_branching_variable(
     ev = evaluated.get(best)
     down_bound = ev.down_bound if ev is not None else node_objective
     up_bound = ev.up_bound if ev is not None else node_objective
+    children = ev.children if ev is not None else (None, None)
     return ScanOutcome(
         best, reason, reveals, 2 * reveals, sb_iterations,
-        down_bound, up_bound, False,
+        down_bound, up_bound, False, children,
     )
 
 
@@ -400,10 +420,11 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     incumbent_obj: float | None = None
     incumbent_x: np.ndarray | None = None
     estimate: float | None = None
-    # entries carry the parent's optimal basis; the root starts cold
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, Basis | None]] = [
-        (-math.inf, 0, lo0, hi0, None)
-    ]
+    # entries carry the parent's optimal basis (the root starts cold) and
+    # the node's own LP result when its SB child LP already is one
+    heap: list[
+        tuple[float, int, np.ndarray, np.ndarray, Basis | None, LpResult | None]
+    ] = [(-math.inf, 0, lo0, hi0, None, None)]
     seq = 0
     nodes = sb_lp_solves = sb_iterations = 0
     decisions: list[BranchDecision] = []
@@ -413,12 +434,13 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         if config.node_limit is not None and nodes >= config.node_limit:
             status = NODE_LIMIT
             break
-        parent_bound, _, lo, hi, warm_start = heapq.heappop(heap)
+        parent_bound, _, lo, hi, warm_start, res = heapq.heappop(heap)
         if incumbent_obj is not None and parent_bound >= incumbent_obj - _PRUNE_TOL:
             # best-bound order: every remaining node is at least as bad
             heap.clear()
             break
-        res = solve_bounded_lp(c, A, senses, b, lo, hi, warm_start=warm_start)
+        if res is None:
+            res = solve_bounded_lp(c, A, senses, b, lo, hi, warm_start=warm_start)
         nodes += 1
         if res.status == INFEASIBLE:
             continue
@@ -471,9 +493,9 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             continue
         j = outcome.column
         xj = float(x[j])
-        for child_bound, new_lo, new_hi in (
-            (outcome.down_bound, None, math.floor(xj)),
-            (outcome.up_bound, math.ceil(xj), None),
+        for child_bound, new_lo, new_hi, child in (
+            (outcome.down_bound, None, math.floor(xj), outcome.children[0]),
+            (outcome.up_bound, math.ceil(xj), None, outcome.children[1]),
         ):
             if math.isinf(child_bound):
                 continue
@@ -486,7 +508,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             if new_lo is not None:
                 lo2[j] = new_lo
             seq += 1
-            heapq.heappush(heap, (child_bound, seq, lo2, hi2, res.basis))
+            heapq.heappush(heap, (child_bound, seq, lo2, hi2, res.basis, child))
 
     if status is None:
         status = OPTIMAL if incumbent_obj is not None else INFEASIBLE

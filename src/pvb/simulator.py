@@ -275,7 +275,7 @@ def run_trial(
     instance: PvbInstance,
     gap: float,
     strategy: str,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     fixed: FixedLookaheadConfig | None = None,
     prob: ProbLookaheadConfig | None = None,
 ) -> TrialResult:
@@ -284,7 +284,8 @@ def run_trial(
     A stop with no usable candidate yet is deferred: reveals continue until
     some nonzero gain makes a tree buildable. The gap argument overrides
     the instance's base gap so one pool serves a whole gap grid. `full`
-    draws nothing from rng; every other strategy draws one permutation.
+    draws nothing from rng, which may then be None; every other strategy
+    draws one permutation.
     Raises CapacityError when the final depth exceeds MAX_FINAL_DEPTH.
     """
     if not (math.isfinite(gap) and gap > 0):
@@ -328,7 +329,8 @@ def _cell_sums(args):
     instance, gap, strategy, seed, start, stop, fixed, prob = args
     total = sb = 0
     for t in range(start, stop):
-        rng = np.random.default_rng((seed ^ t) & _MASK64)
+        # `full` draws no permutation, so it needs no stream
+        rng = None if strategy == "full" else np.random.default_rng((seed ^ t) & _MASK64)
         result = run_trial(instance, gap, strategy, rng, fixed=fixed, prob=prob)
         total += result.total_nodes
         sb += result.sb_nodes

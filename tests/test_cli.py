@@ -234,6 +234,50 @@ class TestSimulateGolden:
         assert digests == self.GOLDEN[extra]
 
 
+class TestSweepGolden:
+    """Pinned bytes of `pvb sweep` over the example instances plus the
+    first six toy-corpus instances saved as MPS, both modes.
+
+    The digests were taken before the simplex engine carried its basis
+    inverse across pivots and before SB children served as node LPs;
+    any change to a node or SB-LP count, or to the formatting, moves them.
+    """
+
+    GOLDEN = {
+        "2": (
+            "9bbb2891b82cdb511627f7c87b0b8c4f7a3d8f14c63ab020ebd22e413873d9ec",
+            "e4c41a8243281946c8ca7e3a4b6b1d64eadd13a39aa47fe1105d1744ca3b538e",
+        ),
+        "12": (
+            "5e5011b8516b9dd0a0b74ed82826312c8b013d6a3fa4d68ca5870f7c094e066c",
+            "33e624b65654217e5a75dea45fbd14d108677ae4ba9f7dcbfcb8b1a6905e54ae",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def sweep_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("sweep-golden")
+        for path in sorted(EXAMPLES.glob("*.mps")):
+            (directory / path.name).write_bytes(path.read_bytes())
+        for mip in toy_corpus(6):
+            save_mps(mip, directory / f"{mip.name}.mps")
+        return directory
+
+    @pytest.mark.parametrize("threshold", list(GOLDEN))
+    def test_csv_and_stdout_match_pinned_digests(self, sweep_dir, tmp_path, capsys, threshold):
+        out = tmp_path / "golden.csv"
+        code, stdout, stderr = run(
+            capsys, "sweep", str(sweep_dir), "--seed", "1",
+            "--reliability-threshold", threshold, "--out", str(out),
+        )
+        assert code == 0, stderr
+        digests = (
+            hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.encode()).hexdigest(),
+        )
+        assert digests == self.GOLDEN[threshold]
+
+
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 5)

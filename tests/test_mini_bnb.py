@@ -47,6 +47,7 @@ from pvb.mini_bnb import (
     strong_branch_candidate,
     toy_corpus,
 )
+from pvb.mini_bnb.simplex import _REFACTOR_INTERVAL
 from oracles import enumerate_binary_mip, linprog_lp
 
 GEO_SHIFT_NODES = 100.0
@@ -96,12 +97,12 @@ def geomean(values, shift):
 
 
 @st.composite
-def parent_and_child_lps(draw):
-    """A feasible LP, plus which bound of which column its child moves.
+def feasible_lps(draw):
+    """A feasible LP around a point x0 inside the box.
 
-    Rows pass through a point x0 inside the box, most of them exactly, so
-    x0 is feasible and usually a degenerate vertex; rows are scaled by
-    powers of ten, and columns are boxed, bounded below only, or free.
+    Rows pass through x0, most of them exactly, so x0 is feasible and
+    usually a degenerate vertex; rows are scaled by powers of ten, and
+    columns are boxed, bounded below only, or free.
     """
 
     def vec(elements, size):
@@ -118,11 +119,68 @@ def parent_and_child_lps(draw):
     sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[sense] for sense in senses])
     b = a @ x0 + sign * vec(st.sampled_from([0, 0, 0, 1, 3]), m)
     scale = vec(st.sampled_from([1e-2, 1.0, 1.0, 1e2]), m)
-    a, b = a * scale[:, None], b * scale
-    j = draw(st.integers(0, n - 1))
+    return c, a * scale[:, None], senses, b * scale, lower, upper
+
+
+@st.composite
+def parent_and_child_lps(draw):
+    """A feasible LP, plus which bound of which column its child moves."""
+    c, a, senses, b, lower, upper = draw(feasible_lps())
+    j = draw(st.integers(0, len(c) - 1))
     side = draw(st.sampled_from(["down", "up", "fix"]))
     shift = draw(st.integers(0, 6))
     return c, a, senses, b, lower, upper, j, side, shift
+
+
+@st.composite
+def chained_cuts(draw):
+    """A boxed LP with room around x0, plus a chain of (column, side) cuts.
+
+    Rows keep x0 feasible, most with slack to spare and some exactly
+    through it, and are scaled by powers of ten; every column is boxed
+    with width 40, so a chain of cuts stays feasible for many steps.
+    """
+
+    def vec(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), float)
+
+    n = draw(st.integers(6, 14))
+    m = draw(st.integers(3, 8))
+    a = vec(st.integers(-3, 9), m * n).reshape(m, n)
+    c = vec(st.integers(-9, 3), n)
+    lower = vec(st.sampled_from([0.0, -20.0]), n)
+    x0 = lower + vec(st.integers(0, 40), n)
+    senses = draw(st.lists(st.sampled_from(["<=", ">="]), min_size=m, max_size=m))
+    sign = np.array([1.0 if sense == "<=" else -1.0 for sense in senses])
+    b = a @ x0 + sign * vec(st.sampled_from([0, 5, 20, 60]), m)
+    scale = vec(st.sampled_from([1e-2, 1.0, 1.0, 1e2]), m)
+    cut = st.tuples(st.integers(0, n - 1), st.sampled_from(["down", "up"]))
+    cuts = draw(st.lists(cut, min_size=30, max_size=60))
+    return c, a * scale[:, None], senses, b * scale, lower, lower + 40.0, cuts
+
+
+def cut(x, lower, upper, j, side):
+    """Bounds that move column j at least one integer step off x_j, toward
+    side when the box allows it and the other way when not; None when
+    neither fits."""
+    other = "up" if side == "down" else "down"
+    for direction in (side, other):
+        lo2, hi2 = lower.copy(), upper.copy()
+        if direction == "down":
+            hi2[j] = math.ceil(x[j]) - 1.0
+        else:
+            lo2[j] = math.floor(x[j]) + 1.0
+        if lo2[j] <= hi2[j]:
+            return lo2, hi2
+    return None
+
+
+def assert_inverse_is_current(basis):
+    """The carried inverse still inverts its basis, and no more updates
+    piled up on it than the engine allows between refactors."""
+    assert basis.updates <= _REFACTOR_INTERVAL
+    product = basis.inverse @ basis.system.M[:, basis.columns]
+    np.testing.assert_allclose(product, np.eye(len(basis.columns)), atol=1e-9)
 
 
 def tighten(x, lower, upper, j, side, shift):
@@ -255,6 +313,60 @@ class TestWarmStart:
             assert warm.objective == pytest.approx(ref_obj, abs=1e-6)
             assert warm.basis is not None
 
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(chained_cuts())
+    def test_chained_warm_starts_match_cold_and_highs(self, case):
+        # each LP starts from the previous optimum's basis, so the inverse
+        # it carries accumulates updates along the chain
+        c, a, senses, b, lo, hi, cuts = case
+        res = solve_bounded_lp(c, a, senses, b, lo, hi)
+        for k, side in cuts:
+            if res.status != OPTIMAL:
+                break
+            assert_inverse_is_current(res.basis)
+            # cut a basic (interior) column when there is one
+            (inside,) = np.nonzero((res.x > lo + 1e-6) & (res.x < hi - 1e-6))
+            j = int(inside[k % inside.size]) if inside.size else k
+            bounds = cut(res.x, lo, hi, j, side)
+            if bounds is None:
+                continue
+            lo, hi = bounds
+            warm = solve_bounded_lp(c, a, senses, b, lo, hi, warm_start=res.basis)
+            cold = solve_bounded_lp(c, a, senses, b, lo, hi)
+            ref_status, ref_obj = linprog_lp(c, a, senses, b, lo, hi)
+            assert warm.status == cold.status == ref_status
+            if ref_status == OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+                assert warm.objective == pytest.approx(ref_obj, abs=1e-6)
+            res = warm
+
+    def test_dive_crosses_the_refactor_interval(self):
+        # a dive that rounds fractional columns needs several times the
+        # refactor interval in dual pivots, all on one carried inverse
+        mip = sparse_multiknapsack(20, 12, 22)
+        c, a, senses, b, lo, hi = mip.dense()
+        res = solve_bounded_lp(c, a, senses, b, lo, hi)
+        pivots = 0
+        while True:
+            assert_inverse_is_current(res.basis)
+            fractional = [
+                j for j in range(mip.n_cols)
+                if min(res.x[j] % 1.0, 1.0 - res.x[j] % 1.0) > 1e-6
+            ]
+            if not fractional:
+                break
+            j = fractional[pivots % len(fractional)]
+            lo, hi = cut(res.x, lo, hi, j, "down" if j % 2 else "up")
+            child = solve_bounded_lp(c, a, senses, b, lo, hi, warm_start=res.basis)
+            if child.status != OPTIMAL:
+                break
+            pivots += child.iterations
+            res = child
+        assert pivots > 2 * _REFACTOR_INTERVAL
+
     def test_children_need_half_the_pivots(self):
         # guards the warm start itself: SB children restarted from the
         # root basis against the same children solved from scratch
@@ -325,6 +437,9 @@ class TestWarmStart:
         assert capped.iterations == cap + cold.iterations
 
     def test_solve_warm_starts_every_lp_below_the_root(self, monkeypatch):
+        import heapq
+        from types import SimpleNamespace
+
         from pvb.mini_bnb import solver
 
         starts = []
@@ -334,12 +449,55 @@ class TestWarmStart:
             starts.append(warm_start)
             return original(*args, warm_start=warm_start, **kwargs)
 
+        popped = []
+
+        def recording_pop(heap):
+            popped.append(heapq.heappop(heap))
+            return popped[-1]
+
         monkeypatch.setattr(solver, "solve_bounded_lp", recording)
+        monkeypatch.setattr(
+            solver, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop)
+        )
         res = solve(sparse_multiknapsack(20, 12, 1), FIXED)
         assert res.status == OPTIMAL and res.sb_lp_solves > 0
-        assert len(starts) == res.nodes + res.sb_lp_solves
+        # the first `nodes` pops are the solved nodes (one more pop may be
+        # pruned by its bound); an entry's last field is its kept SB child
+        served = sum(entry[-1] is not None for entry in popped[: res.nodes])
+        assert served > 0
+        assert len(starts) == res.nodes + res.sb_lp_solves - served
         assert starts[0] is None
         assert all(basis is not None for basis in starts[1:])
+
+    @pytest.mark.parametrize("threshold", [2, 12])
+    @pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+    def test_served_children_reproduce_the_node_solves(self, monkeypatch, mode, threshold):
+        from pvb.mini_bnb import solver
+
+        config = SolverConfig(mode=mode, reliability_threshold=threshold)
+        mips = toy_corpus(4)
+        calls = []
+        original_lp = solver.solve_bounded_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original_lp(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_bounded_lp", counting)
+        served = [solve(mip, config) for mip in mips]
+        served_calls = len(calls)
+
+        original_sb = solver.strong_branch_candidate
+
+        def stripped(*args, **kwargs):
+            return original_sb(*args, **kwargs)._replace(children=(None, None))
+
+        monkeypatch.setattr(solver, "strong_branch_candidate", stripped)
+        calls.clear()
+        resolved = [solve(mip, config) for mip in mips]
+        assert len(calls) == sum(r.nodes + r.sb_lp_solves for r in resolved)
+        assert served_calls < len(calls)
+        assert served == resolved
 
     def test_warm_start_of_another_shape_is_rejected(self):
         parent = solve_bounded_lp([1.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
