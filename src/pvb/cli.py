@@ -15,7 +15,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .abstract_tree import CapacityError, PvbInstance
@@ -349,17 +349,8 @@ def cmd_solve(args) -> int:
 
 def _sweep_solve(job):
     """One (instance, cell) solve in a worker; never raises."""
-    name, mip, mode, L, K, knobs, threshold, max_scan, node_limit = job
+    name, mip, config = job
     try:
-        config = SolverConfig(
-            mode=mode,
-            fixed=FixedLookaheadConfig(L=L, K=K),
-            prob=knobs.prob(),
-            epsilon=knobs.epsilon,
-            reliability_threshold=threshold,
-            max_scan=max_scan,
-            node_limit=node_limit,
-        )
         result = solve(mip, config)
     except (SolverError, ValueError) as exc:
         return (name, "error", str(exc))
@@ -381,6 +372,10 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise CliError(f"workers must be >= 1, got {args.workers!r}")
     knobs = _resolve_knobs(args)
+    cells = [(mode, L, K) for mode in modes for L in l_grid for K in k_grid]
+    configs = [
+        _solver_config(mode, replace(knobs, L=L, K=K), args) for mode, L, K in cells
+    ]
 
     mips = []
     parse_failures = []
@@ -389,13 +384,7 @@ def cmd_sweep(args) -> int:
             mips.append((path.name, load_mps(path)))
         except MpsError as exc:
             parse_failures.append((path.name, str(exc)))
-    cells = [(mode, L, K) for mode in modes for L in l_grid for K in k_grid]
-    jobs = [
-        (name, mip, mode, L, K, knobs, args.reliability_threshold,
-         args.max_scan, args.node_limit)
-        for (mode, L, K) in cells
-        for name, mip in mips
-    ]
+    jobs = [(name, mip, config) for config in configs for name, mip in mips]
     if args.workers == 1 or len(jobs) <= 1:
         outcomes = [_sweep_solve(job) for job in jobs]
     else:

@@ -16,7 +16,15 @@ where p_d is the probability that the next revealed gain lands the best
 depth at d. The p_d come from the fitted mixed gain distribution: a gain g
 yields depth ceil(G/g), so p_1 is the survival at G, interior p_d are CDF
 differences at G/(d-1) and G/d, and the last bucket absorbs every
-non-improving outcome including zero gains.
+non-improving outcome including zero gains. Both sides price trees with
+abstract_tree.svb_tree_size, so t_i is an exact int.
+
+At d_min = 1 the best gain already closes the gap: no reveal can shrink
+the tree, so continuing always costs t_i + 2 and the probabilistic rule
+stops as soon as enough nonzero samples exist, without waiting for the
+phi gate or a fit. The expected-size test itself runs only up to
+MAX_EVAL_DEPTH, the one depth guard of both the scalar rule and the
+campaign engine.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .abstract_tree import MAX_TREE_DEPTH, UNBOUNDED, TreeCost, svb_depth
+from .abstract_tree import UNBOUNDED, svb_depth, svb_tree_size
 from .distributions import GainAccumulator, MixedGainDistribution, cdf, survival
 from .gains import is_zero_gain
 
@@ -34,6 +42,11 @@ LOOKAHEAD_EXHAUSTED = "lookahead_exhausted"
 BUDGET_EXHAUSTED = "budget_exhausted"
 NO_EXPECTED_IMPROVEMENT = "no_expected_improvement"
 CANDIDATES_EXHAUSTED = "candidates_exhausted"
+
+# Past this depth the expectation sum is pointless: stopping would cost at
+# least 2**513 nodes, so the scan keeps going (and the test stays O(depth)
+# instead of chasing astronomical d_min values).
+MAX_EVAL_DEPTH = 512
 
 
 class NoUsableCandidateError(RuntimeError):
@@ -89,14 +102,13 @@ class SbSession:
     gap: float
     iteration: int = 0
     d_min: float = UNBOUNDED
-    best_candidate: str | None = None
     best_gain: float = 0.0
     samples: GainAccumulator = field(default_factory=GainAccumulator)
     no_improvement_streak: int = 0
     node_cost: float = 0.0
     budget_used: float = 0.0
 
-    def observe(self, candidate_id: str, gain: float, cost: float = 2.0) -> bool:
+    def observe(self, gain: float, cost: float = 2.0) -> bool:
         """Record one evaluated candidate; True iff it improved the best.
 
         Improvement is a strictly larger gain (equivalently a depth no
@@ -109,7 +121,6 @@ class SbSession:
         self.budget_used += cost
         if not is_zero_gain(gain) and gain > self.best_gain:
             self.best_gain = gain
-            self.best_candidate = candidate_id
             self.d_min = svb_depth(self.gap, gain)
             self.no_improvement_streak = 0
             return True
@@ -129,14 +140,13 @@ def iteration_budget(node_lp_iters: float, K: float):
     return node_lp_iters + K
 
 
-def nodes_if_stop(session: SbSession) -> TreeCost:
-    """Cost of stopping now: the best candidate's SVB tree plus SB spend."""
+def nodes_if_stop(session: SbSession) -> int:
+    """t_i: the best candidate's SVB tree plus 2 nodes per reveal."""
     if session.d_min == UNBOUNDED:
         raise NoUsableCandidateError(
             "no nonzero gain revealed yet; keep sampling"
         )
-    d = int(session.d_min)
-    return TreeCost.after_reveals((1 << (d + 1)) - 1, session.iteration)
+    return svb_tree_size(session.d_min) + 2 * session.iteration
 
 
 def improvement_probabilities(
@@ -166,7 +176,7 @@ def expected_nodes_if_continue(session: SbSession, dist: MixedGainDistribution) 
     """Eq.-style expectation of total nodes after exactly one more reveal."""
     ps = improvement_probabilities(dist, session.gap, session.d_min)
     expected_final = sum(
-        (2.0 ** (d + 1) - 1.0) * p for d, p in enumerate(ps, start=1)
+        float(svb_tree_size(d)) * p for d, p in enumerate(ps, start=1)
     )
     return expected_final + 2.0 * (session.iteration + 1)
 
@@ -180,26 +190,29 @@ def should_continue(
     """Decide whether the scan keeps evaluating candidates.
 
     Hard caps come first in both modes (they mirror the fixed rule's break
-    conditions); the probabilistic test only fires once the streak reaches
-    phi * L_max, enough nonzero samples exist, and an improvement is
-    possible at all (2 <= d_min, within the exact-size depth guard). A
-    degenerate distribution silently disables the probabilistic branch.
+    conditions). With prob set, the scan then stops at d_min = 1 once
+    enough nonzero samples exist: one branching on the best candidate
+    finishes the node, so each further reveal buys two SB LPs for a tree
+    that cannot get smaller. The expected-size test fires only once, in
+    addition, the streak reaches phi * L_max and 2 <= d_min <=
+    MAX_EVAL_DEPTH. A missing or degenerate distribution silently disables
+    that test but not the d_min = 1 stop.
     """
     lmax = max_lookahead(fixed)
     if session.no_improvement_streak >= lmax:
         return Decision(True, LOOKAHEAD_EXHAUSTED)
     if session.budget_used >= iteration_budget(session.node_cost, fixed.K):
         return Decision(True, BUDGET_EXHAUSTED)
+    if prob is None or session.samples.n_nonzero < prob.min_nonzero_samples:
+        return Decision(False, CONTINUE)
+    if session.d_min == 1:
+        return Decision(True, NO_EXPECTED_IMPROVEMENT)
     if (
-        prob is not None
-        and dist is not None
+        dist is not None
         and not dist.degenerate
         and session.no_improvement_streak >= prob.phi * lmax
-        and session.samples.n_nonzero >= prob.min_nonzero_samples
-        and session.d_min != UNBOUNDED
-        and 2 <= session.d_min <= MAX_TREE_DEPTH
+        and 2 <= session.d_min <= MAX_EVAL_DEPTH
+        and expected_nodes_if_continue(session, dist) >= nodes_if_stop(session)
     ):
-        stop_cost = nodes_if_stop(session).total
-        if expected_nodes_if_continue(session, dist) >= stop_cost:
-            return Decision(True, NO_EXPECTED_IMPROVEMENT)
+        return Decision(True, NO_EXPECTED_IMPROVEMENT)
     return Decision(False, CONTINUE)

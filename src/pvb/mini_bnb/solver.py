@@ -3,11 +3,14 @@
 Variable selection scans the unreliable fractional candidates in
 descending pseudocost-predicted score (ties to the lower column index),
 paying two child LPs per candidate, updating pseudocosts and the shared
-gain sample as it goes. The scan stops on the shared session rules: the
+gain sample as it goes. Every scan stop other than a cutoff or running
+out of candidates comes from lookahead.should_continue: the
 no-improvement streak cap, the simplex-iteration budget, or (dynamic
-mode, once warmed up) the expected-tree-size test. The branching choice
-is then the best score overall, measured geometric-mean gains for
-scanned candidates against predicted ones for reliable candidates.
+mode, once warmed up) the best gain closing the gap outright or the
+expected-tree-size test. The solver holds no stop policy of its own.
+The branching choice is then the best score overall, measured
+geometric-mean gains for scanned candidates against predicted ones for
+reliable candidates.
 
 Node selection is best bound so that node counts compare branching
 quality rather than incumbent luck. An SB child LP that proves
@@ -32,7 +35,6 @@ from ..distributions import DegenerateFitError, GainAccumulator
 from ..gains import DEFAULT_EPSILON, GainPair, shifted_geomean
 from ..lookahead import (
     CANDIDATES_EXHAUSTED,
-    NO_EXPECTED_IMPROVEMENT,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     SbSession,
@@ -351,7 +353,7 @@ def select_branching_variable(
         )
         g = shifted_geomean(GainPair(ev.down_gain, ev.up_gain), config.epsilon).value
         measured[j] = g
-        session.observe(str(j), g, cost=float(ev.iterations))
+        session.observe(g, cost=float(ev.iterations))
         dist = None
         if prob is not None and samples.n_nonzero >= prob.min_nonzero_samples:
             try:
@@ -361,16 +363,6 @@ def select_branching_variable(
         decision = should_continue(session, fixed_cfg, prob, dist)
         if decision.stop:
             reason = decision.reason
-            break
-        if (
-            prob is not None
-            and session.d_min == 1
-            and samples.n_nonzero >= prob.min_nonzero_samples
-        ):
-            # Best gain already covers the whole gap: one branching on it
-            # finishes the node, so each further reveal buys two SB LPs
-            # for a tree that cannot get smaller.
-            reason = NO_EXPECTED_IMPROVEMENT
             break
 
     reveals = len(evaluated)

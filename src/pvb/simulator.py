@@ -23,8 +23,11 @@ The probabilistic strategies apply the expected-tree-size test after every
 reveal with no streak cap: in the abstract model the criterion is free to
 run SB longer than the fixed rule whenever more scanning is expected to
 pay for itself, which is exactly how it escapes the fixed rule's blowup at
-large gaps. The phi-gated variant with hard caps lives in the solver's
-branching rule, not here.
+large gaps. The phi-gated variant with hard caps is
+lookahead.should_continue, which the solver's branching rule calls.
+
+Tree sizes come from abstract_tree.svb_tree_size: the weight table of the
+array test, its stop totals, and every trial's final tree.
 
 Campaigns aggregate means per (gap, strategy) cell with one rng stream per
 trial index, so results do not depend on execution order or worker count.
@@ -38,12 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_tree import CapacityError, PvbInstance, svb_depth
+from .abstract_tree import CapacityError, PvbInstance, svb_depth, svb_tree_size
 from .distributions import GainAccumulator
 from .lookahead import (
     BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
     LOOKAHEAD_EXHAUSTED,
+    MAX_EVAL_DEPTH,
     NO_EXPECTED_IMPROVEMENT,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
@@ -66,15 +70,6 @@ _PROB_FITS = {
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Past this depth the expectation sum is pointless: stopping would cost at
-# least 2**513 nodes, so the scan keeps going (and the per-reveal test stays
-# O(depth) instead of chasing astronomical d_min values).
-_MAX_EVAL_DEPTH = 512
-
-# Deepest final tree a trial may report: 2**1023 - 1 nodes is the largest
-# size whose campaign mean still converts to a float.
-MAX_FINAL_DEPTH = 1022
-
 # Above this depth a float64 2**(d+1) absorbs the -1 + 2i that the scalar
 # test adds to t_i as an exact integer, so the array test never decides there.
 _EXACT_FLOAT_DEPTH = 52
@@ -85,8 +80,8 @@ _SCALAR_MARGIN = 1e-9
 
 _FIRST_WINDOW = 64
 
-_DEPTHS = np.arange(1, _MAX_EVAL_DEPTH + 1, dtype=float)
-_WEIGHTS = np.ldexp(1.0, np.arange(2, _MAX_EVAL_DEPTH + 2)) - 1.0  # 2**(d+1) - 1
+_DEPTHS = np.arange(1, MAX_EVAL_DEPTH + 1, dtype=float)
+_WEIGHTS = np.array([float(svb_tree_size(d)) for d in range(1, MAX_EVAL_DEPTH + 1)])
 
 
 class UnclosableError(RuntimeError):
@@ -95,19 +90,21 @@ class UnclosableError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's cost: the final tree plus 2 SB nodes per reveal."""
+
     strategy: str
     gap: float
     reveals: int
     stop_reason: str
     final_tree_nodes: int
-    sb_nodes: int
-    total_nodes: int
 
-    def __post_init__(self) -> None:
-        if self.sb_nodes != 2 * self.reveals:
-            raise ValueError("sb_nodes must be twice the reveal count")
-        if self.total_nodes != self.final_tree_nodes + self.sb_nodes:
-            raise ValueError("total must be tree nodes plus SB nodes")
+    @property
+    def sb_nodes(self) -> int:
+        return 2 * self.reveals
+
+    @property
+    def total_nodes(self) -> int:
+        return self.final_tree_nodes + self.sb_nodes
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ def _fixed_trial(gains: np.ndarray, order: np.ndarray, fixed: FixedLookaheadConf
 
 
 def _expected_next_totals(gap, reveals, depth, p0, family, theta):
-    """Array E[t_{i+1}] for prefixes with 2 <= depth <= _MAX_EVAL_DEPTH.
+    """Array E[t_{i+1}] for prefixes with 2 <= depth <= MAX_EVAL_DEPTH.
 
     The terms of lookahead.expected_nodes_if_continue, one row per prefix,
     written with tail survivals S_k at G/k: P[depth 1] = (1-p0) S_1,
@@ -215,7 +212,7 @@ def _scalar_stops(gap, reveals, depth, zero_count, nonzero_sum, sum_logs, nonzer
     )
     session = SbSession(gap=gap, iteration=reveals, d_min=depth, samples=samples)
     dist = samples.fit(family, mass_point=mass_point)
-    return expected_nodes_if_continue(session, dist) >= nodes_if_stop(session).total
+    return expected_nodes_if_continue(session, dist) >= nodes_if_stop(session)
 
 
 def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
@@ -223,7 +220,7 @@ def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
 
     Applies the rule's gates in order to every prefix: no nonzero gain yet
     (continue), depth 1 (stop), too few nonzero samples, depth past
-    _MAX_EVAL_DEPTH or a degenerate fit (continue); then stop once
+    MAX_EVAL_DEPTH or a degenerate fit (continue); then stop once
     E[t_{i+1}] >= t_i.
     """
     for lo, hi in _prefix_windows(len(order)):
@@ -248,7 +245,7 @@ def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
                 fitted = (n1 >= 2) & (log_ratio_sum > 0.0)
             else:
                 p0, theta, fitted = (i - n1) / i, (n1 / sums,), True
-            test = (depth >= 2) & (depth <= _MAX_EVAL_DEPTH) & (n1 >= min_nonzero) & fitted
+            test = (depth >= 2) & (depth <= MAX_EVAL_DEPTH) & (n1 >= min_nonzero) & fitted
             stop = depth[lo:] == 1
             rescan = np.zeros(hi - lo, dtype=bool)
             rows = lo + np.flatnonzero(test[lo:])
@@ -256,7 +253,7 @@ def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
                 d = depth[rows].astype(np.int64)
                 th = tuple(t[rows] for t in theta)
                 expected = _expected_next_totals(gap, i[rows], d, p0[rows], family, th)
-                stop_total = np.ldexp(1.0, d + 1) - 1.0 + 2.0 * i[rows]
+                stop_total = _WEIGHTS[d - 1] + 2.0 * i[rows]
                 clear = np.abs(expected - stop_total) > _SCALAR_MARGIN * stop_total
                 exact = clear & (d <= _EXACT_FLOAT_DEPTH) & np.isfinite(th[-1])
                 stop[rows - lo] = exact & (expected >= stop_total)
@@ -286,7 +283,8 @@ def run_trial(
     the instance's base gap so one pool serves a whole gap grid. `full`
     draws nothing from rng, which may then be None; every other strategy
     draws one permutation.
-    Raises CapacityError when the final depth exceeds MAX_FINAL_DEPTH.
+    Raises svb_tree_size's CapacityError when the final depth exceeds
+    abstract_tree.MAX_FINAL_DEPTH.
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"gap must be positive and finite, got {gap!r}")
@@ -307,22 +305,11 @@ def run_trial(
         )
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    depth = svb_depth(gap, best)
-    if depth > MAX_FINAL_DEPTH:
-        raise CapacityError(
-            f"best depth {depth} at gap {gap!r} exceeds {MAX_FINAL_DEPTH}:"
-            f" a tree of 2**{depth + 1} - 1 nodes has no float mean"
-        )
-    final = (1 << (depth + 1)) - 1
-    return TrialResult(
-        strategy=strategy,
-        gap=gap,
-        reveals=reveals,
-        stop_reason=reason,
-        final_tree_nodes=final,
-        sb_nodes=2 * reveals,
-        total_nodes=final + 2 * reveals,
-    )
+    try:
+        final = svb_tree_size(svb_depth(gap, best))
+    except CapacityError as exc:
+        raise CapacityError(f"gap {gap!r}: best {exc}") from None
+    return TrialResult(strategy, gap, reveals, reason, final)
 
 
 def _cell_sums(args):

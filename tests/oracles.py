@@ -33,6 +33,65 @@ def brute_tree_count(gap, left, right):
     return count
 
 
+_MAX_BUILT_NODES = 10**7
+
+
+class TreeBudgetError(RuntimeError):
+    """The tree build_svb_tree was asked for exceeds _MAX_BUILT_NODES."""
+
+
+def build_svb_tree(gap, left, right):
+    """Exact node count of the minimal tree branching on one variable with
+    side gains (left, right).
+
+    Counts via T(gamma) = 1 if gamma >= gap else 1 + T(gamma+l) + T(gamma+r),
+    memoized on the (left steps, right steps) lattice so equal-gap states
+    reached in different orders coincide; brute_tree_count expands the
+    same tree without memoization. Guarded: raises TreeBudgetError rather
+    than enumerating more than _MAX_BUILT_NODES nodes.
+    """
+    if not (math.isfinite(gap) and gap > 0):
+        raise ValueError(f"gap must be positive, got {gap!r}")
+    if not min(left, right) > 0:
+        raise ValueError("build_svb_tree requires strictly positive gains")
+
+    # Cheap pre-guards. The shallowest possible leaf is at depth
+    # ceil(gap/max) and the single-gain path is ceil(gap/min) long; either
+    # bound alone can certify the tree is over budget.
+    min_depth = math.ceil(gap / max(left, right))
+    if (1 << (min_depth + 1)) - 1 > _MAX_BUILT_NODES:
+        raise TreeBudgetError(f"tree is at least 2^{min_depth + 1} - 1 nodes")
+    if 2 * math.ceil(gap / min(left, right)) + 1 > _MAX_BUILT_NODES:
+        raise TreeBudgetError("single-gain path alone exceeds the node budget")
+
+    memo = {}
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack[-1]
+        if (i, j) in memo:
+            stack.pop()
+            continue
+        children = []
+        ready = True
+        for ci, cj in ((i + 1, j), (i, j + 1)):
+            if ci * left + cj * right >= gap:
+                children.append(1)
+            elif (ci, cj) in memo:
+                children.append(memo[(ci, cj)])
+            else:
+                stack.append((ci, cj))
+                ready = False
+        if ready:
+            stack.pop()
+            memo[(i, j)] = 1 + children[0] + children[1]
+            if len(memo) > _MAX_BUILT_NODES:
+                raise TreeBudgetError("tree exceeds the node budget")
+    total = memo[(0, 0)]
+    if total > _MAX_BUILT_NODES:
+        raise TreeBudgetError(f"tree has {total} nodes, over the {_MAX_BUILT_NODES} guard")
+    return total
+
+
 def ks_brute(samples, cdf):
     """O(n^2) Kolmogorov-Smirnov statistic: for every sample point compare
     F against the empirical CDF evaluated by rescanning all samples."""

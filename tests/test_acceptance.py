@@ -20,6 +20,7 @@ import numpy as np
 
 from oracles import (
     brute_tree_count,
+    build_svb_tree,
     enumerate_binary_mip,
     ks_brute,
     mc_expected_next_total,
@@ -27,13 +28,7 @@ from oracles import (
     sample_tail,
     tail_cdf_mp,
 )
-from pvb.abstract_tree import (
-    AbstractVariable,
-    PvbInstance,
-    build_svb_tree,
-    svb_depth,
-    svb_tree_size,
-)
+from pvb.abstract_tree import PvbInstance, svb_depth, svb_tree_size
 from pvb.cli import main, shifted_geomean_stat
 from pvb.distributions import GainAccumulator, MixedGainDistribution, ks_test
 from pvb.gains import GainPair, GainSeries, save_gain_series
@@ -78,14 +73,13 @@ def test_criterion_1_tree_formulas_match_brute_force():
             checked += 1
             d = svb_depth(gap, g)
             formula = svb_tree_size(int(d))
-            built = build_svb_tree(gap, AbstractVariable("v", g, g))
+            built = build_svb_tree(gap, g, g)
             brute = brute_tree_count(gap, g, g)
             session = SbSession(gap=gap)
-            session.observe("v", g)
-            stop = nodes_if_stop(session)
+            session.observe(g)
             exact = exact and formula == built == brute
-            exact = exact and session.d_min == d
-            exact = exact and stop.sb_nodes == 2 and stop.total == formula + 2
+            exact = exact and session.d_min == d and session.iteration == 1
+            exact = exact and nodes_if_stop(session) == formula + 2
     elapsed = time.perf_counter() - t0
     ok = exact and checked == 9 and elapsed < 1.0
     _verdict(1, ok, f"{checked} gain/gap pairs exact in {elapsed:.2f}s")
@@ -118,9 +112,9 @@ def test_criterion_2_continue_expectation_matches_monte_carlo():
         session = SbSession(gap=gap)
         # Nudge the best gain below gap/d_min so its depth rounds up to
         # exactly d_min; the zero reveals only advance the iteration count.
-        session.observe("best", gap / d_min * (1.0 + 1e-9))
-        for j in range(reveals - 1):
-            session.observe(f"z{j}", 0.0)
+        session.observe(gap / d_min * (1.0 + 1e-9))
+        for _ in range(reveals - 1):
+            session.observe(0.0)
         assert session.d_min == d_min and session.iteration == reveals
 
         dist = MixedGainDistribution(p0, family, theta)

@@ -438,6 +438,31 @@ class TestSweep:
         )
         assert code == 2 and "no .mps files" in stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--L-grid", "0", "L must be >= 1"),
+            ("--K-grid", "-5", "K must be >= 0"),
+            ("--max-scan", "0", "max_scan must be >= 1"),
+            ("--reliability-threshold", "-1", "reliability_threshold must be >= 0"),
+            ("--node-limit", "0", "node_limit must be >= 1"),
+        ],
+    )
+    def test_invalid_cell_config_exits_2_before_any_solve(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        save_mps(sparse_multiknapsack(14, 8, 1), directory / "one.mps")
+        out = tmp_path / "sweep.csv"
+        code, stdout, stderr = run(
+            capsys, "sweep", str(directory), "--seed", "1", "--out", str(out),
+            flag, value,
+        )
+        assert code == 2
+        assert message in stderr and "failed" not in stderr
+        assert stdout == "" and not out.exists()
+
     def test_deterministic_across_workers(self, tmp_path, capsys):
         directory = tmp_path / "insts"
         directory.mkdir()

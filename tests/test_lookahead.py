@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from pvb.abstract_tree import UNBOUNDED, AbstractVariable, build_svb_tree, svb_depth
+from pvb.abstract_tree import UNBOUNDED, svb_depth
 from pvb.distributions import (
     DegenerateFitError,
     GainAccumulator,
@@ -34,14 +34,14 @@ from pvb.lookahead import (
     should_continue,
 )
 
-from oracles import mc_depth_probabilities, mc_expected_next_total
+from oracles import build_svb_tree, mc_depth_probabilities, mc_expected_next_total
 
 
 def walk(gap, gains, cost=2.0):
     """Drive a fresh session through a reveal sequence."""
     session = SbSession(gap=gap)
-    for k, g in enumerate(gains):
-        session.observe(f"x{k}", g, cost=cost)
+    for g in gains:
+        session.observe(g, cost=cost)
     return session
 
 
@@ -86,20 +86,17 @@ def test_nodes_if_stop_examples():
     # depth 3 best after 5 reveals: 15 tree nodes + 10 SB nodes
     s = walk(10.0, [4.0, 0.5, 0.5, 0.5, 0.5])
     assert s.d_min == 3 and s.iteration == 5
-    cost = nodes_if_stop(s)
-    assert (cost.final_tree_nodes, cost.sb_nodes, cost.total) == (15, 10, 25)
+    assert nodes_if_stop(s) == 15 + 10
 
     # perfect depth-1 tree, no SB spend
-    assert nodes_if_stop(SbSession(gap=4.0, d_min=1)).total == 3
+    assert nodes_if_stop(SbSession(gap=4.0, d_min=1)) == 3
 
     # depth 4 after 32 reveals; tree size cross-checked against the
-    # symmetric-gain tree builder
+    # oracle tree builder
     s = walk(10.0, [3.0] + [0.5] * 31)
     assert s.d_min == 4 and s.iteration == 32
-    cost = nodes_if_stop(s)
-    assert cost.total == 95
-    built = build_svb_tree(10.0, AbstractVariable("x", 3.0, 3.0))
-    assert cost.final_tree_nodes == built == 31
+    assert nodes_if_stop(s) == 95
+    assert nodes_if_stop(s) - 2 * s.iteration == build_svb_tree(10.0, 3.0, 3.0) == 31
 
 
 def test_nodes_if_stop_needs_a_nonzero_gain():
@@ -114,21 +111,20 @@ def test_nodes_if_stop_needs_a_nonzero_gain():
 
 def test_observe_resets_streak_only_on_strict_improvement():
     s = SbSession(gap=10.0)
-    assert s.observe("a", 2.0)
+    assert s.observe(2.0)
     assert s.no_improvement_streak == 0
-    assert not s.observe("b", 2.0)  # tie is not progress
+    assert not s.observe(2.0)  # tie is not progress
     assert s.no_improvement_streak == 1
-    assert not s.observe("c", 1.0)
+    assert not s.observe(1.0)
     assert s.no_improvement_streak == 2
-    assert s.observe("d", 5.0)
-    assert (s.best_candidate, s.best_gain, s.no_improvement_streak) == ("d", 5.0, 0)
+    assert s.observe(5.0)
+    assert (s.best_gain, s.no_improvement_streak) == (5.0, 0)
     assert s.d_min == 2
 
 
 def test_observe_zero_gains_extend_streak_and_leave_dmin_unbounded():
     s = walk(8.0, [0.0, 0.0])
     assert s.d_min == UNBOUNDED
-    assert s.best_candidate is None
     assert s.no_improvement_streak == 2
     assert s.samples.n_nonzero == 0
     assert s.samples.count == 2
@@ -136,8 +132,8 @@ def test_observe_zero_gains_extend_streak_and_leave_dmin_unbounded():
 
 def test_observe_tracks_budget_with_custom_cost():
     s = SbSession(gap=3.0, node_cost=40.0)
-    s.observe("a", 1.0, cost=17.0)
-    s.observe("b", 0.0, cost=5.0)
+    s.observe(1.0, cost=17.0)
+    s.observe(0.0, cost=5.0)
     assert s.budget_used == 22.0
     assert s.iteration == 2
 
@@ -229,7 +225,7 @@ def test_expected_nodes_when_no_improvement_is_possible():
     s = walk(10.0, [4.0, 0.5, 0.5, 0.5, 0.5])
     dist = MixedGainDistribution(1.0, "pareto", (1.0, 2.0))
     expected = expected_nodes_if_continue(s, dist)
-    assert expected == nodes_if_stop(s).total + 2
+    assert expected == nodes_if_stop(s) + 2
 
 
 def test_expected_nodes_two_term_expansion():
@@ -352,7 +348,7 @@ def test_probabilistic_stop_after_phi_gate():
     assert s.samples.n_nonzero == 10
     assert s.d_min == 8
     dist = s.samples.fit("exponential")
-    assert expected_nodes_if_continue(s, dist) >= nodes_if_stop(s).total
+    assert expected_nodes_if_continue(s, dist) >= nodes_if_stop(s)
     assert should_continue(s, FIXED, PROB, dist) == (True, NO_EXPECTED_IMPROVEMENT)
     # same session in fixed mode keeps scanning
     assert should_continue(s, FIXED) == (False, CONTINUE)
@@ -371,11 +367,35 @@ def test_probabilistic_branch_needs_nonzero_samples():
     assert should_continue(s, FIXED, PROB, _stop_heavy_dist()) == (False, CONTINUE)
 
 
-def test_probabilistic_branch_never_fires_at_depth_one():
-    # best gain closes the gap outright; no improvement bucket exists
+def test_depth_one_stops_without_the_phi_gate_or_a_fit():
+    # best gain closes the gap outright: no reveal can shrink the tree
     s = walk(4.0, [5.0] + [5.0] * 6)
     assert s.d_min == 1 and s.no_improvement_streak == 6
-    assert should_continue(s, FIXED, PROB, _stop_heavy_dist()) == (False, CONTINUE)
+    assert should_continue(s, FIXED, PROB, _stop_heavy_dist()) == (
+        True, NO_EXPECTED_IMPROVEMENT,
+    )
+    s = walk(4.0, [0.5] * 4 + [5.0])
+    assert s.d_min == 1 and s.no_improvement_streak < PROB.phi * max_lookahead(FIXED)
+    assert s.samples.n_nonzero == PROB.min_nonzero_samples
+    assert should_continue(s, FIXED, PROB, None) == (True, NO_EXPECTED_IMPROVEMENT)
+
+
+def test_depth_one_waits_for_enough_nonzero_samples():
+    s = walk(4.0, [0.0] * 4 + [5.0, 5.0])
+    assert s.d_min == 1 and s.samples.n_nonzero < PROB.min_nonzero_samples
+    assert should_continue(s, FIXED, PROB, None) == (False, CONTINUE)
+
+
+def test_depth_one_stop_comes_after_the_hard_caps():
+    s = walk(4.0, [5.0] + [5.0] * 9)
+    assert s.d_min == 1 and s.no_improvement_streak == max_lookahead(FIXED)
+    assert should_continue(s, FIXED, PROB, None) == (True, LOOKAHEAD_EXHAUSTED)
+
+
+def test_depth_one_stop_needs_the_probabilistic_rule():
+    s = walk(4.0, [5.0] * 7)
+    assert s.d_min == 1
+    assert should_continue(s, FIXED, None, _stop_heavy_dist()) == (False, CONTINUE)
 
 
 def test_probabilistic_branch_continues_when_improvement_is_likely():
@@ -400,9 +420,9 @@ def test_fixed_mode_ignores_any_supplied_distribution():
         gap = float(rng.uniform(1.0, 40.0))
         dist = _random_dist(rng)
         s = SbSession(gap=gap)
-        for k in range(30):
+        for _ in range(30):
             g = 0.0 if rng.random() < 0.3 else float(rng.lognormal(0.0, 1.2))
-            s.observe(f"x{k}", g)
+            s.observe(g)
             bare = should_continue(s, FIXED)
             assert bare == should_continue(s, FIXED, None, dist)
             assert bare == should_continue(s, FIXED, None, None)
@@ -412,23 +432,29 @@ def test_fixed_mode_ignores_any_supplied_distribution():
 
 def test_stop_decisions_are_consistent_with_the_raw_costs():
     rng = np.random.default_rng(59)
-    stops = 0
+    stops = depth_one_stops = 0
     for _ in range(200):
         gap = float(rng.uniform(2.0, 80.0))
         s = SbSession(gap=gap)
-        for k in range(25):
+        for _ in range(25):
             g = 0.0 if rng.random() < 0.25 else float(rng.lognormal(-1.0, 1.0))
-            s.observe(f"x{k}", g)
+            s.observe(g)
             if s.samples.n_nonzero < 2:
                 continue
             dist = s.samples.fit("exponential")
             decision = should_continue(s, FIXED, PROB, dist)
             if decision.reason == NO_EXPECTED_IMPROVEMENT:
                 stops += 1
-                assert nodes_if_stop(s).total <= expected_nodes_if_continue(s, dist)
+                if s.d_min == 1:
+                    # no next gain can shrink a depth-1 tree: continuing
+                    # costs exactly t_i + 2
+                    depth_one_stops += 1
+                    assert nodes_if_stop(s) == 3 + 2 * s.iteration
+                else:
+                    assert nodes_if_stop(s) <= expected_nodes_if_continue(s, dist)
             if decision.stop:
                 break
-    assert stops > 0  # the corpus must actually exercise the stop path
+    assert stops > depth_one_stops  # the corpus must exercise the expected-size test
 
 
 def test_reason_vocabulary_is_stable():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb.abstract_tree import CapacityError, PvbInstance, svb_depth
+from pvb.abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_depth
 from pvb.gains import is_zero_gain
 from pvb.lookahead import (
     CANDIDATES_EXHAUSTED,
@@ -24,10 +24,8 @@ from pvb.lookahead import (
     ProbLookaheadConfig,
 )
 from pvb.simulator import (
-    MAX_FINAL_DEPTH,
     STRATEGIES,
     CampaignSpec,
-    TrialResult,
     UnclosableError,
     run_campaign,
     run_trial,
@@ -66,13 +64,6 @@ def test_all_zero_pool_is_unclosable():
     inst = make_instance([0.0, 0.0, 0.0])
     with pytest.raises(UnclosableError):
         run_trial(inst, 5.0, "fixed", np.random.default_rng(2))
-
-
-def test_trial_result_consistency_is_enforced():
-    with pytest.raises(ValueError):
-        TrialResult("fixed", 1.0, 3, "continue", 7, 5, 12)
-    with pytest.raises(ValueError):
-        TrialResult("fixed", 1.0, 3, "continue", 7, 6, 14)
 
 
 def test_full_sb_always_reveals_the_entire_pool():
