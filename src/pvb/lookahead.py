@@ -14,17 +14,26 @@ against the expected cost of one more evaluation,
 
 where p_d is the probability that the next revealed gain lands the best
 depth at d. The p_d come from the fitted mixed gain distribution: a gain g
-yields depth ceil(G/g), so p_1 is the survival at G, interior p_d are CDF
-differences at G/(d-1) and G/d, and the last bucket absorbs every
-non-improving outcome including zero gains. Both sides price trees with
-abstract_tree.svb_tree_size, so t_i is an exact int.
+yields depth ceil(G/g), so p_1 is the survival at G, interior p_d are
+survival differences at G/d and G/(d-1), and the last bucket absorbs every
+non-improving outcome including zero gains. Survival differences keep the
+far-tail mass that CDF differences round to zero.
+
+Because the p_d sum to 1, the i terms cancel and E[t_{i+1}] >= t_i is
+exactly
+
+    sum_{d<d_min} p_d * (2**(d_min+1) - 2**(d+1)) <= 2:
+
+the expected tree saving of one more probe against its cost of 2 nodes.
+saving_stops decides that form, which has no cancellation at any depth, so
+the verdict never depends on i; both the solver's rule and the campaign
+engine stop through it.
 
 At d_min = 1 the best gain already closes the gap: no reveal can shrink
 the tree, so continuing always costs t_i + 2 and the probabilistic rule
 stops as soon as enough nonzero samples exist, without waiting for the
 phi gate or a fit. The expected-size test itself runs only up to
-MAX_EVAL_DEPTH, the one depth guard of both the scalar rule and the
-campaign engine.
+abstract_tree.MAX_FINAL_DEPTH, the deepest tree that can be priced.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .abstract_tree import UNBOUNDED, svb_depth, svb_tree_size
+import numpy as np
+
+from .abstract_tree import MAX_FINAL_DEPTH, UNBOUNDED, svb_depth, svb_tree_size
 from .distributions import GainAccumulator, MixedGainDistribution, cdf, survival
 from .gains import is_zero_gain
 
@@ -42,11 +53,6 @@ LOOKAHEAD_EXHAUSTED = "lookahead_exhausted"
 BUDGET_EXHAUSTED = "budget_exhausted"
 NO_EXPECTED_IMPROVEMENT = "no_expected_improvement"
 CANDIDATES_EXHAUSTED = "candidates_exhausted"
-
-# Past this depth the expectation sum is pointless: stopping would cost at
-# least 2**513 nodes, so the scan keeps going (and the test stays O(depth)
-# instead of chasing astronomical d_min values).
-MAX_EVAL_DEPTH = 512
 
 
 class NoUsableCandidateError(RuntimeError):
@@ -154,22 +160,38 @@ def improvement_probabilities(
 ) -> list[float]:
     """P[next-sample depth = d] for d = 1..d_min, last bucket absorbing.
 
-    Built from CDF differences so the vector telescopes to 1; each entry
-    is clamped at 0 against last-ulp dips.
+    Built from survival differences, so tail mass far below 1e-16 is kept;
+    the last bucket is the CDF at G/(d_min-1), so the vector telescopes to
+    1. Each entry is clamped at 0 against last-ulp dips.
     """
     if not gap > 0:
         raise ValueError(f"gap must be positive, got {gap!r}")
     if d_min == UNBOUNDED or int(d_min) < 2:
         raise ValueError(f"d_min must be a finite integer >= 2, got {d_min!r}")
     d_min = int(d_min)
-    ps = [survival(dist, gap)]
-    prev = cdf(dist, gap)
+    prev = survival(dist, gap)
+    ps = [prev]
     for d in range(2, d_min):
-        cur = cdf(dist, gap / d)
-        ps.append(max(prev - cur, 0.0))
+        cur = survival(dist, gap / d)
+        ps.append(max(cur - prev, 0.0))
         prev = cur
-    ps.append(prev)
+    ps.append(cdf(dist, gap / (d_min - 1)))
     return ps
+
+
+def saving_stops(ps, d_min) -> np.ndarray:
+    """Verdicts of the expected-size test, one per row of ps.
+
+    Row r holds p_d for d = 1, 2, ...; entries at d >= d_min[r] are
+    ignored. A row stops iff the expected tree saving of one more probe,
+    sum_{d<d_min} p_d * (2**(d_min+1) - 2**(d+1)), is at most the probe's
+    2 nodes, which is E[t_{i+1}] >= t_i with the i terms cancelled.
+    """
+    ps = np.asarray(ps, dtype=float)
+    top = np.asarray(d_min, dtype=np.int64)[:, None]
+    d = np.arange(1, ps.shape[1] + 1)
+    saving = np.ldexp(1.0, top + 1) - np.ldexp(1.0, d + 1)
+    return np.where(d < top, ps * saving, 0.0).sum(axis=1) <= 2.0
 
 
 def expected_nodes_if_continue(session: SbSession, dist: MixedGainDistribution) -> float:
@@ -195,8 +217,9 @@ def should_continue(
     finishes the node, so each further reveal buys two SB LPs for a tree
     that cannot get smaller. The expected-size test fires only once, in
     addition, the streak reaches phi * L_max and 2 <= d_min <=
-    MAX_EVAL_DEPTH. A missing or degenerate distribution silently disables
-    that test but not the d_min = 1 stop.
+    MAX_FINAL_DEPTH; it then stops iff saving_stops does. A missing or
+    degenerate distribution silently disables that test but not the
+    d_min = 1 stop.
     """
     lmax = max_lookahead(fixed)
     if session.no_improvement_streak >= lmax:
@@ -211,8 +234,10 @@ def should_continue(
         dist is not None
         and not dist.degenerate
         and session.no_improvement_streak >= prob.phi * lmax
-        and 2 <= session.d_min <= MAX_EVAL_DEPTH
-        and expected_nodes_if_continue(session, dist) >= nodes_if_stop(session)
+        and 2 <= session.d_min <= MAX_FINAL_DEPTH
+        and saving_stops(
+            [improvement_probabilities(dist, session.gap, session.d_min)], [session.d_min]
+        )[0]
     ):
         return Decision(True, NO_EXPECTED_IMPROVEMENT)
     return Decision(False, CONTINUE)

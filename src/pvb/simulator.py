@@ -11,13 +11,11 @@ than a reveal-by-reveal loop:
   gains and the first streak or budget stop from prefix counts.
 - The probabilistic strategies take the running sums a GainAccumulator
   would hold after every prefix, derive each prefix's fit with the same
-  float operations as GainAccumulator.fit, and evaluate the
-  expected-tree-size test for all prefixes at once as a prefixes x depth
-  array, 64 reveals at first and wider only while no stop falls inside.
-
-Every decision is the per-reveal rule's: a prefix whose array E[t_{i+1}]
-lies within a relative 1e-9 of t_i, or whose best depth exceeds 52, is
-re-decided by the scalar expected_nodes_if_continue.
+  float operations as GainAccumulator.fit, and build each prefix's depth
+  probabilities from survival differences as one prefixes x depth array,
+  64 reveals at first and wider only while no stop falls inside.
+  lookahead.saving_stops decides every row, the same saving form the
+  solver's rule uses, so no prefix needs a second, scalar decision.
 
 The probabilistic strategies apply the expected-tree-size test after every
 reveal with no streak cap: in the abstract model the criterion is free to
@@ -26,8 +24,7 @@ pay for itself, which is exactly how it escapes the fixed rule's blowup at
 large gaps. The phi-gated variant with hard caps is
 lookahead.should_continue, which the solver's branching rule calls.
 
-Tree sizes come from abstract_tree.svb_tree_size: the weight table of the
-array test, its stop totals, and every trial's final tree.
+Every trial's final tree comes from abstract_tree.svb_tree_size.
 
 Campaigns aggregate means per (gap, strategy) cell with one rng stream per
 trial index, so results do not depend on execution order or worker count.
@@ -41,23 +38,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract_tree import CapacityError, PvbInstance, svb_depth, svb_tree_size
-from .distributions import GainAccumulator
+from .abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_depth, svb_tree_size
 from .lookahead import (
     BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
     LOOKAHEAD_EXHAUSTED,
-    MAX_EVAL_DEPTH,
     NO_EXPECTED_IMPROVEMENT,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
-    SbSession,
-    expected_nodes_if_continue,
     iteration_budget,
     max_lookahead,
-    nodes_if_stop,
-    should_continue,  # noqa: F401 - perfbench's tracer wraps simulator.should_continue
+    saving_stops,
 )
+
+# perfbench's tracer wraps these two names on this module
+from .lookahead import expected_nodes_if_continue, should_continue  # noqa: F401
 
 STRATEGIES = ("fixed", "full", "prob-exp", "prob-mixed-exp", "prob-mixed-pareto")
 
@@ -70,18 +65,9 @@ _PROB_FITS = {
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Above this depth a float64 2**(d+1) absorbs the -1 + 2i that the scalar
-# test adds to t_i as an exact integer, so the array test never decides there.
-_EXACT_FLOAT_DEPTH = 52
-
-# Relative distance of E[t_{i+1}] from t_i under which the array test defers
-# to the scalar one; the two differ by well under 1e-12 relative.
-_SCALAR_MARGIN = 1e-9
-
 _FIRST_WINDOW = 64
 
-_DEPTHS = np.arange(1, MAX_EVAL_DEPTH + 1, dtype=float)
-_WEIGHTS = np.array([float(svb_tree_size(d)) for d in range(1, MAX_EVAL_DEPTH + 1)])
+_DEPTHS = np.arange(1, MAX_FINAL_DEPTH + 1, dtype=float)
 
 
 class UnclosableError(RuntimeError):
@@ -174,45 +160,24 @@ def _fixed_trial(gains: np.ndarray, order: np.ndarray, fixed: FixedLookaheadConf
     return len(order), CANDIDATES_EXHAUSTED, float(best[-1])
 
 
-def _expected_next_totals(gap, reveals, depth, p0, family, theta):
-    """Array E[t_{i+1}] for prefixes with 2 <= depth <= MAX_EVAL_DEPTH.
+def _depth_probabilities(gap, depth, p0, family, theta):
+    """p_d for d = 1..max(depth)-1, one row per prefix with 2 <= depth.
 
-    The terms of lookahead.expected_nodes_if_continue, one row per prefix,
-    written with tail survivals S_k at G/k: P[depth 1] = (1-p0) S_1,
-    P[depth k] = (1-p0)(S_k - S_{k-1}) for 1 < k < d_min, and the last
-    bucket takes P[G <= G/(d_min-1)]. Rounding differs from the scalar sum.
+    The survival differences of lookahead.improvement_probabilities: with
+    S_d = (1-p0) * tail survival at G/d, floored like
+    MixedGainDistribution.tail_survival, p_1 = S_1 and p_d = S_d - S_{d-1}.
+    Entries at d >= a row's depth are not masked; saving_stops ignores them.
     """
-    top = int(depth.max())
-    g = gap / _DEPTHS[: top - 1]
+    g = gap / _DEPTHS[: int(depth.max()) - 1]
     if family == "exponential":
         tail = np.exp(-theta[0][:, None] * g)
     else:
         xm, alpha = theta
         tail = np.minimum(xm[:, None] / g, 1.0) ** alpha[:, None]
-    steps = np.maximum(tail[:, 1:] - tail[:, :-1], 0.0)
-    steps[_DEPTHS[1 : top - 1] >= depth[:, None]] = 0.0
-    q = 1.0 - p0
-    last = p0 + q * (1.0 - tail[np.arange(len(depth)), depth - 2])
-    return (
-        q * (_WEIGHTS[0] * np.maximum(tail[:, 0], 5e-324) + steps @ _WEIGHTS[1 : top - 1])
-        + _WEIGHTS[depth - 1] * last
-        + 2.0 * (reveals + 1)
+    surv = (1.0 - p0)[:, None] * np.maximum(tail, 5e-324)
+    return np.concatenate(
+        (surv[:, :1], np.maximum(surv[:, 1:] - surv[:, :-1], 0.0)), axis=1
     )
-
-
-def _scalar_stops(gap, reveals, depth, zero_count, nonzero_sum, sum_logs, nonzero_min,
-                  family, mass_point) -> bool:
-    """The scalar expected-size test for one prefix, rebuilt from its sums."""
-    samples = GainAccumulator(
-        count=reveals,
-        zero_count=zero_count,
-        nonzero_sum=nonzero_sum,
-        sum_logs=sum_logs,
-        nonzero_min=nonzero_min,
-    )
-    session = SbSession(gap=gap, iteration=reveals, d_min=depth, samples=samples)
-    dist = samples.fit(family, mass_point=mass_point)
-    return expected_nodes_if_continue(session, dist) >= nodes_if_stop(session)
 
 
 def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
@@ -220,8 +185,8 @@ def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
 
     Applies the rule's gates in order to every prefix: no nonzero gain yet
     (continue), depth 1 (stop), too few nonzero samples, depth past
-    MAX_EVAL_DEPTH or a degenerate fit (continue); then stop once
-    E[t_{i+1}] >= t_i.
+    MAX_FINAL_DEPTH or a degenerate fit (continue); then stop once the
+    expected saving of one more probe is at most its 2 nodes.
     """
     for lo, hi in _prefix_windows(len(order)):
         idx = order[:hi]
@@ -230,41 +195,31 @@ def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
         nonzero = v > 0.0
         n1 = np.cumsum(nonzero)
         best = np.maximum.accumulate(v)
-        lowest = np.minimum.accumulate(np.where(nonzero, v, np.inf))
         sums = np.cumsum(v)  # zeros add 0.0, so these are the running sums
-        sum_logs = np.cumsum(lg)
         with np.errstate(all="ignore"):
             depth = np.ceil(gap / best)  # inf before the first nonzero gain
             if not mass_point:
                 p0, theta, fitted = np.zeros(hi), (i / sums,), True
             elif family == "pareto":
                 # log of the running minimum, taken from the entry that set it
+                lowest = np.minimum.accumulate(np.where(nonzero, v, np.inf))
                 at_min = np.maximum.accumulate(np.where(nonzero & (v == lowest), i - 1, 0))
-                log_ratio_sum = sum_logs - n1 * lg[at_min]
+                log_ratio_sum = np.cumsum(lg) - n1 * lg[at_min]
                 p0, theta = (i - n1) / i, (lowest, n1 / log_ratio_sum)
                 fitted = (n1 >= 2) & (log_ratio_sum > 0.0)
             else:
                 p0, theta, fitted = (i - n1) / i, (n1 / sums,), True
-            test = (depth >= 2) & (depth <= MAX_EVAL_DEPTH) & (n1 >= min_nonzero) & fitted
+            test = (depth >= 2) & (depth <= MAX_FINAL_DEPTH) & (n1 >= min_nonzero) & fitted
             stop = depth[lo:] == 1
-            rescan = np.zeros(hi - lo, dtype=bool)
             rows = lo + np.flatnonzero(test[lo:])
             if rows.size:
                 d = depth[rows].astype(np.int64)
-                th = tuple(t[rows] for t in theta)
-                expected = _expected_next_totals(gap, i[rows], d, p0[rows], family, th)
-                stop_total = _WEIGHTS[d - 1] + 2.0 * i[rows]
-                clear = np.abs(expected - stop_total) > _SCALAR_MARGIN * stop_total
-                exact = clear & (d <= _EXACT_FLOAT_DEPTH) & np.isfinite(th[-1])
-                stop[rows - lo] = exact & (expected >= stop_total)
-                rescan[rows - lo] = ~exact
-        for k in np.flatnonzero(stop | rescan):
-            r = lo + int(k)
-            if stop[k] or _scalar_stops(
-                gap, r + 1, int(depth[r]), int(r + 1 - n1[r]), float(sums[r]),
-                float(sum_logs[r]), float(lowest[r]), family, mass_point,
-            ):
-                return r + 1, NO_EXPECTED_IMPROVEMENT, float(best[r])
+                ps = _depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
+                stop[rows - lo] = saving_stops(ps, d)
+        hits = np.flatnonzero(stop)
+        if hits.size:
+            r = lo + int(hits[0])
+            return r + 1, NO_EXPECTED_IMPROVEMENT, float(best[r])
     return len(order), CANDIDATES_EXHAUSTED, float(best[-1])
 
 

@@ -259,7 +259,7 @@ def mc_expected_next_total(rng, p0, family, theta, gap, d_min, iteration, n):
 # ------------------------------------------------- abstract-model trial
 
 _ZERO_TOL = 1e-9  # gains below this are exact zeros (the mass point)
-_MAX_EVAL_DEPTH = 512
+_MAX_EVAL_DEPTH = 1022
 
 
 class _RefSession:
@@ -322,15 +322,6 @@ def _ref_fit(s, family, mass_point):
     return p0, theta
 
 
-def _ref_cdf(p0, family, theta, g):
-    if family == "exponential":
-        tail = -math.expm1(-theta[0] * g) if g > 0 else 0.0
-    else:
-        xm, alpha = theta
-        tail = 1.0 - (xm / g) ** alpha if g > xm else 0.0
-    return p0 + (1.0 - p0) * tail
-
-
 def _ref_survival(p0, family, theta, g):
     if family == "exponential":
         s = math.exp(-theta[0] * g) if g > 0 else 1.0
@@ -340,17 +331,30 @@ def _ref_survival(p0, family, theta, g):
     return (1.0 - p0) * max(s, 5e-324)
 
 
-def _ref_expected_next_total(s, p0, family, theta):
-    """E[t_{i+1}]: depth probabilities from CDF differences, last bucket absorbing."""
-    ps = [_ref_survival(p0, family, theta, s.gap)]
-    prev = _ref_cdf(p0, family, theta, s.gap)
-    for d in range(2, s.d_min):
-        cur = _ref_cdf(p0, family, theta, s.gap / d)
-        ps.append(max(prev - cur, 0.0))
-        prev = cur
-    ps.append(prev)
-    expected_final = sum((2.0 ** (d + 1) - 1.0) * p for d, p in enumerate(ps, start=1))
-    return expected_final + 2.0 * (s.iteration + 1)
+def _ref_depth_probabilities(s, p0, family, theta):
+    """p_d for d = 1..d_min-1: the survival at G, then survival differences."""
+    tails = [_ref_survival(p0, family, theta, s.gap / d) for d in range(1, s.d_min)]
+    return tails[:1] + [max(hi - lo, 0.0) for lo, hi in zip(tails, tails[1:])]
+
+
+_FLOAT_SCALE = 1 << 1074  # every float is an integer multiple of 2**-1074
+
+
+def probe_saving_stops_exact(ps, d_min):
+    """Exact verdict of the one-probe test on float depth probabilities.
+
+    Stop iff sum_{d<d_min} p_d (2**d_min - 2**d) <= 1, half the expected
+    tree saving against half the probe's 2 nodes. Each p_d is the exact
+    rational num / 2**k that float.as_integer_ratio gives, so scaled by
+    2**1074 every term is an integer, built with shifts, and no rounding
+    enters the sum.
+    """
+    total = 0
+    for d, p in enumerate(ps[: d_min - 1], start=1):
+        num, den = float(p).as_integer_ratio()
+        shift = 1075 - den.bit_length()  # p * 2**1074 == num << shift
+        total += (num << (shift + d_min)) - (num << (shift + d))
+    return total <= _FLOAT_SCALE
 
 
 def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
@@ -361,7 +365,8 @@ def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
     appears. `strategy` is one of the five campaign names or a callable
     session -> (stop, reason). `fixed` and `prob` are read for L, K,
     uninit_fraction and min_nonzero_samples only (defaults 9, 10**6, 0.0,
-    5). Tree sizes are Python ints; a best depth above 1022 is reported
+    5). The probabilistic strategies decide with probe_saving_stops_exact.
+    Tree sizes are Python ints; a best depth above 1022 is reported
     with final_tree_nodes and total_nodes None instead of being built.
     Raises ValueError for a gap that is not positive and finite and
     LookupError for a pool without a nonzero gain.
@@ -394,8 +399,8 @@ def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
             if fitted is None:
                 return False, "continue"
             p0, theta = fitted
-            stop_total = (1 << (s.d_min + 1)) - 1 + 2 * s.iteration
-            if _ref_expected_next_total(s, p0, family, theta) >= stop_total:
+            ps = _ref_depth_probabilities(s, p0, family, theta)
+            if probe_saving_stops_exact(ps, s.d_min):
                 return True, "no_expected_improvement"
             return False, "continue"
 

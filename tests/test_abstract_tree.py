@@ -13,7 +13,6 @@ from pvb.abstract_tree import (
     svb_tree_size,
 )
 from pvb.lookahead import SbSession, nodes_if_stop
-from pvb.simulator import _WEIGHTS
 
 from oracles import TreeBudgetError, brute_tree_count, build_svb_tree
 
@@ -53,12 +52,6 @@ class TestSvbTreeSize:
         # the float form the expectation sums used to spell out
         for d in range(1, MAX_FINAL_DEPTH + 1):
             assert float(svb_tree_size(d)) == 2.0 ** (d + 1) - 1.0
-
-    def test_campaign_weight_table_is_bitwise_the_ldexp_form(self):
-        d = np.arange(1, len(_WEIGHTS) + 1)
-        want = np.ldexp(1.0, d + 1) - 1.0
-        assert _WEIGHTS.dtype == want.dtype
-        assert _WEIGHTS.tobytes() == want.tobytes()
 
     def test_proposition_identity(self):
         # after i reveals and stopping at depth d: total = 2^(d+1) - 1 + 2i

@@ -1,15 +1,20 @@
 """Stopping-rule tests.
 
 Covers the working-limit formulas, the stop/continue cost comparison
-against Monte-Carlo estimates, and the gating logic of should_continue.
+against Monte-Carlo estimates, the saving form of the expected-size test
+against an exact-arithmetic oracle, and the gating logic of
+should_continue.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pvb.abstract_tree import UNBOUNDED, svb_depth
+from pvb.abstract_tree import MAX_FINAL_DEPTH, UNBOUNDED, svb_depth
 from pvb.distributions import (
     DegenerateFitError,
     GainAccumulator,
@@ -31,10 +36,16 @@ from pvb.lookahead import (
     iteration_budget,
     max_lookahead,
     nodes_if_stop,
+    saving_stops,
     should_continue,
 )
 
-from oracles import build_svb_tree, mc_depth_probabilities, mc_expected_next_total
+from oracles import (
+    build_svb_tree,
+    mc_depth_probabilities,
+    mc_expected_next_total,
+    probe_saving_stops_exact,
+)
 
 
 def walk(gap, gains, cost=2.0):
@@ -169,6 +180,18 @@ def test_probabilities_exponential_survival_head():
     assert sum(ps) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_probabilities_keep_far_tail_mass():
+    """Survival differences keep a p_d of 1e-20 that CDF differences,
+    both within 1e-16 of 1, would round to 0.0."""
+    lam = 40.0 * math.log(10.0)  # survival 1e-40 at G = 1 and 1e-20 at G/2
+    dist = MixedGainDistribution(0.0, "exponential", (lam,))
+    ps = improvement_probabilities(dist, 1.0, 4)
+    want = math.exp(-lam / 2.0) - math.exp(-lam)
+    assert ps[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert 1e-21 < ps[1] < 1e-19
+    assert abs(math.fsum(ps) - 1.0) <= 1e-10
+
+
 def test_probabilities_validation():
     dist = MixedGainDistribution(0.2, "exponential", (1.0,))
     with pytest.raises(ValueError):
@@ -298,6 +321,84 @@ def test_stochastically_larger_tails_never_cost_more():
             lo = expected_nodes_if_continue(s, larger)
             hi = expected_nodes_if_continue(s, smaller)
             assert lo <= hi + 1e-9
+
+
+# ------------------------------------------------------- the saving form
+
+
+def test_saving_form_by_hand():
+    # at d_min 2 a probe saves 8 - 4 nodes with probability p_1, so it is
+    # worth its 2 nodes only when p_1 > 1/2
+    assert saving_stops([[0.5, 0.5]], [2]).tolist() == [True]
+    assert saving_stops([[0.5 + 2**-52, 0.5]], [2]).tolist() == [False]
+    # entries at d >= d_min are ignored, so rows of one array may differ
+    # in depth: 0.1 * 12 + 0.2 * 8 = 2.8 > 2, 0.2 * 4 = 0.8, and
+    # 2**-30 * 60 + 2**-40 * 56 + 2**-10 * 32 < 2**-4
+    rows = [[0.1, 0.2, 0.3, 0.4], [0.2, 0.9, 0.9, 0.9], [2**-30, 2**-40, 0.0, 2**-10]]
+    assert saving_stops(rows, [3, 2, 5]).tolist() == [False, True, True]
+
+
+def test_saving_form_is_the_expectation_comparison_with_i_cancelled():
+    """In exact arithmetic, with p_{d_min} = 1 minus the other p_d,
+    E[t_{i+1}] >= t_i gives the saving form's verdict at every i."""
+    rng = np.random.default_rng(347)
+    stops = 0
+    for _ in range(300):
+        dist = _random_dist(rng)
+        d_min = int(rng.integers(2, 40))
+        gap = float(rng.uniform(0.01, 5.0)) * d_min
+        ps = improvement_probabilities(dist, gap, d_min)[:-1]
+        head = [Fraction(p) for p in ps]
+        outcomes = head + [1 - sum(head)]
+        expected_final = sum((2 ** (d + 1) - 1) * p for d, p in enumerate(outcomes, start=1))
+        verdict = probe_saving_stops_exact(ps, d_min)
+        assert saving_stops([ps], [d_min])[0] == verdict
+        for i in (0, 7, 10**9):
+            assert (expected_final + 2 * (i + 1) >= 2 ** (d_min + 1) - 1 + 2 * i) == verdict
+        stops += verdict
+    assert 0 < stops < 300
+
+
+@st.composite
+def deep_scans(draw):
+    """A best depth in 2..1022 and a tail whose survival at the improving
+    gain G/(d_min-1) is near 2**-d_min, where both verdicts are common."""
+    d_min = draw(st.integers(2, MAX_FINAL_DEPTH))
+    gap = draw(st.floats(0.5, 1e3))
+    x = gap / (d_min - 1)
+    bits = d_min * draw(st.floats(0.5, 1.5))  # -log2 of the survival at x
+    p0 = draw(st.sampled_from([0.0, 0.0, 0.3, 0.9]))
+    family = draw(st.sampled_from(["exponential", "pareto", "lognormal"]))
+    if family == "exponential":
+        theta = (bits * math.log(2.0) / x,)
+    elif family == "pareto":
+        spread = draw(st.floats(1.0, 30.0))  # log2 of x / xm
+        theta = (x * 2.0**-spread, bits / spread)
+    else:
+        sigma = draw(st.floats(0.1, 2.0))
+        theta = (math.log(x) - sigma * math.sqrt(2.0 * bits * math.log(2.0)), sigma)
+    return gap, d_min, MixedGainDistribution(p0, family, theta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(deep_scans(), st.integers(0, 100), st.integers(10**3, 10**12))
+@example((59.0, 60, MixedGainDistribution(0.0, "exponential", (39.1,))), 10, 200)
+def test_expected_size_verdict_does_not_depend_on_the_iteration(scan, early, late):
+    """i cancels in the model, so a scan at reveal 10 and one at reveal 200
+    with the same best depth and fit must decide alike, and as the exact
+    oracle does on the same p_d."""
+    gap, d_min, dist = scan
+    fixed, prob = FixedLookaheadConfig(L=10), ProbLookaheadConfig()
+    verdicts = []
+    for iteration in (early, late):
+        s = SbSession(
+            gap=gap, iteration=iteration, d_min=d_min,
+            samples=GainAccumulator(count=10), no_improvement_streak=9,
+        )
+        verdicts.append(should_continue(s, fixed, prob, dist))
+    exact = probe_saving_stops_exact(improvement_probabilities(dist, gap, d_min), d_min)
+    want = (True, NO_EXPECTED_IMPROVEMENT) if exact else (False, CONTINUE)
+    assert verdicts == [want, want]
 
 
 # ----------------------------------------------------------- the decision

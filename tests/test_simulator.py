@@ -19,6 +19,7 @@ from pvb.gains import is_zero_gain
 from pvb.lookahead import (
     CANDIDATES_EXHAUSTED,
     LOOKAHEAD_EXHAUSTED,
+    NO_EXPECTED_IMPROVEMENT,
     Decision,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
@@ -159,7 +160,8 @@ def trial_cases(draw):
     Gains from 1e-6 (depth 1e9 at the largest gap) to 10, zero runs longer
     than the first 64-reveal window, all-equal nonzeros (a degenerate
     Pareto fit), pools with one nonzero gain, and gaps up to 1e3 where
-    best depths exceed 52 and the reveal term vanishes in float64.
+    best depths run past 52, where float64 loses the reveal term, and
+    past the 1022 guard.
     """
     size = draw(st.one_of(st.integers(1, 64), st.integers(65, 300)))
     shape = draw(st.sampled_from(["mixed", "mixed", "equal", "single"]))
@@ -197,6 +199,21 @@ def test_array_engine_matches_the_per_reveal_reference(case):
                 run_trial(inst, gap, strategy, np.random.default_rng(seed), fixed, prob)
             continue
         got = run_trial(inst, gap, strategy, np.random.default_rng(seed), fixed, prob)
+        for name in _TRIAL_FIELDS:
+            assert getattr(got, name) == want[name], (strategy, name)
+
+
+def test_expected_size_test_runs_past_depth_512_up_to_the_one_guard():
+    # best depth 600 from the first gain; every later gain is tiny, so the
+    # fitted tail's mass past G/599 falls like exp(-k) after k reveals and
+    # the probe stops paying for itself near k = 600 ln 2
+    pool = [1.0] + [1e-6] * 499
+    order = PresetPermutation(range(500))
+    for strategy in ("prob-exp", "prob-mixed-exp", "prob-mixed-pareto"):
+        got = run_trial(make_instance(pool), 599.5, strategy, order)
+        want = reference_trial(pool, 599.5, strategy, order)
+        assert want["depth"] == 600
+        assert (got.reveals, got.stop_reason) == (416, NO_EXPECTED_IMPROVEMENT)
         for name in _TRIAL_FIELDS:
             assert getattr(got, name) == want[name], (strategy, name)
 
