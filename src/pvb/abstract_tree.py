@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gains import GeomGain, is_zero_gain
+from .gains import is_zero_gain
 
 # Depth reported when a gain is classified zero: no number of branchings
 # on that variable alone can close a positive gap.
@@ -58,18 +58,13 @@ class PvbInstance:
         return np.array(gains, dtype=float), np.array(logs, dtype=float)
 
 
-def _gain_value(gain) -> float:
-    return gain.value if isinstance(gain, GeomGain) else float(gain)
-
-
-def svb_depth(gap: float, gain) -> float:
+def svb_depth(gap: float, gain: float) -> float:
     """Depth ceil(gap/gain) of the single-variable tree, or UNBOUNDED."""
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"gap must be positive, got {gap!r}")
-    g = _gain_value(gain)
-    if is_zero_gain(g):
+    if is_zero_gain(gain):
         return UNBOUNDED
-    return math.ceil(gap / g)
+    return math.ceil(gap / gain)
 
 
 def svb_tree_size(depth: int) -> int:

@@ -6,6 +6,15 @@ codes are a stable scripting contract: 0 success, 1 internal failure,
 2 user or input error. Numeric output always goes through one
 formatter so CSV files and the aligned stdout tables stay byte-stable
 across runs and worker counts.
+
+Settings take one path from the command line to the engines. SETTINGS
+gives each setting's type; a command registers a flag and a --config
+key only for the settings its engine reads (simulate: L, K,
+min_nonzero_samples; solve: all six; sweep: phi, min_nonzero_samples,
+family, epsilon, with L and K from its grids). The CLI builds
+FixedLookaheadConfig, ProbLookaheadConfig, SolverConfig and CampaignSpec
+from them directly, and a ValueError from those types' own checks exits
+with code 2.
 """
 
 from __future__ import annotations
@@ -15,20 +24,19 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from .abstract_tree import CapacityError, PvbInstance
 from .distributions import FAMILIES, fit_report
-from .gains import DEFAULT_EPSILON, GainFileError, load_gain_series
+from .gains import GainFileError, load_gain_series
 from .lookahead import FixedLookaheadConfig, ProbLookaheadConfig
 from .mini_bnb import MpsError, SolverConfig, SolverError, load_mps, solve
 from .simulator import STRATEGIES, CampaignSpec, UnclosableError, run_campaign
 
 NODE_GEO_SHIFT = 100.0
 LP_GEO_SHIFT = 1.0
-
-CONFIG_KEYS = ("L", "K", "phi", "min_nonzero_samples", "family", "epsilon")
 
 
 class CliError(Exception):
@@ -78,30 +86,21 @@ def _parse_list(text: str, kind, what: str) -> tuple:
         raise CliError(f"bad {what} {text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Knobs:
-    """The tunable parameters shared by simulate, solve, and sweep."""
-
-    L: int = 9
-    K: int = 10**6
-    phi: float = 0.6
-    min_nonzero_samples: int = 5
-    family: str = "pareto"
-    epsilon: float = DEFAULT_EPSILON
-
-    def fixed(self) -> FixedLookaheadConfig:
-        return FixedLookaheadConfig(L=self.L, K=self.K)
-
-    def prob(self) -> ProbLookaheadConfig:
-        return ProbLookaheadConfig(
-            phi=self.phi,
-            min_nonzero_samples=self.min_nonzero_samples,
-            family=self.family,
-        )
+# Every setting a command may take: key -> (type, help). The same key
+# names the --flag (underscores as dashes) and the --config line, and
+# each command lists the keys its engine reads.
+SETTINGS = {
+    "L": (int, "lookahead streak limit"),
+    "K": (int, "extra simplex iteration budget"),
+    "phi": (float, "streak fraction gating the expected-size test"),
+    "min_nonzero_samples": (int, "nonzero gains required before the test may fire"),
+    "family": (str, "tail family fitted by the dynamic mode's expected-size test"),
+    "epsilon": (float, "shift in the gain geometric mean"),
+}
 
 
-def _load_config_file(path) -> dict:
-    """key=value lines; # starts a comment; unknown keys are refused."""
+def _load_config_file(path, keys) -> dict:
+    """key=value lines; # starts a comment; a key not in keys is refused."""
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -114,46 +113,41 @@ def _load_config_file(path) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise CliError(
-                f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(CONFIG_KEYS)})"
+                f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(keys)})"
             )
         if key in values:
             raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = (lineno, text)
-    parsed = {}
-    casts = {"L": int, "K": int, "min_nonzero_samples": int, "phi": float, "epsilon": float}
-    for key, (lineno, text) in values.items():
-        if key == "family":
-            parsed[key] = text
-            continue
         try:
-            parsed[key] = casts[key](text)
+            values[key] = SETTINGS[key][0](text)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value {text!r} for {key}") from None
-    return parsed
+    return values
 
 
-def _resolve_knobs(args) -> Knobs:
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
+def _settings(args) -> dict:
+    """The command's settings from --config, overridden by explicit flags."""
+    merged = _load_config_file(args.config, args.settings) if args.config else {}
+    for key in args.settings:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    family = merged.get("family", "pareto")
-    if family not in FAMILIES:
-        raise CliError(f"unknown family {family!r} (known: {', '.join(FAMILIES)})")
+    return merged
+
+
+def _fields(cls, settings: dict) -> dict:
+    """The settings that are fields of the config type cls."""
+    return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
+
+
+@contextmanager
+def _checked():
+    """Report a config type's own ValueError as an input error (exit 2)."""
     try:
-        knobs = Knobs(**merged)
-        knobs.fixed()
-        knobs.prob()
-    except (TypeError, ValueError) as exc:
+        yield
+    except ValueError as exc:
         raise CliError(str(exc)) from None
-    if not knobs.epsilon > 0:
-        raise CliError(f"epsilon must be positive, got {knobs.epsilon!r}")
-    return knobs
 
 
 def _load_series(path):
@@ -205,88 +199,50 @@ def cmd_fit(args) -> int:
 # ----------------------------------------------------------- simulate
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Fully validated simulate run: pool, grid, seeding, and knobs."""
-
-    pool: tuple[float, ...]
-    gaps: tuple[float, ...]
-    trials: int
-    seed: int
-    strategies: tuple[str, ...]
-    workers: int
-    out: str
-    knobs: Knobs
-
-
-def _build_campaign_config(args) -> CampaignConfig:
+def _pick_series(args):
     all_series = _load_series(args.instance)
     if not all_series:
         raise CliError(f"{args.instance}: no gain rows")
     by_node = {s.node_id: s for s in all_series}
     if args.node is not None:
         try:
-            series = by_node[args.node]
+            return by_node[args.node]
         except KeyError:
             raise CliError(
                 f"{args.instance}: no node {args.node!r}"
                 f" (has: {', '.join(sorted(by_node))})"
             ) from None
-    elif len(all_series) == 1:
-        series = all_series[0]
-    else:
-        raise CliError(
-            f"{args.instance}: {len(all_series)} node series; pick one with"
-            f" --node (has: {', '.join(sorted(by_node))})"
-        )
-    pool = tuple(g.value for g in series.geomeans)
-    if all(g <= 0.0 for g in pool):
-        raise CliError(f"{args.instance}: node {series.node_id!r} has no nonzero gains")
-    gaps = _parse_list(args.gaps, float, "gaps")
-    for gap in gaps:
-        if not (math.isfinite(gap) and gap > 0):
-            raise CliError(f"gaps must be positive and finite, got {gap!r}")
-    strategies = (
-        _parse_list(args.strategies, str, "strategies")
-        if args.strategies
-        else STRATEGIES
-    )
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise CliError(
-                f"unknown strategy {strategy!r} (known: {', '.join(STRATEGIES)})"
-            )
-    if len(set(strategies)) != len(strategies):
-        raise CliError("duplicate strategies")
-    if args.trials < 1:
-        raise CliError(f"trials must be >= 1, got {args.trials!r}")
-    if args.workers < 1:
-        raise CliError(f"workers must be >= 1, got {args.workers!r}")
-    return CampaignConfig(
-        pool=pool,
-        gaps=gaps,
-        trials=args.trials,
-        seed=args.seed,
-        strategies=strategies,
-        workers=args.workers,
-        out=args.out,
-        knobs=_resolve_knobs(args),
+    if len(all_series) == 1:
+        return all_series[0]
+    raise CliError(
+        f"{args.instance}: {len(all_series)} node series; pick one with"
+        f" --node (has: {', '.join(sorted(by_node))})"
     )
 
 
 def cmd_simulate(args) -> int:
-    cfg = _build_campaign_config(args)
-    spec = CampaignSpec(
-        instance=PvbInstance(gap=cfg.gaps[0], pool=cfg.pool),
-        gaps=cfg.gaps,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        strategies=cfg.strategies,
+    settings = _settings(args)
+    series = _pick_series(args)
+    if all(g <= 0.0 for g in series.geomeans):
+        raise CliError(f"{args.instance}: node {series.node_id!r} has no nonzero gains")
+    gaps = _parse_list(args.gaps, float, "gaps")
+    strategies = (
+        _parse_list(args.strategies, str, "strategies") if args.strategies else STRATEGIES
     )
-    try:
-        table = run_campaign(
-            spec, workers=cfg.workers, fixed=cfg.knobs.fixed(), prob=cfg.knobs.prob()
+    if args.workers < 1:
+        raise CliError(f"workers must be >= 1, got {args.workers!r}")
+    with _checked():
+        spec = CampaignSpec(
+            instance=PvbInstance(gap=gaps[0], pool=series.geomeans),
+            gaps=gaps,
+            trials=args.trials,
+            seed=args.seed,
+            strategies=strategies,
         )
+        fixed = FixedLookaheadConfig(**_fields(FixedLookaheadConfig, settings))
+        prob = ProbLookaheadConfig(**_fields(ProbLookaheadConfig, settings))
+    try:
+        table = run_campaign(spec, workers=args.workers, fixed=fixed, prob=prob)
     except (UnclosableError, CapacityError) as exc:
         raise CliError(str(exc)) from None
     header = ("gap", "strategy", "mean_total_nodes", "mean_sb_nodes")
@@ -294,7 +250,7 @@ def cmd_simulate(args) -> int:
         (_num(r.gap), r.strategy, _num(r.mean_total_nodes), _num(r.mean_sb_nodes))
         for r in table
     ]
-    _write_csv(cfg.out, header, rows)
+    _write_csv(args.out, header, rows)
     print(render_table(header, rows))
     return 0
 
@@ -302,29 +258,28 @@ def cmd_simulate(args) -> int:
 # -------------------------------------------------------- solve/sweep
 
 
-def _solver_config(mode: str, knobs: Knobs, args) -> SolverConfig:
-    try:
+def _solver_config(mode: str, settings: dict, args) -> SolverConfig:
+    with _checked():
         return SolverConfig(
             mode=mode,
-            fixed=knobs.fixed(),
-            prob=knobs.prob(),
-            epsilon=knobs.epsilon,
+            fixed=FixedLookaheadConfig(**_fields(FixedLookaheadConfig, settings)),
+            prob=ProbLookaheadConfig(**_fields(ProbLookaheadConfig, settings)),
+            **_fields(SolverConfig, settings),
             reliability_threshold=args.reliability_threshold,
             max_scan=args.max_scan,
             node_limit=args.node_limit,
         )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
+    settings = _settings(args)
     try:
         mip = load_mps(args.instance)
     except OSError as exc:
         raise CliError(f"cannot read {args.instance}: {exc.strerror or exc}") from None
     except MpsError as exc:
         raise CliError(str(exc)) from None
-    config = _solver_config(args.mode, _resolve_knobs(args), args)
+    config = _solver_config(args.mode, settings, args)
     try:
         result = solve(mip, config)
     except SolverError as exc:
@@ -364,17 +319,14 @@ def cmd_sweep(args) -> int:
     if not paths:
         raise CliError(f"no .mps files in {args.instance_dir}")
     modes = _parse_list(args.modes, str, "modes")
-    for mode in modes:
-        if mode not in ("fixed", "dynamic"):
-            raise CliError(f"unknown mode {mode!r} (known: fixed, dynamic)")
     l_grid = _parse_list(args.L_grid, int, "L grid")
     k_grid = _parse_list(args.K_grid, int, "K grid")
     if args.workers < 1:
         raise CliError(f"workers must be >= 1, got {args.workers!r}")
-    knobs = _resolve_knobs(args)
+    settings = _settings(args)
     cells = [(mode, L, K) for mode in modes for L in l_grid for K in k_grid]
     configs = [
-        _solver_config(mode, replace(knobs, L=L, K=K), args) for mode, L, K in cells
+        _solver_config(mode, {**settings, "L": L, "K": K}, args) for mode, L, K in cells
     ]
 
     mips = []
@@ -448,18 +400,13 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------- main
 
 
-def _add_knob_flags(parser, with_lk: bool = True) -> None:
-    parser.add_argument("--config", help="key=value file with parameter defaults")
-    if with_lk:
-        parser.add_argument("--L", type=int, help="lookahead streak limit")
-        parser.add_argument("--K", type=int, help="extra simplex iteration budget")
-    parser.add_argument("--phi", type=float, help="streak fraction gating the expected-size test")
-    parser.add_argument(
-        "--min-nonzero-samples", dest="min_nonzero_samples", type=int,
-        help="nonzero gains required before the test may fire",
-    )
-    parser.add_argument("--family", help="tail family for the fitted distribution")
-    parser.add_argument("--epsilon", type=float, help="shift in the gain geometric mean")
+def _add_setting_flags(parser, keys) -> None:
+    """A --config option and one flag per key, all from SETTINGS."""
+    parser.add_argument("--config", help=f"key=value file; keys: {', '.join(keys)}")
+    for key in keys:
+        kind, text = SETTINGS[key]
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
+    parser.set_defaults(settings=keys)
 
 
 def _add_solver_flags(parser, with_mode: bool = True) -> None:
@@ -496,13 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", help=f"comma list; default: {','.join(STRATEGIES)}")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="campaign CSV path")
-    _add_knob_flags(p)
+    _add_setting_flags(p, ("L", "K", "min_nonzero_samples"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("solve", help="run the toy solver on one MPS instance")
     p.add_argument("instance", help="MPS file")
     _add_solver_flags(p)
-    _add_knob_flags(p)
+    _add_setting_flags(p, tuple(SETTINGS))
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="grid of (mode, L, K) over an instance directory")
@@ -515,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="per-cell CSV path")
     _add_solver_flags(p, with_mode=False)
-    _add_knob_flags(p, with_lk=False)
+    _add_setting_flags(p, ("phi", "min_nonzero_samples", "family", "epsilon"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="render a result CSV as an aligned table")

@@ -272,7 +272,7 @@ class GainAccumulator:
 def fit(samples, family: str, mass_point: bool = True) -> MixedGainDistribution:
     """Fit the mixed distribution to a batch of geometric-mean gains."""
     acc = GainAccumulator()
-    acc.extend(float(getattr(s, "value", s)) for s in samples)
+    acc.extend(samples)
     return acc.fit(family, mass_point=mass_point)
 
 
@@ -334,7 +334,7 @@ def fit_report(
     Series with fewer than MIN_REPORT_NONZERO nonzero gains keep their
     numbers but are flagged `insufficient` rather than judged.
     """
-    values = [g.value for g in series.geomeans]
+    values = series.geomeans
     nonzero = [v for v in values if not is_zero_gain(v)]
     n_zero = len(values) - len(nonzero)
     acc = GainAccumulator()

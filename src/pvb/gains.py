@@ -48,32 +48,20 @@ class GainPair:
                 raise ValueError(f"negative {side}gain: {v!r}")
 
 
-@dataclass(frozen=True)
-class GeomGain:
-    """Epsilon-shifted geometric mean of a GainPair."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"invalid geometric-mean gain: {self.value!r}")
-
-    @property
-    def is_zero(self) -> bool:
-        return is_zero_gain(self.value)
-
-
-def shifted_geomean(pair: GainPair, epsilon: float = DEFAULT_EPSILON) -> GeomGain:
+def shifted_geomean(pair: GainPair, epsilon: float = DEFAULT_EPSILON) -> float:
     """Collapse a gain pair to g = sqrt((down+eps)(up+eps)) - eps.
 
     Symmetric in (down, up), monotone in each argument, and exact for
     down == up (sqrt of a perfect square rounds back to its root).
+    Raises ValueError when the product overflows to inf.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     value = math.sqrt((pair.down + epsilon) * (pair.up + epsilon)) - epsilon
+    if not math.isfinite(value):
+        raise ValueError(f"geometric-mean gain overflows: {value!r}")
     # Guard the subtraction against a last-ulp dip below zero.
-    return GeomGain(max(value, 0.0))
+    return max(value, 0.0)
 
 
 @dataclass(frozen=True)
@@ -94,22 +82,17 @@ class GainSeries:
             seen.add(var_id)
 
     @cached_property
-    def geomeans(self) -> tuple[GeomGain, ...]:
+    def geomeans(self) -> tuple[float, ...]:
         return tuple(shifted_geomean(p, self.epsilon) for _, p in self.entries)
-
-    @property
-    def zero_count(self) -> int:
-        return sum(1 for g in self.geomeans if g.is_zero)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def load_gain_series(path: str, epsilon: float = DEFAULT_EPSILON) -> list[GainSeries]:
     """Read a gain-file CSV into one GainSeries per distinct node_id.
 
-    Entry order within a series follows file order. Errors carry the
-    1-based line number of the offending row.
+    Entry order within a series follows file order. Each row is collapsed
+    as it is read, so a pair whose geometric mean overflows is refused
+    with its line rather than on first use of GainSeries.geomeans. Errors
+    carry the 1-based line number of the offending row.
     """
     by_node: dict[str, list[tuple[str, GainPair]]] = {}
     seen_keys: set[tuple[str, str]] = set()
@@ -140,6 +123,7 @@ def load_gain_series(path: str, epsilon: float = DEFAULT_EPSILON) -> list[GainSe
             seen_keys.add(key)
             try:
                 pair = GainPair(down, up)
+                shifted_geomean(pair, epsilon)
             except ValueError as exc:
                 raise GainFileError(f"{path}:{lineno}: {exc}") from None
             by_node.setdefault(node_id, []).append((var_id, pair))

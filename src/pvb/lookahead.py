@@ -44,7 +44,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .abstract_tree import MAX_FINAL_DEPTH, UNBOUNDED, svb_depth, svb_tree_size
-from .distributions import GainAccumulator, MixedGainDistribution, cdf, survival
+from .distributions import (
+    STOPPING_FAMILIES,
+    GainAccumulator,
+    MixedGainDistribution,
+    cdf,
+    survival,
+)
 from .gains import is_zero_gain
 
 # Decision reasons, stable strings for logs and tests.
@@ -94,6 +100,10 @@ class ProbLookaheadConfig:
             raise ValueError(f"phi must be in (0,1], got {self.phi!r}")
         if self.min_nonzero_samples < 1:
             raise ValueError("min_nonzero_samples must be >= 1")
+        if self.family not in STOPPING_FAMILIES:
+            raise ValueError(
+                f"family must be one of {', '.join(STOPPING_FAMILIES)}, got {self.family!r}"
+            )
 
 
 @dataclass
@@ -121,7 +131,6 @@ class SbSession:
         worse, with ties not counting as progress), which resets the
         no-improvement streak.
         """
-        gain = float(getattr(gain, "value", gain))
         self.samples.add(gain)
         self.iteration += 1
         self.budget_used += cost

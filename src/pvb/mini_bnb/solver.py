@@ -59,6 +59,10 @@ CUTOFF_FOUND = "cutoff_found"
 PSEUDOCOST_ONLY = "pseudocost"
 
 _PRUNE_TOL = 1e-9
+# a column is integral within this distance of an integer
+_INTEGRALITY_TOL = 1e-6
+# simplex iterations per SB child LP before it reports ITERATION_LIMIT
+_CHILD_ITERATION_LIMIT = 500
 _MODES = ("fixed", "dynamic")
 
 
@@ -124,7 +128,7 @@ class Pseudocost:
 
     def predicted_score(self, j: int, frac: float, epsilon: float = DEFAULT_EPSILON) -> float:
         down, up = self.predicted_gains(j, frac)
-        return shifted_geomean(GainPair(down, up), epsilon).value
+        return shifted_geomean(GainPair(down, up), epsilon)
 
 
 @dataclass(frozen=True)
@@ -137,23 +141,19 @@ class SolverConfig:
     epsilon: float = DEFAULT_EPSILON
     reliability_threshold: int = 2
     max_scan: int = 100
-    child_iteration_limit: int = 500
     node_limit: int | None = None
-    integrality_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.max_scan < 1:
             raise ValueError("max_scan must be >= 1")
-        if self.child_iteration_limit < 1:
-            raise ValueError("child_iteration_limit must be >= 1")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be >= 1 when set")
         if self.reliability_threshold < 0:
             raise ValueError("reliability_threshold must be >= 0")
-        if not 0.0 < self.integrality_tol < 0.5:
-            raise ValueError("integrality_tol must be in (0, 0.5)")
 
 
 class SbEval(NamedTuple):
@@ -221,7 +221,7 @@ def strong_branch_candidate(
     j: int,
     xj: float,
     node_objective: float,
-    iteration_limit: int = 500,
+    iteration_limit: int = _CHILD_ITERATION_LIMIT,
     warm_start: Basis | None = None,
 ) -> SbEval:
     """Solve both child LPs for rounding x_j down and up.
@@ -336,7 +336,7 @@ def select_branching_variable(
     for j in order:
         ev = strong_branch_candidate(
             c, A, senses, b, lo, hi, j, float(x[j]), node_objective,
-            config.child_iteration_limit, warm_start,
+            warm_start=warm_start,
         )
         evaluated[j] = ev
         sb_iterations += ev.iterations
@@ -351,7 +351,7 @@ def select_branching_variable(
         pseudocost.update(
             j, ev.down_gain / fracs[j], ev.up_gain / (1.0 - fracs[j])
         )
-        g = shifted_geomean(GainPair(ev.down_gain, ev.up_gain), config.epsilon).value
+        g = shifted_geomean(GainPair(ev.down_gain, ev.up_gain), config.epsilon)
         measured[j] = g
         session.observe(g, cost=float(ev.iterations))
         dist = None
@@ -407,7 +407,6 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     int_cols = [j for j, flag in enumerate(mip.integer) if flag]
     pseudocost = Pseudocost(mip.n_cols, config.reliability_threshold)
     samples = GainAccumulator()
-    tol = config.integrality_tol
 
     incumbent_obj: float | None = None
     incumbent_x: np.ndarray | None = None
@@ -447,7 +446,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         fractional = [
             j
             for j in int_cols
-            if min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j]) > tol
+            if min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j]) > _INTEGRALITY_TOL
         ]
         if not fractional:
             incumbent_obj = obj

@@ -106,15 +106,18 @@ class CampaignSpec:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if not self.gaps:
             raise ValueError("at least one gap is required")
-        if any(not g > 0 for g in self.gaps):
-            raise ValueError("gaps must be positive")
+        for g in self.gaps:
+            if not (math.isfinite(g) and g > 0):
+                raise ValueError(f"gaps must be positive and finite, got {g!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         for s in self.strategies:
             if s not in STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}")
+                raise ValueError(f"unknown strategy {s!r} (known: {', '.join(STRATEGIES)})")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError("duplicate strategies")
 
 
 @dataclass(frozen=True)
@@ -289,44 +292,34 @@ def run_campaign(
 
     Trial t always uses the rng stream seeded by seed xor t, so every
     strategy and gap sees the same permutation in trial t and the table is
-    reproducible for any worker count.
+    reproducible for any worker count. Every cell is cut into the same
+    chunks of ceil(trials / (4 * workers)) trials; the chunk sums are
+    exact ints, so the means do not depend on the cut.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cells = [(gap, strategy) for gap in spec.gaps for strategy in spec.strategies]
-    jobs = []
-    for gap, strategy in cells:
-        if workers == 1:
-            jobs.append([(spec.instance, gap, strategy, spec.seed, 0, spec.trials, fixed, prob)])
-        else:
-            step = max(1, -(-spec.trials // (workers * 4)))
-            jobs.append(
-                [
-                    (spec.instance, gap, strategy, spec.seed, lo, min(lo + step, spec.trials), fixed, prob)
-                    for lo in range(0, spec.trials, step)
-                ]
-            )
-    flat = [chunk for job in jobs for chunk in job]
+    step = -(-spec.trials // (workers * 4))
+    starts = range(0, spec.trials, step)
+    chunks = [
+        (spec.instance, gap, strategy, spec.seed, lo, min(lo + step, spec.trials), fixed, prob)
+        for gap, strategy in cells
+        for lo in starts
+    ]
     if workers == 1:
-        sums = [_cell_sums(chunk) for chunk in flat]
+        sums = list(map(_cell_sums, chunks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            sums = list(executor.map(_cell_sums, flat))
+            sums = list(executor.map(_cell_sums, chunks))
     rows = []
-    pos = 0
-    for (gap, strategy), job in zip(cells, jobs):
-        total = sb = 0
-        for _ in job:
-            t, s = sums[pos]
-            total += t
-            sb += s
-            pos += 1
+    for k, (gap, strategy) in enumerate(cells):
+        cell = sums[k * len(starts) : (k + 1) * len(starts)]
         rows.append(
             CampaignRow(
                 gap=gap,
                 strategy=strategy,
-                mean_total_nodes=total / spec.trials,
-                mean_sb_nodes=sb / spec.trials,
+                mean_total_nodes=sum(t for t, _ in cell) / spec.trials,
+                mean_sb_nodes=sum(s for _, s in cell) / spec.trials,
             )
         )
     return rows

@@ -179,6 +179,27 @@ class TestSimulate:
         )
         assert code == 2 and "psychic" in stderr
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--phi", "0.1"), ("--family", "lognormal"), ("--epsilon", "0.5")]
+    )
+    def test_settings_the_campaign_does_not_read_are_refused(
+        self, tmp_path, capsys, flag, value
+    ):
+        pool = write_pool(tmp_path / "pool.csv", 5)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.simulate(capsys, pool, out, flag, value)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err and not out.exists()
+
+    def test_overflowing_gain_row_exits_2_and_names_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("node_id,variable_id,downgain,upgain\nroot,a,1e200,1e200\n")
+        code, _, stderr = self.simulate(capsys, path, tmp_path / "o.csv")
+        assert code == 2 and f"{path}:2:" in stderr and "internal error" not in stderr
+        code, _, stderr = run(capsys, "fit", str(path), "--out", str(tmp_path / "f.csv"))
+        assert code == 2 and f"{path}:2:" in stderr and "internal error" not in stderr
+
     def test_seed_is_mandatory(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 5)
         with pytest.raises(SystemExit) as exc:
@@ -292,7 +313,7 @@ class TestConfigFile:
 
     def test_bad_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
-        cfg.write_text("phi = often\n")
+        cfg.write_text("L = often\n")
         pool = write_pool(tmp_path / "pool.csv", 5)
         code, _, stderr = run(
             capsys, "simulate", "--instance", str(pool), "--gaps", "8",
@@ -300,6 +321,35 @@ class TestConfigFile:
             "--config", str(cfg),
         )
         assert code == 2 and "often" in stderr
+
+    @pytest.mark.parametrize("line", ["phi = 0.1", "family = lognormal", "epsilon = 0.5"])
+    def test_simulate_refuses_keys_the_campaign_does_not_read(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"L = 3\n{line}\n")
+        pool = write_pool(tmp_path / "pool.csv", 5)
+        out = tmp_path / "o.csv"
+        code, _, stderr = run(
+            capsys, "simulate", "--instance", str(pool), "--gaps", "8",
+            "--trials", "5", "--seed", "1", "--out", str(out), "--config", str(cfg),
+        )
+        key = line.split()[0]
+        assert code == 2 and f"{cfg}:2: unknown key {key!r}" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["L = 1", "K = 3"])
+    def test_sweep_refuses_lookahead_keys_its_grids_set(self, tmp_path, capsys, line):
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        save_mps(sparse_multiknapsack(14, 8, 1), directory / "one.mps")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"phi = 0.5\n{line}\n")
+        out = tmp_path / "sweep.csv"
+        code, stdout, stderr = run(
+            capsys, "sweep", str(directory), "--seed", "1", "--out", str(out),
+            "--config", str(cfg),
+        )
+        assert code == 2 and f"{cfg}:2: unknown key {line[0]!r}" in stderr
+        assert stdout == "" and not out.exists()
 
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -357,6 +407,15 @@ class TestSolve:
         save_mps(mip, path)
         code, stdout, _ = run(capsys, "solve", str(path), "--mode", "dynamic")
         assert code == 0 and "infeasible" in stdout
+
+    @pytest.mark.parametrize("family", ["uniform", "normal", "weibull"])
+    def test_family_outside_the_stopping_families_exits_2(self, capsys, family):
+        code, stdout, stderr = run(
+            capsys, "solve", str(EXAMPLES / "tiny-knapsack.mps"), "--mode", "dynamic",
+            "--family", family,
+        )
+        assert code == 2 and stdout == ""
+        assert "family must be one of" in stderr and family in stderr
 
     def test_broken_mps_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.mps"

@@ -8,7 +8,7 @@ from pvb.gains import (
     GainFileError,
     GainPair,
     GainSeries,
-    GeomGain,
+    is_zero_gain,
     load_gain_series,
     save_gain_series,
     shifted_geomean,
@@ -20,12 +20,12 @@ from oracles import shifted_geomean_mp
 def test_symmetric_pair_is_exact():
     # sqrt((4+eps)^2) - eps == 4 up to the stated 1e-9
     g = shifted_geomean(GainPair(4.0, 4.0), 1e-6)
-    assert abs(g.value - 4.0) <= 1e-9
+    assert abs(g - 4.0) <= 1e-9
 
 
 def test_zero_pair_is_exactly_zero():
     for eps in (1e-2, 1e-6, 1e-9, 0.5):
-        assert shifted_geomean(GainPair(0.0, 0.0), eps).value == 0.0
+        assert shifted_geomean(GainPair(0.0, 0.0), eps) == 0.0
 
 
 def test_one_sided_pair_matches_extended_precision():
@@ -33,13 +33,13 @@ def test_one_sided_pair_matches_extended_precision():
     expected = 0.002999000166666662
     assert shifted_geomean_mp(0.0, 9.0, 1e-6) == pytest.approx(expected, abs=1e-18)
     g = shifted_geomean(GainPair(0.0, 9.0), 1e-6)
-    assert g.value == pytest.approx(expected, rel=1e-12)
+    assert g == pytest.approx(expected, rel=1e-12)
 
 
 def test_symmetric_pairs_exact_to_4_ulp():
     rng = np.random.default_rng(7)
     for g in rng.uniform(1e-9, 1e6, size=500):
-        got = shifted_geomean(GainPair(g, g), DEFAULT_EPSILON).value
+        got = shifted_geomean(GainPair(g, g), DEFAULT_EPSILON)
         assert abs(got - g) <= 4 * math.ulp(g)
 
 
@@ -48,12 +48,12 @@ def test_epsilon_limit_matches_plain_geomean():
     pairs = rng.uniform(0.01, 100.0, size=(200, 2))
     for eps in (1e-2, 1e-4, 1e-6):
         for d, u in pairs:
-            got = shifted_geomean(GainPair(d, u), eps).value
+            got = shifted_geomean(GainPair(d, u), eps)
             assert got == pytest.approx(shifted_geomean_mp(d, u, eps), rel=1e-12)
     # eps -> 0: the shifted mean approaches sqrt(down*up) from below
     for d, u in pairs[:30]:
         plain = math.sqrt(d * u)
-        errs = [abs(shifted_geomean(GainPair(d, u), eps).value - plain)
+        errs = [abs(shifted_geomean(GainPair(d, u), eps) - plain)
                 for eps in (1e-2, 1e-4, 1e-6)]
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] <= 1e-5
@@ -63,10 +63,10 @@ def test_monotone_and_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(200):
         d, u, bump = rng.uniform(0.0, 50.0, size=3)
-        base = shifted_geomean(GainPair(d, u)).value
-        assert shifted_geomean(GainPair(u, d)).value == base
-        assert shifted_geomean(GainPair(d + bump, u)).value >= base
-        assert shifted_geomean(GainPair(d, u + bump)).value >= base
+        base = shifted_geomean(GainPair(d, u))
+        assert shifted_geomean(GainPair(u, d)) == base
+        assert shifted_geomean(GainPair(d + bump, u)) >= base
+        assert shifted_geomean(GainPair(d, u + bump)) >= base
 
 
 def test_gain_pair_rejects_bad_values():
@@ -78,19 +78,21 @@ def test_gain_pair_rejects_bad_values():
         GainPair(float("inf"), 1.0)
     with pytest.raises(ValueError):
         shifted_geomean(GainPair(1.0, 1.0), 0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        shifted_geomean(GainPair(1e200, 1e200))
 
 
 def test_zero_classification():
-    assert GeomGain(0.0).is_zero
-    assert GeomGain(9.9e-10).is_zero
-    assert not GeomGain(1.1e-9).is_zero
+    assert is_zero_gain(0.0)
+    assert is_zero_gain(9.9e-10)
+    assert not is_zero_gain(1.1e-9)
 
 
 class TestGainSeries:
     def test_zero_count(self):
         s = GainSeries("n0", (("x1", GainPair(1.0, 4.0)), ("x2", GainPair(0.0, 0.0))))
-        assert len(s) == 2
-        assert s.zero_count == 1
+        assert len(s.geomeans) == 2
+        assert sum(map(is_zero_gain, s.geomeans)) == 1
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -106,8 +108,8 @@ class TestGainFile:
         series = load_gain_series(str(p))
         assert len(series) == 1
         assert series[0].node_id == "n0"
-        assert len(series[0]) == 2
-        assert series[0].zero_count == 1
+        assert len(series[0].geomeans) == 2
+        assert sum(map(is_zero_gain, series[0].geomeans)) == 1
 
     def test_multiple_nodes_preserve_order(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -127,6 +129,12 @@ class TestGainFile:
         p = tmp_path / "g.csv"
         p.write_text(self.HEADER + "n0,x1,1,2\nn0,x2,-1,2\n")
         with pytest.raises(GainFileError, match=":3:"):
+            load_gain_series(str(p))
+
+    def test_overflowing_geometric_mean_names_line(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text(self.HEADER + "n0,x1,1e200,1e200\n")
+        with pytest.raises(GainFileError, match=":2:.*overflows"):
             load_gain_series(str(p))
 
     def test_duplicate_key_names_line(self, tmp_path):
@@ -160,7 +168,7 @@ class TestGainFile:
         p = tmp_path / "g.csv"
         save_gain_series(str(p), original)
         loaded = load_gain_series(str(p))
-        assert len(loaded[0]) == 50
+        assert len(loaded[0].entries) == 50
         for (v0, p0), (v1, p1) in zip(original[0].entries, loaded[0].entries):
             assert v0 == v1
             assert (p0.down, p0.up) == (p1.down, p1.up)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from pvb.abstract_tree import MAX_FINAL_DEPTH, UNBOUNDED, svb_depth
 from pvb.distributions import (
+    FAMILIES,
+    STOPPING_FAMILIES,
     DegenerateFitError,
     GainAccumulator,
     MixedGainDistribution,
@@ -76,6 +78,17 @@ def test_config_validation():
         ProbLookaheadConfig(phi=0.0)
     with pytest.raises(ValueError):
         ProbLookaheadConfig(min_nonzero_samples=0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_prob_config_takes_only_stopping_families(family):
+    # uniform's bounded support and normal's negative support have no
+    # depth tail for the expected-size test
+    if family in STOPPING_FAMILIES:
+        assert ProbLookaheadConfig(family=family).family == family
+    else:
+        with pytest.raises(ValueError, match="family must be one of"):
+            ProbLookaheadConfig(family=family)
 
 
 def test_iteration_budget_values():

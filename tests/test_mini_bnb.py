@@ -858,6 +858,12 @@ FIXED = SolverConfig(mode="fixed")
 DYNAMIC = SolverConfig(mode="dynamic")
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1e-6, math.nan, math.inf])
+def test_solver_config_rejects_a_nonpositive_or_infinite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        SolverConfig(epsilon=epsilon)
+
+
 class TestSolve:
     def test_pure_lp_is_one_node(self):
         mip = build([-1.0, -1.0], [([1.0, 1.0], "<=", 5.0)], integer=False)

@@ -301,9 +301,13 @@ def test_campaign_spec_validation():
         CampaignSpec(instance=inst, gaps=(), trials=10)
     with pytest.raises(ValueError):
         CampaignSpec(instance=inst, gaps=(0.0,), trials=10)
+    with pytest.raises(ValueError, match="finite"):
+        CampaignSpec(instance=inst, gaps=(1.0, math.inf), trials=10)
     with pytest.raises(ValueError):
         CampaignSpec(instance=inst, gaps=(1.0,), trials=0)
     with pytest.raises(ValueError):
         CampaignSpec(instance=inst, gaps=(1.0,), strategies=("sb-magic",))
+    with pytest.raises(ValueError, match="duplicate"):
+        CampaignSpec(instance=inst, gaps=(1.0,), strategies=("fixed", "full", "fixed"))
     with pytest.raises(ValueError):
         run_campaign(CampaignSpec(instance=inst, gaps=(1.0,)), workers=0)
