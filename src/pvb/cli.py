@@ -303,11 +303,13 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_solve(job):
-    """One (instance, cell) solve in a worker; never raises."""
+    """One (instance, cell) solve in a worker; a numerical failure of the
+    LP engine counts as a failed instance, and any other exception is a
+    fault in pvb that reaches main."""
     name, mip, config = job
     try:
         result = solve(mip, config)
-    except (SolverError, ValueError) as exc:
+    except SolverError as exc:
         return (name, "error", str(exc))
     if result.status == "node_limit":
         return (name, "error", "node limit reached")

@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex for small dense LPs.
+"""Bounded-variable primal and dual simplex for small dense LPs.
 
 Rows become equalities with one ranged slack each (the slack's bounds
 encode the sense), so the core works on M z = b with box bounds per
@@ -8,24 +8,33 @@ fixes the artificials to zero and optimizes the real objective from the
 phase-1 basis. Pricing is Dantzig until the objective stalls, then
 Bland's rule for guaranteed termination.
 
-The tableau keeps the basis inverse explicitly. Each basis change
-applies a rank-1 (product-form) update to it; the engine factorizes it
-afresh only when the pivot element is below _REFACTOR_PIVOT_TOL or
-after _REFACTOR_INTERVAL updates have accumulated since the last
-factorization. A singular basis or an exhausted safety cap raises
-instead of returning a silently wrong answer.
+The engine works on a dense tableau: B^-1 M over every column, stacked
+over the reduced costs, plus the basic values. At the sizes the solver
+meets, numpy call overhead rather than arithmetic sets the cost of a
+pivot, so each pivot reads the pivot column and the ratio tests as
+slices and applies one in-place outer-product update to the whole
+stack. Since the slack columns of M are the identity, the slack block of
+the tableau is B^-1; the dual simplex forms its pivot row from it
+afresh, because exact zeros in B^-1 keep exact ties between columns
+that a carried row would break by rounding. The tableau is rebuilt from
+M with one linear solve when the pivot element is below
+_REFACTOR_PIVOT_TOL or after _REFACTOR_INTERVAL updates. A singular
+basis or an exhausted safety cap raises instead of returning a silently
+wrong answer.
 
 A solve may instead start warm from the optimal basis of a parent LP
-that differs only in its column bounds. The basis carries its inverse
-and its update count, so the child starts without factorizing. That
-basis stays dual feasible, so a bounded dual simplex restores primal
+that differs only in its column bounds. The basis carries its tableau,
+reduced costs, values and update count, so the child starts from a copy
+and moves its basic values by the nonbasic bound changes. That basis
+stays dual feasible, so a bounded dual simplex restores primal
 feasibility (or proves the child infeasible when a dual ratio test finds
-no entering column) and the primal loop then certifies optimality,
-normally without a pivot. A warm start that cannot be used (a singular
-refactor, a nonbasic column at an infinite bound, a dual phase that
-reaches the iteration cap, or a violation too small to certify
-infeasibility that no column can fix) falls back to the cold two-phase
-solve, and the pivots of both attempts are counted.
+no entering column) and the primal loop then certifies optimality from
+the carried reduced costs, normally without a pivot. A warm start that
+cannot be used (a singular refactor, a nonbasic column at an infinite
+bound or free, a dual phase that reaches the iteration cap, or a
+violation too small to certify infeasibility that no column can fix)
+falls back to the cold two-phase solve, and the pivots of both attempts
+are counted.
 """
 
 from __future__ import annotations
@@ -50,6 +59,9 @@ _REFACTOR_PIVOT_TOL = 1e-7
 _REFACTOR_INTERVAL = 20
 
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
+# by state: the way a nonbasic column may move, +1 up from its lower
+# bound and -1 down from its upper; 0 for basic and free columns
+_DIRECTION = np.array([0.0, 1.0, -1.0, 0.0])
 
 
 class SolverError(RuntimeError):
@@ -70,15 +82,24 @@ class Basis(NamedTuple):
 
     columns holds the basic column of each row and state the status of
     every structural and slack column (basic, at lower, at upper, free).
-    inverse is the inverse of M[:, columns], reached by updates rank-1
-    updates since its last factorization. Neither array is ever mutated.
+    tableau is B^-1 M for B = M[:, columns], reached by updates pivots
+    since it was last rebuilt from M; reduced_costs is c - c_B tableau
+    for the system's costs, and values holds every column's value at the
+    optimum. None of the arrays is ever mutated.
     """
 
     system: ExtendedSystem
     columns: np.ndarray
     state: np.ndarray
-    inverse: np.ndarray
+    tableau: np.ndarray
+    reduced_costs: np.ndarray
+    values: np.ndarray
     updates: int
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """B^-1, the tableau's slack block (the slacks' columns of M are I)."""
+        return self.tableau[:, -len(self.columns):]
 
 
 @dataclass
@@ -113,79 +134,128 @@ def _start_state(lo: float, hi: float) -> int:
 class _Tableau:
     """Mutable simplex state over the extended column system.
 
-    inverse is B^-1 for B = M[:, basis]; updates counts the rank-1
-    updates applied to it since it was last factorized.
+    T stacks the dense tableau B^-1 M for B = M[:, basis], one row per
+    basic column, over the reduced costs d = c - c_B B^-1 M of the cost
+    vector c, so one row operation carries both across a pivot; d is a
+    view of T's last row. xb holds the basic values row by row and lb/ub
+    their bounds; z holds the value of every nonbasic column and 0 at
+    the basic ones. updates counts the pivots applied to T since it was
+    last rebuilt from M.
     """
 
-    def __init__(self, M, lo, hi, basis, state, z, inverse=None, updates=0):
+    def __init__(self, M, b, lo, hi, basis, state, z, xb, c, T=None, updates=0):
         self.M = M
+        self.b = b
         self.lo = lo
         self.hi = hi
         self.basis = basis
         self.state = state
         self.z = z
+        self.xb = xb
+        self.lb = lo[basis]
+        self.ub = hi[basis]
+        self.c = c
         self.iterations = 0
-        self.inverse = inverse
         self.updates = updates
-        if inverse is None:
-            self.refactor()
+        if T is None:
+            T = np.empty((len(basis) + 1, M.shape[1]))
+            T[:-1] = np.linalg.solve(M[:, basis], M)
+            T[-1] = c - c[basis] @ T[:-1]
+        self.T = T
+        self.d = T[-1]
+
+    def price(self, c):
+        """Make c the cost vector, with its reduced costs computed afresh."""
+        self.c = c
+        self.d[:] = c - c[self.basis] @ self.T[:-1]
 
     def refactor(self):
-        """Factorize B^-1 afresh; raises LinAlgError if B is singular."""
-        self.inverse = np.linalg.inv(self.M[:, self.basis])
+        """Rebuild T and xb from M; raises LinAlgError if B is singular."""
+        rest = self.b - self.M @ self.z
+        solved = np.linalg.solve(self.M[:, self.basis], np.column_stack((self.M, rest)))
+        self.T[:-1] = solved[:, :-1]
+        self.xb = solved[:, -1].copy()
+        self.price(self.c)
         self.updates = 0
 
-    def replace(self, r, q, w):
-        """Make column q basic in row r, where w = B^-1 M[:, q].
+    def values(self) -> np.ndarray:
+        """Every column's value."""
+        z = self.z.copy()
+        z[self.basis] = self.xb
+        return z
 
-        A product-form update carries B^-1 over the basis change unless
-        the pivot w[r] is too small or enough updates have accumulated,
-        in which case B^-1 is factorized again (LinAlgError if singular).
+    def pivot(self, r, q, step, leave_state, row=None):
+        """Move column q by step from its nonbasic value and make it basic
+        in row r; the leaving column rests at the bound leave_state names.
+        row is row r of the tableau when the caller has it afresh.
+
+        One row operation carries T (and with it d) over the basis change,
+        and xb moves along column q, unless the pivot element is below
+        _REFACTOR_PIVOT_TOL or enough updates have accumulated; then T, d
+        and xb are rebuilt from M (LinAlgError if singular).
         """
-        self.basis[r] = q
-        pivot = w[r]
+        T, z, basis = self.T, self.z, self.basis
+        col = T[:, q].copy()
+        out = basis[r]
+        self.xb -= step * col[:-1]
+        self.xb[r] = z[q] + step
+        z[q] = 0.0
+        z[out] = self.lo[out] if leave_state == _AT_LOWER else self.hi[out]
+        self.state[out] = leave_state
+        self.state[q] = _BASIC
+        basis[r] = q
+        self.lb[r] = self.lo[q]
+        self.ub[r] = self.hi[q]
+        if row is None:
+            row = T[r]
+        pivot = row[q]
         if self.updates >= _REFACTOR_INTERVAL or abs(pivot) < _REFACTOR_PIVOT_TOL:
             self.refactor()
             return
-        inv = self.inverse
-        row = inv[r] / pivot
-        inv -= w[:, None] * row
-        inv[r] = row
+        np.divide(row, pivot, out=T[r])
+        col[r] = 0.0
+        T -= col[:, None] * T[r]
         self.updates += 1
 
-    def run(self, c, cap, bland=False):
+    def run(self, cap, bland=False):
         """Optimize c @ z in place; returns OPTIMAL/UNBOUNDED/ITERATION_LIMIT."""
-        M, lo, hi, state, z, basis = self.M, self.lo, self.hi, self.state, self.z, self.basis
+        lo, hi, state, z = self.lo, self.hi, self.state, self.z
+        # the objective's rate of change along each column's allowed move
+        # is direction * d; a free column may move either way
+        direction = _DIRECTION[state]
+        (free,) = (state == _FREE).nonzero()
         stall = 0
-        last_obj = math.inf
         while True:
             if self.iterations >= cap:
                 return ITERATION_LIMIT
-            d = c - (c[basis] @ self.inverse) @ M
-            can_inc = ((state == _AT_LOWER) | (state == _FREE)) & (d < -_COST_TOL)
-            can_dec = ((state == _AT_UPPER) | (state == _FREE)) & (d > _COST_TOL)
-            eligible = can_inc | can_dec
-            if not eligible.any():
-                return OPTIMAL
+            d = self.d
+            slope = direction * d
+            if free.size:
+                slope[free] = -np.abs(d[free])
             if bland:
-                j = int(np.flatnonzero(eligible)[0])
+                (eligible,) = (slope < -_COST_TOL).nonzero()
+                if not eligible.size:
+                    return OPTIMAL
+                j = int(eligible[0])
             else:
-                j = int(np.where(eligible, np.abs(d), -1.0).argmax())
-            sigma = 1.0 if can_inc[j] else -1.0
+                j = int(slope.argmin())
+                if slope[j] >= -_COST_TOL:
+                    return OPTIMAL
+            sigma = 1.0 if d[j] < 0.0 else -1.0
+            rate = -float(slope[j])
 
-            w = self.inverse @ M[:, j]
-            # basics move as z_B - t*sigma*w; find the blocking bound: the
-            # smallest step within 1e-12, ties to the lowest basic column
-            sw = sigma * w
-            bound = np.where(sw > 0.0, lo[basis], hi[basis])
+            # basics move as xb - t*sigma*T[:, j]; find the blocking bound:
+            # the smallest step within 1e-12, ties to the lowest basic column
+            sw = sigma * self.T[:-1, j]
+            bound = np.where(sw > 0.0, self.lb, self.ub)
             (rows,) = ((np.abs(sw) > _PIVOT_TOL) & np.isfinite(bound)).nonzero()
             t_best = math.inf
             if rows.size:
-                steps = (z[basis[rows]] - bound[rows]) / sw[rows]
+                steps = (self.xb[rows] - bound[rows]) / sw[rows]
                 steps[steps < -_FEAS_TOL] = 0.0
                 # <= keeps the minimum itself when 1e-12 is below its ulp
                 (near,) = (steps <= steps.min() + 1e-12).nonzero()
-                k = near[np.argmin(basis[rows[near]])]
+                k = near[np.argmin(self.basis[rows[near]])]
                 leave, t_best = int(rows[k]), float(steps[k])
             flip = hi[j] - lo[j]  # +inf unless both bounds are finite
             if t_best == math.inf and not math.isfinite(flip):
@@ -193,34 +263,32 @@ class _Tableau:
             self.iterations += 1
             if math.isfinite(flip) and flip <= t_best:
                 # entering variable runs to its other bound; basis unchanged
-                z[basis] -= flip * sigma * w
+                t = flip
+                self.xb -= flip * sw
                 z[j] = hi[j] if sigma > 0 else lo[j]
                 state[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                direction[j] = -sigma
             else:
                 t = max(t_best, 0.0)
-                enter_value = z[j] + sigma * t
-                z[basis] -= t * sigma * w
-                out = basis[leave]
-                if sw[leave] > 0.0:
-                    z[out], state[out] = lo[out], _AT_LOWER
-                else:
-                    z[out], state[out] = hi[out], _AT_UPPER
-                state[j] = _BASIC
-                z[j] = enter_value
+                out = self.basis[leave]
+                to_lower = bool(sw[leave] > 0.0)
                 try:
-                    self.replace(leave, j, w)
+                    self.pivot(leave, j, sigma * t, _AT_LOWER if to_lower else _AT_UPPER)
                 except np.linalg.LinAlgError as exc:
                     raise SolverError("singular working basis") from exc
-            obj = float(c @ z)
-            if obj < last_obj - 1e-12:
+                direction[j] = 0.0
+                direction[out] = 1.0 if to_lower else -1.0
+                if free.size:
+                    free = free[free != j]
+            # the step lowers the objective by rate * t
+            if rate * t > 1e-12:
                 stall = 0
             else:
                 stall += 1
                 if stall >= _STALL_LIMIT:
                     bland = True
-            last_obj = obj
 
-    def dual(self, b, c, cap):
+    def dual(self, cap):
         """Bounded dual simplex until the basis is primal feasible.
 
         Returns True once every basic value is within its bounds (the
@@ -230,39 +298,33 @@ class _Tableau:
         reaching cap, or when a violation too small to certify
         infeasibility is stuck.
         """
-        M, lo, hi, state, z = self.M, self.lo, self.hi, self.state, self.z
-        basis = self.basis
+        lo, hi, state, basis = self.lo, self.hi, self.state, self.basis
         # a fixed column cannot move, so it never enters
         movable = lo < hi
-        at_lower = (state == _AT_LOWER) & movable
-        at_upper = (state == _AT_UPPER) & movable
+        side = np.where(movable, _DIRECTION[state], 0.0)
+        m = len(basis)
         while True:
-            inv = self.inverse
-            z[basis] = 0.0
-            zb = inv @ (b - M @ z)
-            z[basis] = zb
-            below = lo[basis] - zb
-            above = zb - hi[basis]
+            xb = self.xb
+            below = self.lb - xb
+            above = xb - self.ub
             violation = np.maximum(below, above)
             r = int(violation.argmax())
-            y = c[basis] @ inv
             if violation[r] <= _FEAS_TOL:
                 # park each fixed nonbasic column on the side its reduced
                 # cost calls for, so the primal run need not flip it
-                d = c - y @ M
                 parked = ~movable & (state != _BASIC)
-                state[parked & (d < 0.0)] = _AT_UPPER
-                state[parked & (d >= 0.0)] = _AT_LOWER
+                if np.count_nonzero(parked):
+                    state[parked] = np.where(self.d[parked] < 0.0, _AT_UPPER, _AT_LOWER)
                 return True
             if self.iterations >= cap:
                 raise _ColdRestart
             to_lower = below[r] > above[r]
+            # row r afresh from its slack block, B^-1[r]: a carried row
+            # breaks ties between columns that B^-1's exact zeros keep exact
+            row = self.T[r, -m:] @ self.M
             # g_j > 0: raising x_j moves the leaving variable toward its bound
-            g = inv[r] @ M
-            if to_lower:
-                g = -g
-            eligible = (at_lower & (g > _PIVOT_TOL)) | (at_upper & (g < -_PIVOT_TOL))
-            (cand,) = eligible.nonzero()
+            g = -row if to_lower else row
+            (cand,) = (side * g > _PIVOT_TOL).nonzero()
             if not cand.size:
                 if violation[r] <= _PHASE1_TOL:
                     raise _ColdRestart
@@ -270,45 +332,53 @@ class _Tableau:
             # dual step each candidate allows; Harris two-pass ratio test:
             # the largest |g| among steps within the tolerance-relaxed minimum
             gc = g[cand]
-            step = np.maximum((c[cand] - y @ M[:, cand]) / gc, 0.0)
+            step = np.maximum(self.d[cand] / gc, 0.0)
             size = np.abs(gc)
             bound = (step + _COST_TOL / size).min()
             q = int(cand[np.where(step <= bound, size, -1.0).argmax()])
             self.iterations += 1
             out = basis[r]
-            if to_lower:
-                z[out], state[out] = lo[out], _AT_LOWER
-            else:
-                z[out], state[out] = hi[out], _AT_UPPER
-            at_lower[out] = to_lower and movable[out]
-            at_upper[out] = not to_lower and movable[out]
-            state[q] = _BASIC
-            at_lower[q] = at_upper[q] = False
+            # q moves until the leaving column reaches the bound it violates
+            theta = (xb[r] - (lo[out] if to_lower else hi[out])) / row[q]
+            side[out] = (1.0 if to_lower else -1.0) if movable[out] else 0.0
+            side[q] = 0.0
             try:
-                self.replace(r, q, inv @ M[:, q])
+                self.pivot(r, q, theta, _AT_LOWER if to_lower else _AT_UPPER, row)
             except np.linalg.LinAlgError:
                 raise _ColdRestart from None
 
     def warm_basis(self, system: ExtendedSystem) -> Basis:
-        """This optimal basis over the columns of system.
+        """This optimal basis over the columns of system; the tableau is
+        not used afterwards, so the basis takes its arrays over.
 
         A basic artificial is pinned at zero and parallel to its row's
         slack, which a nonsingular basis therefore keeps nonbasic; the
-        slack takes its place without changing the duals. The artificial
-        is +-e_row and the slack e_row, so the swap flips the sign of the
-        matching row of B^-1 when the artificial was negative.
+        slack takes its place without changing the reduced costs. The
+        artificial is s*e_row and the slack e_row for a sign s, so the
+        swap multiplies the matching tableau row by s. The basic values
+        are then computed afresh from B^-1 and refined once against the
+        row residual, so the rounding of the row updates does not reach
+        the optimum.
         """
         width = system.M.shape[1]
-        columns = self.basis.copy()
-        state = self.state[:width].copy()
-        inverse = self.inverse.copy()
-        for i, k in enumerate(columns):
-            if k >= width:
+        columns, state, T = self.basis, self.state, self.T
+        if len(self.z) > width:
+            state, T = state[:width].copy(), T[:, :width].copy()
+            for i in np.flatnonzero(columns >= width):
+                k = columns[i]
                 row = int(np.flatnonzero(self.M[:, k])[0])
-                inverse[i] *= self.M[row, k]
-                columns[i] = width - self.M.shape[0] + row
+                T[i] *= self.M[row, k]
+                columns[i] = width - len(columns) + row
                 state[columns[i]] = _BASIC
-        return Basis(system, columns, state, inverse, self.updates)
+        values = self.z[:width].copy()
+        values[columns] = 0.0
+        basis = Basis(system, columns, state, T[:-1], T[-1], values, self.updates)
+        # B xb = b - N z_N, solved with B^-1 and refined once
+        rest = self.b - system.M @ values
+        xb = basis.inverse @ rest
+        xb += basis.inverse @ (rest - system.M[:, columns] @ xb)
+        values[columns] = xb
+        return basis
 
 
 def _extend(objective, matrix, senses) -> ExtendedSystem:
@@ -328,22 +398,30 @@ def _extend(objective, matrix, senses) -> ExtendedSystem:
     return ExtendedSystem(M, c, slack_lo, slack_hi)
 
 
-def _warm_tableau(warm: Basis, lo, hi) -> _Tableau:
-    """A tableau on warm's basis with the nonbasic columns at the new bounds."""
+def _warm_tableau(warm: Basis, b, lo, hi) -> _Tableau:
+    """A tableau on warm's basis with the nonbasic columns at the new bounds.
+
+    Only nonbasic values move, so the basic values follow from the
+    parent's by one product with its tableau."""
     state = warm.state.copy()
-    z = np.where(state == _AT_LOWER, lo, np.where(state == _AT_UPPER, hi, 0.0))
-    nonbasic = state != _BASIC
-    if (state[nonbasic] == _FREE).any() or not np.isfinite(z[nonbasic]).all():
+    z = np.where(state == _AT_UPPER, hi, lo)
+    z[warm.columns] = 0.0
+    if np.count_nonzero(state == _FREE) or not np.isfinite(z).all():
         raise _ColdRestart
+    shift = z - warm.values
+    shift[warm.columns] = 0.0
+    xb = warm.values[warm.columns] - warm.tableau @ shift
+    T = np.concatenate((warm.tableau, warm.reduced_costs[None]))
     return _Tableau(
-        warm.system.M, lo, hi, warm.columns.copy(), state, z,
-        warm.inverse.copy(), warm.updates,
+        warm.system.M, b, lo, hi, warm.columns.copy(), state, z, xb, warm.system.c, T,
+        warm.updates,
     )
 
 
 def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, bool]:
-    """Phase 1 from the slack basis; returns the tableau and whether the LP
-    is feasible. On success the artificials are pinned at zero."""
+    """Phase 1 from the slack basis; returns the tableau, priced for the
+    system's costs, and whether the LP is feasible. On success the
+    artificials are pinned at zero."""
     M, c = system.M, system.c
     m = M.shape[0]
     n = M.shape[1] - m
@@ -353,13 +431,14 @@ def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, b
     # seat the slacks; rows whose slack cannot hold the residual get a
     # signed artificial column instead
     basis = np.empty(m, dtype=np.int64)
+    xb = np.empty(m)
     art_cols = []
-    art_rows = []
     for i in range(m):
         target = rhs[i] - M[i, :n] @ z[:n]
         s = n + i
         if lo[s] - _FEAS_TOL <= target <= hi[s] + _FEAS_TOL:
-            z[s] = min(max(target, lo[s]), hi[s])
+            xb[i] = min(max(target, lo[s]), hi[s])
+            z[s] = 0.0
             state[s] = _BASIC
             basis[i] = s
         else:
@@ -369,31 +448,33 @@ def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, b
             col = np.zeros(m)
             col[i] = math.copysign(1.0, resid)
             art_cols.append(col)
-            art_rows.append((i, abs(resid)))
+            xb[i] = abs(resid)
+            basis[i] = n + m + len(art_cols) - 1
     n_art = len(art_cols)
-    if n_art:
-        M = np.hstack([M, np.column_stack(art_cols)])
-        lo = np.concatenate([lo, np.zeros(n_art)])
-        hi = np.concatenate([hi, np.full(n_art, math.inf)])
-        z = np.concatenate([z, np.array([v for _, v in art_rows])])
-        state = np.concatenate([state, np.full(n_art, _BASIC, dtype=np.int8)])
-        for k, (i, _) in enumerate(art_rows):
-            basis[i] = n + m + k
+    if not n_art:
+        return _Tableau(M, rhs, lo, hi, basis, state, z, xb, c), True
 
-    tab = _Tableau(M, lo, hi, basis, state, z)
-    if n_art:
-        c1 = np.zeros(n + m + n_art)
-        c1[n + m :] = 1.0
-        status = tab.run(c1, cap)
-        if status == ITERATION_LIMIT:
-            raise SolverError("iteration cap exhausted before certifying feasibility")
-        if status == UNBOUNDED:
-            raise SolverError("phase 1 reported unbounded; artificial costs are >= 0")
-        if float(c1 @ tab.z) > _PHASE1_TOL:
-            return tab, False
-        # artificials are pinned at zero for the real objective
-        tab.lo[n + m :] = 0.0
-        tab.hi[n + m :] = 0.0
+    M = np.hstack([M, np.column_stack(art_cols)])
+    lo = np.concatenate([lo, np.zeros(n_art)])
+    hi = np.concatenate([hi, np.full(n_art, math.inf)])
+    z = np.concatenate([z, np.zeros(n_art)])
+    state = np.concatenate([state, np.full(n_art, _BASIC, dtype=np.int8)])
+    c1 = np.zeros(n + m + n_art)
+    c1[n + m :] = 1.0
+    tab = _Tableau(M, rhs, lo, hi, basis, state, z, xb, c1)
+    status = tab.run(cap)
+    if status == ITERATION_LIMIT:
+        raise SolverError("iteration cap exhausted before certifying feasibility")
+    if status == UNBOUNDED:
+        raise SolverError("phase 1 reported unbounded; artificial costs are >= 0")
+    if float(c1 @ tab.values()) > _PHASE1_TOL:
+        return tab, False
+    # artificials are pinned at zero for the real objective
+    tab.lo[n + m :] = 0.0
+    tab.hi[n + m :] = 0.0
+    tab.lb = tab.lo[tab.basis]
+    tab.ub = tab.hi[tab.basis]
+    tab.price(np.concatenate([c, np.zeros(n_art)]))
     return tab, True
 
 
@@ -424,7 +505,7 @@ def solve_bounded_lp(
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     m, n = matrix.shape
-    if np.any(lower > upper):
+    if np.count_nonzero(lower > upper):
         return LpResult(INFEASIBLE, None, None, 0)
 
     if warm_start is None:
@@ -441,8 +522,8 @@ def solve_bounded_lp(
     tab = None
     if warm_start is not None:
         try:
-            tab = _warm_tableau(warm_start, lo, hi)
-            if not tab.dual(rhs, system.c, cap):
+            tab = _warm_tableau(warm_start, rhs, lo, hi)
+            if not tab.dual(cap):
                 return LpResult(INFEASIBLE, None, None, tab.iterations)
         except _ColdRestart:
             spent = tab.iterations if tab is not None else 0
@@ -452,19 +533,19 @@ def solve_bounded_lp(
         if not feasible:
             return LpResult(INFEASIBLE, None, None, spent + tab.iterations)
 
-    c = np.concatenate([system.c, np.zeros(len(tab.z) - n - m)])
-    status = tab.run(c, cap)
+    status = tab.run(cap)
     iterations = spent + tab.iterations
-    x = tab.z[:n].copy()
-    obj = float(objective @ x)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None, iterations)
     if status == ITERATION_LIMIT:
         if iteration_limit is None:
             raise SolverError("simplex failed to converge within the safety cap")
-        return LpResult(ITERATION_LIMIT, x, obj, iterations)
+        x = tab.values()[:n]
+        return LpResult(ITERATION_LIMIT, x, float(objective @ x), iterations)
+    basis = tab.warm_basis(system)
+    x = basis.values[:n].copy()
     slack = rhs - matrix @ x
-    (bad,) = np.nonzero((slack < system.slack_lo - 1e-6) | (slack > system.slack_hi + 1e-6))
-    if bad.size:
-        raise SolverError(f"optimal point violates row {bad[0]}")
-    return LpResult(OPTIMAL, x, obj, iterations, tab.warm_basis(system))
+    violation = np.maximum(system.slack_lo - slack, slack - system.slack_hi)
+    if violation.max() > 1e-6:
+        raise SolverError(f"optimal point violates row {np.flatnonzero(violation > 1e-6)[0]}")
+    return LpResult(OPTIMAL, x, float(objective @ x), iterations, basis)

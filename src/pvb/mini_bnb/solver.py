@@ -13,8 +13,11 @@ geometric-mean gains for scanned candidates against predicted ones for
 reliable candidates.
 
 Node selection is best bound so that node counts compare branching
-quality rather than incumbent luck. An SB child LP that proves
-infeasible doubles as a cutoff certificate: that child is never queued.
+quality rather than incumbent luck. Bounds that agree to a relative
+1e-9 count as equal and go in queue order, so the rounding of the LP
+engine does not decide which of two equal nodes comes first. An SB
+child LP that proves infeasible doubles as a cutoff certificate: that
+child is never queued.
 Every LP below the root, SB child or queued node, starts warm from its
 parent node's optimal basis. A queued child of the branching column
 whose SB child LP finished optimal within the per-candidate iteration
@@ -59,6 +62,10 @@ CUTOFF_FOUND = "cutoff_found"
 PSEUDOCOST_ONLY = "pseudocost"
 
 _PRUNE_TOL = 1e-9
+# heap bounds within this relative distance (of max(1, |bound|)) of the
+# minimum tie, so LP rounding noise cannot reorder nodes that are equal
+# in exact arithmetic
+_BOUND_TIE_TOL = 1e-9
 # a column is integral within this distance of an integer
 _INTEGRALITY_TOL = 1e-6
 # simplex iterations per SB child LP before it reports ITERATION_LIMIT
@@ -244,8 +251,8 @@ def strong_branch_candidate(
         (None, math.floor(xj)),
         (math.ceil(xj), None),
     ):
-        lo2 = np.array(lo, dtype=float).copy()
-        hi2 = np.array(hi, dtype=float).copy()
+        lo2 = np.array(lo, dtype=float)
+        hi2 = np.array(hi, dtype=float)
         if new_hi is not None:
             hi2[j] = new_hi
         if new_lo is not None:
@@ -389,6 +396,23 @@ def select_branching_variable(
     )
 
 
+def _pop_best(heap: list) -> tuple:
+    """Pop the lowest-bound entry; among the entries whose bounds tie with
+    the minimum (within _BOUND_TIE_TOL), the one queued first."""
+    best = heapq.heappop(heap)
+    if not math.isfinite(best[0]):
+        return best
+    limit = best[0] + _BOUND_TIE_TOL * max(1.0, abs(best[0]))
+    tied = [best]
+    while heap and heap[0][0] <= limit:
+        tied.append(heapq.heappop(heap))
+    first = min(tied, key=lambda entry: entry[1])
+    for entry in tied:
+        if entry is not first:
+            heapq.heappush(heap, entry)
+    return first
+
+
 def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     """Best-bound branch and bound over a MiniMip.
 
@@ -425,11 +449,14 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         if config.node_limit is not None and nodes >= config.node_limit:
             status = NODE_LIMIT
             break
-        parent_bound, _, lo, hi, warm_start, res = heapq.heappop(heap)
-        if incumbent_obj is not None and parent_bound >= incumbent_obj - _PRUNE_TOL:
+        if incumbent_obj is not None and heap[0][0] >= incumbent_obj - _PRUNE_TOL:
             # best-bound order: every remaining node is at least as bad
             heap.clear()
             break
+        parent_bound, _, lo, hi, warm_start, res = _pop_best(heap)
+        if incumbent_obj is not None and parent_bound >= incumbent_obj - _PRUNE_TOL:
+            # a tie with the minimum bound can sit at the cutoff
+            continue
         if res is None:
             res = solve_bounded_lp(c, A, senses, b, lo, hi, warm_start=warm_start)
         nodes += 1

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pvb import cli
 from pvb.cli import main, render_table, shifted_geomean_stat
 from pvb.gains import GainPair, GainSeries, save_gain_series
 from pvb.mini_bnb import load_mps, save_mps, solve, sparse_multiknapsack, toy_corpus
@@ -473,6 +474,25 @@ class TestSweep:
         assert cells[:5] == ["fixed", "9", "1000000", "1", "0"]
         assert float(cells[5]) == pytest.approx(direct.nodes)
         assert float(cells[6]) == pytest.approx(direct.sb_lp_solves)
+
+    def test_internal_fault_in_a_solve_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a ValueError inside solve is a bug in pvb, not a failed instance
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        save_mps(sparse_multiknapsack(14, 8, 1), directory / "one.mps")
+
+        def broken(mip, config):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(
+            capsys, "sweep", str(directory), "--modes", "fixed", "--seed", "1",
+            "--workers", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert "internal error: broken invariant" in stderr
+        assert not out.exists()
 
     def test_parse_failure_is_recorded_and_sweep_continues(self, tmp_path, capsys):
         directory = tmp_path / "insts"

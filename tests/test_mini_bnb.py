@@ -47,7 +47,7 @@ from pvb.mini_bnb import (
     strong_branch_candidate,
     toy_corpus,
 )
-from pvb.mini_bnb.simplex import _REFACTOR_INTERVAL
+from pvb.mini_bnb.simplex import _REFACTOR_INTERVAL, _STALL_LIMIT
 from oracles import enumerate_binary_mip, linprog_lp
 
 GEO_SHIFT_NODES = 100.0
@@ -175,12 +175,49 @@ def cut(x, lower, upper, j, side):
     return None
 
 
-def assert_inverse_is_current(basis):
-    """The carried inverse still inverts its basis, and no more updates
-    piled up on it than the engine allows between refactors."""
+def assert_basis_is_current(res, b):
+    """The carried basis matches a fresh factorization of its columns: no
+    more updates than the engine allows between refactors, B^-1 inverts B,
+    the tableau is B^-1 M, the reduced costs are c - c_B T, and the values
+    are the returned x with the row slacks b - A x."""
+    basis = res.basis
+    M, c = basis.system.M, basis.system.c
+    B = M[:, basis.columns]
+    n = len(res.x)
     assert basis.updates <= _REFACTOR_INTERVAL
-    product = basis.inverse @ basis.system.M[:, basis.columns]
-    np.testing.assert_allclose(product, np.eye(len(basis.columns)), atol=1e-9)
+    np.testing.assert_allclose(basis.inverse @ B, np.eye(len(basis.columns)), atol=1e-9)
+    np.testing.assert_allclose(basis.tableau, np.linalg.solve(B, M), rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(
+        basis.reduced_costs, c - c[basis.columns] @ basis.tableau, atol=1e-9
+    )
+    np.testing.assert_array_equal(basis.values[:n], res.x)
+    np.testing.assert_allclose(
+        basis.values[n:], b - M[:, :n] @ res.x, atol=1e-9 * max(1.0, np.abs(b).max())
+    )
+
+
+def permute(mip, seed):
+    """mip with its columns, then its rows, reordered by
+    np.random.default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    cols = rng.permutation(mip.n_cols)
+    rows = rng.permutation(mip.n_rows)
+
+    def pick(values, order):
+        return tuple(values[k] for k in order)
+
+    return MiniMip(
+        name=mip.name,
+        col_names=pick(mip.col_names, cols),
+        objective=pick(mip.objective, cols),
+        row_names=pick(mip.row_names, rows),
+        senses=pick(mip.senses, rows),
+        matrix=tuple(pick(mip.matrix[i], cols) for i in rows),
+        rhs=pick(mip.rhs, rows),
+        lower=pick(mip.lower, cols),
+        upper=pick(mip.upper, cols),
+        integer=pick(mip.integer, cols),
+    )
 
 
 def tighten(x, lower, upper, j, side, shift):
@@ -262,6 +299,18 @@ class TestSimplex:
                 [3.0, 3.0], iteration_limit=1,
             )
 
+    def test_cycling_lp_is_solved_by_the_switch_to_bland(self):
+        # Beale's example cycles under Dantzig pricing with these ties;
+        # only the stall switch to Bland's rule reaches the optimum
+        c = [-0.75, 20.0, -0.5, 6.0]
+        a = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        res = solve_bounded_lp(
+            c, a, ["<="] * 3, [0.0, 0.0, 1.0], [0.0] * 4, [math.inf] * 4
+        )
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(-1.25)
+        assert res.iterations > _STALL_LIMIT
+
     def test_unbounded_lp_that_highs_presolve_calls_infeasible(self):
         # HiGHS with presolve answers status 2 (infeasible) here; the
         # oracle's re-solve without presolve agrees with pvb
@@ -319,14 +368,14 @@ class TestWarmStart:
     )
     @given(chained_cuts())
     def test_chained_warm_starts_match_cold_and_highs(self, case):
-        # each LP starts from the previous optimum's basis, so the inverse
+        # each LP starts from the previous optimum's basis, so the tableau
         # it carries accumulates updates along the chain
         c, a, senses, b, lo, hi, cuts = case
         res = solve_bounded_lp(c, a, senses, b, lo, hi)
         for k, side in cuts:
             if res.status != OPTIMAL:
                 break
-            assert_inverse_is_current(res.basis)
+            assert_basis_is_current(res, b)
             # cut a basic (interior) column when there is one
             (inside,) = np.nonzero((res.x > lo + 1e-6) & (res.x < hi - 1e-6))
             j = int(inside[k % inside.size]) if inside.size else k
@@ -345,13 +394,13 @@ class TestWarmStart:
 
     def test_dive_crosses_the_refactor_interval(self):
         # a dive that rounds fractional columns needs several times the
-        # refactor interval in dual pivots, all on one carried inverse
+        # refactor interval in dual pivots, all on one carried tableau
         mip = sparse_multiknapsack(20, 12, 22)
         c, a, senses, b, lo, hi = mip.dense()
         res = solve_bounded_lp(c, a, senses, b, lo, hi)
         pivots = 0
         while True:
-            assert_inverse_is_current(res.basis)
+            assert_basis_is_current(res, b)
             fractional = [
                 j for j in range(mip.n_cols)
                 if min(res.x[j] % 1.0, 1.0 - res.x[j] % 1.0) > 1e-6
@@ -949,6 +998,18 @@ class TestSolve:
             )
         assert fires > 0
         assert geomean(dyn_sb, GEO_SHIFT_LPS) < geomean(fixed_sb, GEO_SHIFT_LPS)
+
+    @pytest.mark.parametrize("seed", [3, 17, 19])
+    def test_node_count_ignores_row_and_column_order(self, seed):
+        # after a permutation, node bounds that are equal in exact
+        # arithmetic differ in the last ulp; the tolerant best-bound order
+        # still takes them in queue order
+        mip = sparse_multiknapsack(20, 12, 1, density=0.5)
+        config = SolverConfig(mode="dynamic", reliability_threshold=12)
+        for instance in (mip, permute(mip, seed)):
+            res = solve(instance, config)
+            assert res.nodes == 250
+            assert res.objective == pytest.approx(-552.0, abs=1e-9)
 
     def test_mps_pipeline_preserves_solve(self, tmp_path):
         mip = sparse_multiknapsack(20, 12, 2)
