@@ -9,18 +9,34 @@ phase-1 basis. Pricing is Dantzig until the objective stalls, then
 Bland's rule for guaranteed termination.
 
 The engine works on a dense tableau: B^-1 M over every column, stacked
-over the reduced costs, plus the basic values. At the sizes the solver
-meets, numpy call overhead rather than arithmetic sets the cost of a
-pivot, so each pivot reads the pivot column and the ratio tests as
-slices and applies one in-place outer-product update to the whole
-stack. Since the slack columns of M are the identity, the slack block of
-the tableau is B^-1; the dual simplex forms its pivot row from it
-afresh, because exact zeros in B^-1 keep exact ties between columns
-that a carried row would break by rounding. The tableau is rebuilt from
-M with one linear solve when the pivot element is below
-_REFACTOR_PIVOT_TOL or after _REFACTOR_INTERVAL updates. A singular
-basis or an exhausted safety cap raises instead of returning a silently
-wrong answer.
+over the reduced costs, plus the basic values. Since the slack columns
+of M are the identity, the slack block of the tableau is B^-1; the dual
+simplex forms its pivot row from it afresh, because exact zeros in B^-1
+keep exact ties between columns that a carried row would break by
+rounding. The tableau is rebuilt from M with one linear solve when the
+pivot element is below _REFACTOR_PIVOT_TOL or after _REFACTOR_INTERVAL
+updates. A singular basis or an exhausted safety cap raises instead of
+returning a silently wrong answer.
+
+At the sizes the solver meets (12 rows, 32 columns with the slacks),
+numpy's call overhead of about 1 us, not arithmetic, sets the cost of
+a pivot. So numpy keeps the work that is O(rows x columns) and the
+reductions: the pivot row, the outer-product update of the whole stack,
+the refactor, the refined optimum and the final row check. The scans
+run on Python floats, one list per vector: the dual's search for the
+most violated row and its ratio test over the columns, the basic values
+and bounds, and the warm start's nonbasic values. These scans use only
+elementwise arithmetic, comparisons and first-maximum selection, which
+give the same doubles and the same ties in Python as in numpy, so every
+pivot is the one numpy's argmax and min would choose; a NaN counts as
+the largest violation and as the minimum step bound, as it does there.
+No tolerance test lets a NaN through: a NaN violation that no column
+can fix restarts cold rather than proving infeasibility, and a NaN row
+fails the final 1e-6 check. A Python scan costs O(columns) interpreted
+steps: the ratio test alone takes 8 us in Python against 16 us in numpy
+at 32 columns, breaks even near 64 and is 6x slower at 512 (2-core Xeon
+at 2.1 GHz, numpy 2.4), so a model much wider than the solver's corpus
+would want the numpy scans back.
 
 A solve may instead start warm from the optimal basis of a parent LP
 that differs only in its column bounds. The basis carries its tableau,
@@ -32,15 +48,17 @@ no entering column) and the primal loop then certifies optimality from
 the carried reduced costs, normally without a pivot. A warm start that
 cannot be used (a singular refactor, a nonbasic column at an infinite
 bound or free, a dual phase that reaches the iteration cap, or a
-violation too small to certify infeasibility that no column can fix)
-falls back to the cold two-phase solve, and the pivots of both attempts
-are counted.
+violation too small to certify infeasibility, or NaN, that no column
+can fix) falls back to the cold two-phase solve, and the pivots of both
+attempts are counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from bisect import insort
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -131,6 +149,60 @@ def _start_state(lo: float, hi: float) -> int:
     return _FREE
 
 
+def _leaving_row(xb, lb, ub) -> tuple[int, float]:
+    """The dual's leaving row and its violation max(lb - x, x - ub): the
+    most violated row, the first on ties, and the first NaN violation
+    before any number, as numpy's argmax takes them."""
+    r, worst = 0, -math.inf
+    for i, x in enumerate(xb):
+        below = lb[i] - x
+        above = x - ub[i]
+        if above > below:
+            v = above
+        elif below >= above:
+            v = below
+        else:
+            return i, math.nan
+        if v > worst:
+            r, worst = i, v
+    return r, worst
+
+
+def _entering_column(movers, side, g, d) -> int | None:
+    """The dual's entering column by the Harris two-pass ratio test, or
+    None when no column qualifies.
+
+    movers lists, in increasing order, the columns j whose side_j, the
+    way they may move, is +1 or -1 (it is 0 for basic and fixed columns).
+    Column j qualifies when side_j * g_j > _PIVOT_TOL. Its dual step is
+    max(d_j / g_j, 0); the column entering is the one with the largest
+    |g_j| among steps within the smallest step relaxed by _COST_TOL /
+    |g_j|, the first on ties. A NaN relaxed step makes the bound NaN, so
+    no step is within it and the first candidate enters, as with numpy's
+    min and argmax.
+    """
+    cand = []
+    bound = math.inf
+    for j in movers:
+        gj = g[j]
+        size = side[j] * gj  # |g_j| for a candidate
+        if size > _PIVOT_TOL:
+            step = d[j] / gj
+            if step < 0.0:
+                step = 0.0
+            key = step + _COST_TOL / size
+            if key < bound or key != key:
+                bound = key
+            cand.append((j, step, size))
+    if not cand:
+        return None
+    q, best = cand[0][0], -1.0
+    for j, step, size in cand:
+        if step <= bound and size > best:
+            q, best = j, size
+    return q
+
+
 class _Tableau:
     """Mutable simplex state over the extended column system.
 
@@ -138,22 +210,24 @@ class _Tableau:
     basic column, over the reduced costs d = c - c_B B^-1 M of the cost
     vector c, so one row operation carries both across a pivot; d is a
     view of T's last row. xb holds the basic values row by row and lb/ub
-    their bounds; z holds the value of every nonbasic column and 0 at
-    the basic ones. updates counts the pivots applied to T since it was
-    last rebuilt from M.
+    their bounds, and lo/hi the bounds of every column, all as Python
+    lists for the scans; z holds the value of every nonbasic column and
+    0 at the basic ones. updates counts the pivots applied to T since it
+    was last rebuilt from M.
     """
 
     def __init__(self, M, b, lo, hi, basis, state, z, xb, c, T=None, updates=0):
         self.M = M
         self.b = b
-        self.lo = lo
-        self.hi = hi
         self.basis = basis
         self.state = state
         self.z = z
-        self.xb = xb
-        self.lb = lo[basis]
-        self.ub = hi[basis]
+        self.xb = xb.tolist()
+        self.lo = lo
+        self.hi = hi
+        rows = basis.tolist()
+        self.lb = [self.lo[k] for k in rows]
+        self.ub = [self.hi[k] for k in rows]
         self.c = c
         self.iterations = 0
         self.updates = updates
@@ -174,7 +248,7 @@ class _Tableau:
         rest = self.b - self.M @ self.z
         solved = np.linalg.solve(self.M[:, self.basis], np.column_stack((self.M, rest)))
         self.T[:-1] = solved[:, :-1]
-        self.xb = solved[:, -1].copy()
+        self.xb = solved[:, -1].tolist()
         self.price(self.c)
         self.updates = 0
 
@@ -197,8 +271,8 @@ class _Tableau:
         T, z, basis = self.T, self.z, self.basis
         col = T[:, q].copy()
         out = basis[r]
-        self.xb -= step * col[:-1]
-        self.xb[r] = z[q] + step
+        self.xb = [x - step * w for x, w in zip(self.xb, col.tolist())]
+        self.xb[r] = float(z[q]) + step
         z[q] = 0.0
         z[out] = self.lo[out] if leave_state == _AT_LOWER else self.hi[out]
         self.state[out] = leave_state
@@ -251,7 +325,7 @@ class _Tableau:
             (rows,) = ((np.abs(sw) > _PIVOT_TOL) & np.isfinite(bound)).nonzero()
             t_best = math.inf
             if rows.size:
-                steps = (self.xb[rows] - bound[rows]) / sw[rows]
+                steps = (np.take(self.xb, rows) - bound[rows]) / sw[rows]
                 steps[steps < -_FEAS_TOL] = 0.0
                 # <= keeps the minimum itself when 1e-12 is below its ulp
                 (near,) = (steps <= steps.min() + 1e-12).nonzero()
@@ -264,7 +338,7 @@ class _Tableau:
             if math.isfinite(flip) and flip <= t_best:
                 # entering variable runs to its other bound; basis unchanged
                 t = flip
-                self.xb -= flip * sw
+                self.xb = [x - flip * w for x, w in zip(self.xb, sw.tolist())]
                 z[j] = hi[j] if sigma > 0 else lo[j]
                 state[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
                 direction[j] = -sigma
@@ -296,52 +370,52 @@ class _Tableau:
         most violated row has no entering column, which proves the LP
         infeasible. Raises _ColdRestart on a singular refactor, on
         reaching cap, or when a violation too small to certify
-        infeasibility is stuck.
+        infeasibility, or a NaN one, is stuck.
         """
         lo, hi, state, basis = self.lo, self.hi, self.state, self.basis
-        # a fixed column cannot move, so it never enters
-        movable = lo < hi
-        side = np.where(movable, _DIRECTION[state], 0.0)
-        m = len(basis)
+        lb, ub = self.lb, self.ub
+        # the way each column may enter, and the columns that may, in
+        # index order; a fixed column cannot move, so it never enters
+        side = _DIRECTION[state].tolist()
+        fixed = [j for j, l, h in zip(count(), lo, hi) if not l < h]
+        for j in fixed:
+            side[j] = 0.0
+        movers = [j for j, s in enumerate(side) if s]
+        m = len(lb)
         while True:
-            xb = self.xb
-            below = self.lb - xb
-            above = xb - self.ub
-            violation = np.maximum(below, above)
-            r = int(violation.argmax())
-            if violation[r] <= _FEAS_TOL:
+            r, worst = _leaving_row(self.xb, lb, ub)
+            if worst <= _FEAS_TOL:
                 # park each fixed nonbasic column on the side its reduced
                 # cost calls for, so the primal run need not flip it
-                parked = ~movable & (state != _BASIC)
-                if np.count_nonzero(parked):
-                    state[parked] = np.where(self.d[parked] < 0.0, _AT_UPPER, _AT_LOWER)
+                d = self.d
+                for j in fixed:
+                    if state[j] != _BASIC:
+                        state[j] = _AT_UPPER if d[j] < 0.0 else _AT_LOWER
                 return True
             if self.iterations >= cap:
                 raise _ColdRestart
-            to_lower = below[r] > above[r]
+            x = self.xb[r]
+            to_lower = lb[r] - x > x - ub[r]
             # row r afresh from its slack block, B^-1[r]: a carried row
             # breaks ties between columns that B^-1's exact zeros keep exact
             row = self.T[r, -m:] @ self.M
             # g_j > 0: raising x_j moves the leaving variable toward its bound
-            g = -row if to_lower else row
-            (cand,) = (side * g > _PIVOT_TOL).nonzero()
-            if not cand.size:
-                if violation[r] <= _PHASE1_TOL:
+            g = (-row if to_lower else row).tolist()
+            q = _entering_column(movers, side, g, self.d.tolist())
+            if q is None:
+                # NaN is never small enough to blame on tolerances
+                if not worst > _PHASE1_TOL:
                     raise _ColdRestart
                 return False
-            # dual step each candidate allows; Harris two-pass ratio test:
-            # the largest |g| among steps within the tolerance-relaxed minimum
-            gc = g[cand]
-            step = np.maximum(self.d[cand] / gc, 0.0)
-            size = np.abs(gc)
-            bound = (step + _COST_TOL / size).min()
-            q = int(cand[np.where(step <= bound, size, -1.0).argmax()])
             self.iterations += 1
-            out = basis[r]
+            out = int(basis[r])
             # q moves until the leaving column reaches the bound it violates
-            theta = (xb[r] - (lo[out] if to_lower else hi[out])) / row[q]
-            side[out] = (1.0 if to_lower else -1.0) if movable[out] else 0.0
+            theta = (x - (lo[out] if to_lower else hi[out])) / (-g[q] if to_lower else g[q])
             side[q] = 0.0
+            movers.remove(q)
+            if lo[out] < hi[out]:
+                side[out] = 1.0 if to_lower else -1.0
+                insort(movers, out)
             try:
                 self.pivot(r, q, theta, _AT_LOWER if to_lower else _AT_UPPER, row)
             except np.linalg.LinAlgError:
@@ -374,9 +448,10 @@ class _Tableau:
         values[columns] = 0.0
         basis = Basis(system, columns, state, T[:-1], T[-1], values, self.updates)
         # B xb = b - N z_N, solved with B^-1 and refined once
+        inverse = basis.inverse
         rest = self.b - system.M @ values
-        xb = basis.inverse @ rest
-        xb += basis.inverse @ (rest - system.M[:, columns] @ xb)
+        xb = inverse @ rest
+        xb += inverse @ (rest - system.M[:, columns] @ xb)
         values[columns] = xb
         return basis
 
@@ -404,10 +479,13 @@ def _warm_tableau(warm: Basis, b, lo, hi) -> _Tableau:
     Only nonbasic values move, so the basic values follow from the
     parent's by one product with its tableau."""
     state = warm.state.copy()
-    z = np.where(state == _AT_UPPER, hi, lo)
-    z[warm.columns] = 0.0
-    if np.count_nonzero(state == _FREE) or not np.isfinite(z).all():
+    states = state.tolist()
+    z = [h if s == _AT_UPPER else l for s, l, h in zip(states, lo, hi)]
+    for k in warm.columns.tolist():
+        z[k] = 0.0
+    if _FREE in states or not all(map(math.isfinite, z)):
         raise _ColdRestart
+    z = np.array(z)
     shift = z - warm.values
     shift[warm.columns] = 0.0
     xb = warm.values[warm.columns] - warm.tableau @ shift
@@ -455,8 +533,8 @@ def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, b
         return _Tableau(M, rhs, lo, hi, basis, state, z, xb, c), True
 
     M = np.hstack([M, np.column_stack(art_cols)])
-    lo = np.concatenate([lo, np.zeros(n_art)])
-    hi = np.concatenate([hi, np.full(n_art, math.inf)])
+    lo = lo + [0.0] * n_art
+    hi = hi + [math.inf] * n_art
     z = np.concatenate([z, np.zeros(n_art)])
     state = np.concatenate([state, np.full(n_art, _BASIC, dtype=np.int8)])
     c1 = np.zeros(n + m + n_art)
@@ -470,10 +548,9 @@ def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, b
     if float(c1 @ tab.values()) > _PHASE1_TOL:
         return tab, False
     # artificials are pinned at zero for the real objective
-    tab.lo[n + m :] = 0.0
-    tab.hi[n + m :] = 0.0
-    tab.lb = tab.lo[tab.basis]
-    tab.ub = tab.hi[tab.basis]
+    tab.lo[n + m :] = tab.hi[n + m :] = [0.0] * n_art
+    tab.lb = [tab.lo[k] for k in tab.basis.tolist()]
+    tab.ub = [tab.hi[k] for k in tab.basis.tolist()]
     tab.price(np.concatenate([c, np.zeros(n_art)]))
     return tab, True
 
@@ -514,8 +591,8 @@ def solve_bounded_lp(
         system = warm_start.system
         if system.M.shape != (m, n + m):
             raise ValueError("warm start belongs to a system of another shape")
-    lo = np.concatenate([lower, system.slack_lo])
-    hi = np.concatenate([upper, system.slack_hi])
+    lo = lower.tolist() + system.slack_lo.tolist()
+    hi = upper.tolist() + system.slack_hi.tolist()
     cap = iteration_limit if iteration_limit is not None else 200 * (n + m) + 2000
 
     spent = 0
@@ -546,6 +623,7 @@ def solve_bounded_lp(
     x = basis.values[:n].copy()
     slack = rhs - matrix @ x
     violation = np.maximum(system.slack_lo - slack, slack - system.slack_hi)
-    if violation.max() > 1e-6:
-        raise SolverError(f"optimal point violates row {np.flatnonzero(violation > 1e-6)[0]}")
+    # a NaN violation is not within the tolerance either
+    if not violation.max() <= 1e-6:
+        raise SolverError(f"optimal point violates row {np.flatnonzero(~(violation <= 1e-6))[0]}")
     return LpResult(OPTIMAL, x, float(objective @ x), iterations, basis)

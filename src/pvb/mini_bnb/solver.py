@@ -428,7 +428,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     the geometric mean of each one's predicted side gains).
     """
     c, A, senses, b, lo0, hi0 = mip.dense()
-    int_cols = [j for j, flag in enumerate(mip.integer) if flag]
+    int_cols = np.flatnonzero(mip.integer)
     pseudocost = Pseudocost(mip.n_cols, config.reliability_threshold)
     samples = GainAccumulator()
 
@@ -470,11 +470,10 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         obj, x = res.objective, res.x
         if incumbent_obj is not None and obj >= incumbent_obj - _PRUNE_TOL:
             continue
-        fractional = [
-            j
-            for j in int_cols
-            if min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j]) > _INTEGRALITY_TOL
-        ]
+        xi = x[int_cols]
+        fractional = int_cols[
+            np.minimum(xi - np.floor(xi), np.ceil(xi) - xi) > _INTEGRALITY_TOL
+        ].tolist()
         if not fractional:
             incumbent_obj = obj
             snapped = x.copy()

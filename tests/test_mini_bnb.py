@@ -7,6 +7,7 @@ cases pin the small contracts (cutoffs, budgets, bound certificates)
 where a referee would just re-run the same arithmetic.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -47,7 +48,19 @@ from pvb.mini_bnb import (
     strong_branch_candidate,
     toy_corpus,
 )
-from pvb.mini_bnb.simplex import _REFACTOR_INTERVAL, _STALL_LIMIT
+from pvb.mini_bnb import simplex
+from pvb.mini_bnb.simplex import (
+    _AT_LOWER,
+    _BASIC,
+    _COST_TOL,
+    _PIVOT_TOL,
+    _REFACTOR_INTERVAL,
+    _STALL_LIMIT,
+    _ColdRestart,
+    _Tableau,
+    _entering_column,
+    _leaving_row,
+)
 from oracles import enumerate_binary_mip, linprog_lp
 
 GEO_SHIFT_NODES = 100.0
@@ -548,6 +561,48 @@ class TestWarmStart:
         assert served_calls < len(calls)
         assert served == resolved
 
+    @pytest.mark.parametrize("where", ["values", "tableau"])
+    def test_nan_in_the_warm_start_falls_back_to_cold(self, monkeypatch, where):
+        # NaN compares false, so a test written as "violation <= tol" lets
+        # a NaN row through as a certificate of infeasibility
+        c, a = [-3.0, -2.0, -4.0], [[1.0, 1.0, 2.0], [2.0, 0.0, 3.0]]
+        senses, b = ["<=", "<="], [4.0, 5.0]
+        lower, upper = [0.0, 0.0, 0.0], [10.0, 10.0, 1.0]
+        parent = solve_bounded_lp(c, a, senses, b, lower, [10.0, 10.0, 10.0])
+        assert parent.status == OPTIMAL
+        if where == "values":
+            values = parent.basis.values.copy()
+            values[parent.basis.columns[0]] = math.nan
+            broken = parent.basis._replace(values=values)
+        else:
+            tableau = parent.basis.tableau.copy()
+            tableau[0, 0] = math.nan
+            broken = parent.basis._replace(tableau=tableau)
+        cold_starts = []
+        original = simplex._cold_tableau
+
+        def recording(*args):
+            cold_starts.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simplex, "_cold_tableau", recording)
+        child = solve_bounded_lp(c, a, senses, b, lower, upper, warm_start=broken)
+        assert len(cold_starts) == 1
+        assert child.status == OPTIMAL
+        assert child.objective == pytest.approx(-10.5)
+
+    def test_nan_optimum_is_not_within_the_row_tolerance(self, monkeypatch):
+        # the final row check must refuse a NaN point, not pass it
+        def nan_values(tab, system):
+            basis = original(tab, system)
+            basis.values[0] = math.nan
+            return basis
+
+        original = _Tableau.warm_basis
+        monkeypatch.setattr(_Tableau, "warm_basis", nan_values)
+        with pytest.raises(SolverError, match="violates row 0"):
+            solve_bounded_lp([-1.0], [[1.0]], ["<="], [4.0], [0.0], [10.0])
+
     def test_warm_start_of_another_shape_is_rejected(self):
         parent = solve_bounded_lp([1.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
         with pytest.raises(ValueError, match="another shape"):
@@ -555,6 +610,106 @@ class TestWarmStart:
                 [1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [0.0, 0.0], [1.0, 1.0],
                 warm_start=parent.basis,
             )
+
+
+def slack_tableau(a, b, c):
+    """A tableau on the slack basis of a x <= b, x >= 0, with x at 0; the
+    slacks take the values b, which may violate their lower bound 0."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    return _Tableau(
+        np.hstack([a, np.eye(m)]), np.asarray(b, dtype=float),
+        [0.0] * (n + m), [math.inf] * (n + m), np.arange(n, n + m),
+        np.array([_AT_LOWER] * n + [_BASIC] * m, dtype=np.int8), np.zeros(n + m),
+        np.asarray(b, dtype=float), np.concatenate([c, np.zeros(m)]),
+    )
+
+
+def numpy_leaving_row(xb, lb, ub):
+    """Reference: the dual's leaving row as numpy's argmax picks it."""
+    with np.errstate(invalid="ignore"):
+        violation = np.maximum(np.array(lb) - xb, np.array(xb) - ub)
+    r = int(violation.argmax())
+    return r, float(violation[r])
+
+
+def numpy_entering_column(side, g, d):
+    """Reference: the Harris two-pass ratio test as numpy arrays compute it."""
+    side, g, d = np.array(side), np.array(g), np.array(d)
+    with np.errstate(invalid="ignore"):
+        (cand,) = (side * g > _PIVOT_TOL).nonzero()
+        if not cand.size:
+            return None
+        gc = g[cand]
+        step = np.maximum(d[cand] / gc, 0.0)
+        size = np.abs(gc)
+        bound = (step + _COST_TOL / size).min()
+    return int(cand[np.where(step <= bound, size, -1.0).argmax()])
+
+
+# few distinct values, so exact ties are common; NaN and infinities too
+TIE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1e-11, 0.25, -0.25, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def scan_rows(draw):
+    m = draw(st.integers(1, 8))
+    row = st.lists(TIE_VALUES, min_size=m, max_size=m)
+    return draw(row), draw(row), draw(row)
+
+
+@st.composite
+def scan_columns(draw):
+    n = draw(st.integers(1, 12))
+    side = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=n, max_size=n))
+    g = draw(st.lists(TIE_VALUES, min_size=n, max_size=n))
+    d = draw(st.lists(TIE_VALUES, min_size=n, max_size=n))
+    return side, g, d
+
+
+class TestDualScans:
+    """Tie and NaN rules of the dual's row scan and ratio test, which
+    follow numpy's first-maximum argmax and NaN-propagating min."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(scan_rows())
+    def test_leaving_row_matches_numpy(self, case):
+        xb, lb, ub = case
+        r, worst = _leaving_row(xb, lb, ub)
+        ref_r, ref_worst = numpy_leaving_row(xb, lb, ub)
+        assert r == ref_r
+        assert worst == ref_worst or (math.isnan(worst) and math.isnan(ref_worst))
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(scan_columns())
+    def test_entering_column_matches_numpy(self, case):
+        side = case[0]
+        movers = [j for j, s in enumerate(side) if s]
+        assert _entering_column(movers, *case) == numpy_entering_column(*case)
+
+    def test_equally_violated_rows_leave_first_row_first(self):
+        # s_i = x_i - 1 for both rows, so both slacks sit exactly 1 below 0
+        tab = slack_tableau([[-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(_ColdRestart):
+            tab.dual(1)
+        assert tab.basis.tolist() == [0, 3]
+
+    def test_exact_harris_tie_enters_the_lower_column(self):
+        # duplicate columns: equal dual steps and equal pivot sizes
+        tab = slack_tableau([[-1.0, -1.0]], [-1.0], [1.0, 1.0])
+        assert tab.dual(10)
+        assert tab.basis.tolist() == [0]
+        assert tab.iterations == 1
+
+    def test_nan_row_is_taken_as_the_most_violated(self):
+        # row 1 is feasible, so skipping the NaN row would certify a
+        # corrupt basis as primal feasible
+        tab = slack_tableau([[-1.0, 0.0], [0.0, -1.0]], [-1.0, 0.5], [1.0, 1.0])
+        tab.xb[0] = math.nan
+        with pytest.raises(_ColdRestart):
+            tab.dual(50)
 
 
 FIXTURE = """* hand-written instance covering every supported record
@@ -1018,6 +1173,36 @@ class TestSolve:
         direct = solve(mip, FIXED)
         loaded = solve(load_mps(path), FIXED)
         assert loaded == direct
+
+
+class TestSolveGolden:
+    """Pinned results of solve() on the first eight corpus instances, both
+    modes: status, objective, x, node and SB counts and every branching
+    decision with its SB and node pivot counts.
+
+    The digests were taken before the dual simplex scanned rows and ratio
+    tested columns on Python floats; any change to a pivot, an objective
+    bit or a branching decision moves them. They also depend on the
+    rounding of the BLAS matrix-vector product that forms the dual's
+    pivot row.
+    """
+
+    GOLDEN = {
+        2: "545c9393c0faadce19c9e516cce31af1fed6b66c1873275646cdf984de712b36",
+        12: "6b6ac12e01bc7f3d9d1cf4ad69a90bb35411a6eeeb2c1e1d74c130d697cb6e12",
+    }
+
+    @pytest.mark.parametrize("threshold", list(GOLDEN))
+    def test_results_match_pinned_digest(self, threshold):
+        rows = []
+        for mip in toy_corpus(8):
+            for mode in ("fixed", "dynamic"):
+                res = solve(mip, SolverConfig(mode=mode, reliability_threshold=threshold))
+                rows.append((
+                    res.status, repr(res.objective), res.x, res.nodes,
+                    res.sb_lp_solves, res.sb_iterations, res.decisions,
+                ))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.GOLDEN[threshold]
 
 
 class TestCorpus:
