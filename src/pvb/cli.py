@@ -266,7 +266,6 @@ def _solver_config(mode: str, settings: dict, args) -> SolverConfig:
             prob=ProbLookaheadConfig(**_fields(ProbLookaheadConfig, settings)),
             **_fields(SolverConfig, settings),
             reliability_threshold=args.reliability_threshold,
-            max_scan=args.max_scan,
             node_limit=args.node_limit,
         )
 
@@ -418,7 +417,6 @@ def _add_solver_flags(parser, with_mode: bool = True) -> None:
         "--reliability-threshold", dest="reliability_threshold", type=int, default=2,
         help="branchings per direction before pseudocosts are trusted",
     )
-    parser.add_argument("--max-scan", dest="max_scan", type=int, default=100)
     parser.add_argument("--node-limit", dest="node_limit", type=int, default=None)
 
 

@@ -8,9 +8,14 @@ only. Five families are supported; uniform and normal are control cases
 (uniform's bounded support and normal's negative support disqualify them
 from the stopping criterion, so they are excluded from STOPPING_FAMILIES).
 
+Each family's tail CDF and tail survival is written once, as the array
+functions tail_cdf and tail_survival of (family, theta, g). The methods of
+MixedGainDistribution, cdf, survival, ks_test and the stopping rule's depth
+probabilities (lookahead.depth_probabilities) all call them.
+
 Fits are O(1)-updatable: GainAccumulator keeps the running sums (count,
 sum, sum of logs, min, max, squared sums) from which every family's MLE is
-recomputed, so a simulation can refit after each reveal without rescanning
+recomputed, so the solver can refit after each reveal without rescanning
 its history.
 """
 
@@ -42,8 +47,58 @@ class DegenerateFitError(ValueError):
     """The MLE is undefined on this sample (too few or collapsed values)."""
 
 
-def _phi(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+_SQRT2 = math.sqrt(2.0)
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def tail_cdf(family: str, theta, g):
+    """F_D(g; theta) elementwise; theta's entries broadcast against g.
+
+    Powers go through np.power, never **: on numpy scalars ** takes C's
+    pow, which differs from the array loop in the last ulp, and a scalar
+    query must be its array's element bit for bit.
+    """
+    g = np.asarray(g, dtype=float)
+    if family == "exponential":
+        return -np.expm1(-theta[0] * np.maximum(g, 0.0))
+    if family == "pareto":
+        xm, alpha = theta
+        return 1.0 - np.power(xm / np.maximum(g, xm), alpha)
+    if family == "lognormal":
+        mu, sigma = theta
+        with np.errstate(divide="ignore"):  # log(0) = -inf gives F_D = 0
+            z = (np.log(np.maximum(g, 0.0)) - mu) / sigma
+        return 0.5 * _erfc(-z / _SQRT2)
+    if family == "uniform":
+        return np.clip(g / theta[0], 0.0, 1.0)
+    mean, std = theta
+    return 0.5 * _erfc(-((g - mean) / std) / _SQRT2)
+
+
+def tail_survival(family: str, theta, g):
+    """1 - F_D(g; theta) elementwise, without cancellation in the far tail.
+
+    For the unbounded-support families the mathematical value is strictly
+    positive at every finite g; where the float computation underflows it
+    is floored at the smallest subnormal, so the stopping criterion can
+    never observe an impossible gain.
+    """
+    g = np.asarray(g, dtype=float)
+    if family == "uniform":
+        return 1.0 - tail_cdf(family, theta, g)
+    if family == "normal":
+        mean, std = theta
+        return 0.5 * _erfc((g - mean) / (std * _SQRT2))
+    if family == "exponential":
+        s = np.exp(-theta[0] * np.maximum(g, 0.0))
+    elif family == "pareto":
+        xm, alpha = theta
+        s = np.power(xm / np.maximum(g, xm), alpha)
+    else:  # lognormal
+        mu, sigma = theta
+        with np.errstate(divide="ignore"):  # log(0) = -inf gives survival 1
+            s = 0.5 * _erfc((np.log(np.maximum(g, 0.0)) - mu) / (sigma * _SQRT2))
+    return np.maximum(s, 5e-324)
 
 
 @dataclass(frozen=True)
@@ -80,75 +135,19 @@ class MixedGainDistribution:
     def degenerate(self) -> bool:
         return self.theta is None
 
+    def _tail(self, formula, g):
+        if self.theta is None:
+            raise DegenerateFitError("tail is degenerate; no CDF available")
+        out = formula(self.family, self.theta, g)
+        return float(out) if out.ndim == 0 else out
+
     def tail_cdf(self, g):
-        """F_D(g; theta). Accepts scalars or numpy arrays."""
-        if self.theta is None:
-            raise DegenerateFitError("tail is degenerate; no CDF available")
-        if isinstance(g, np.ndarray):
-            return _tail_cdf_array(self.family, self.theta, g)
-        g = float(g)
-        f = self.family
-        if f == "exponential":
-            return -math.expm1(-self.theta[0] * g) if g > 0 else 0.0
-        if f == "pareto":
-            xm, alpha = self.theta
-            return 1.0 - (xm / g) ** alpha if g > xm else 0.0
-        if f == "lognormal":
-            mu, sigma = self.theta
-            return _phi((math.log(g) - mu) / sigma) if g > 0 else 0.0
-        if f == "uniform":
-            return min(max(g / self.theta[0], 0.0), 1.0)
-        mean, std = self.theta
-        return _phi((g - mean) / std)
+        """F_D(g; theta): a float for a scalar g, else an array shaped like g."""
+        return self._tail(tail_cdf, g)
 
-    def tail_survival(self, g: float) -> float:
-        """1 - F_D(g), computed without cancellation in the far tail.
-
-        For the unbounded-support families the mathematical value is
-        strictly positive at every finite g; where the float computation
-        underflows it is floored at the smallest subnormal, so the
-        stopping criterion can never observe an impossible gain.
-        """
-        if self.theta is None:
-            raise DegenerateFitError("tail is degenerate; no CDF available")
-        g = float(g)
-        f = self.family
-        if f == "exponential":
-            s = math.exp(-self.theta[0] * g) if g > 0 else 1.0
-        elif f == "pareto":
-            xm, alpha = self.theta
-            s = (xm / g) ** alpha if g > xm else 1.0
-        elif f == "lognormal":
-            mu, sigma = self.theta
-            if g <= 0:
-                return 1.0
-            s = 0.5 * math.erfc((math.log(g) - mu) / (sigma * math.sqrt(2.0)))
-        elif f == "uniform":
-            return 1.0 - min(max(g / self.theta[0], 0.0), 1.0)
-        else:
-            mean, std = self.theta
-            return 0.5 * math.erfc((g - mean) / (std * math.sqrt(2.0)))
-        return max(s, 5e-324)
-
-
-def _tail_cdf_array(family: str, theta, g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if family == "exponential":
-        return np.where(g > 0, -np.expm1(-theta[0] * g), 0.0)
-    if family == "pareto":
-        xm, alpha = theta
-        safe = np.maximum(g, xm)
-        return np.where(g > xm, 1.0 - (xm / safe) ** alpha, 0.0)
-    if family == "lognormal":
-        mu, sigma = theta
-        safe = np.where(g > 0, g, 1.0)
-        z = (np.log(safe) - mu) / sigma
-        vec_phi = np.vectorize(_phi, otypes=[float])
-        return np.where(g > 0, vec_phi(z), 0.0)
-    if family == "uniform":
-        return np.clip(g / theta[0], 0.0, 1.0)
-    mean, std = theta
-    return np.vectorize(_phi, otypes=[float])((g - mean) / std)
+    def tail_survival(self, g):
+        """1 - F_D(g; theta), floored like the module-level tail_survival."""
+        return self._tail(tail_survival, g)
 
 
 def cdf(dist: MixedGainDistribution, g) -> float:
@@ -222,24 +221,13 @@ class GainAccumulator:
         for v in values:
             self.add(v)
 
-    def fit(self, family: str, mass_point: bool = True) -> MixedGainDistribution:
-        """Closed-form MLE from the running sums.
-
-        mass_point=False drops p0 and fits the family over all samples,
-        zeros included. That only makes sense for families whose support
-        contains zero, so it is restricted to exponential.
-        """
+    def fit(self, family: str) -> MixedGainDistribution:
+        """Closed-form MLE of p0 and the tail from the running sums."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if self.count == 0:
             raise ValueError("cannot fit an empty sample")
         n1 = self.n_nonzero
-        if not mass_point:
-            if family != "exponential":
-                raise ValueError("mass_point=False is supported for exponential only")
-            if self.nonzero_sum <= 0:
-                raise DegenerateFitError("all samples zero; rate undefined")
-            return MixedGainDistribution(0.0, "exponential", (self.count / self.nonzero_sum,))
         p0 = self.zero_count / self.count
         if n1 == 0:
             return MixedGainDistribution(1.0, family, None)
@@ -267,13 +255,6 @@ class GainAccumulator:
                 raise DegenerateFitError("normal spread undefined: all nonzeros equal")
             theta = (mean, math.sqrt(var))
         return MixedGainDistribution(p0, family, theta)
-
-
-def fit(samples, family: str, mass_point: bool = True) -> MixedGainDistribution:
-    """Fit the mixed distribution to a batch of geometric-mean gains."""
-    acc = GainAccumulator()
-    acc.extend(samples)
-    return acc.fit(family, mass_point=mass_point)
 
 
 def kolmogorov_pvalue(lam: float) -> float:

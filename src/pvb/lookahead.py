@@ -17,7 +17,10 @@ depth at d. The p_d come from the fitted mixed gain distribution: a gain g
 yields depth ceil(G/g), so p_1 is the survival at G, interior p_d are
 survival differences at G/d and G/(d-1), and the last bucket absorbs every
 non-improving outcome including zero gains. Survival differences keep the
-far-tail mass that CDF differences round to zero.
+far-tail mass that CDF differences round to zero. depth_probabilities
+builds them as array code, one row per fit: the campaign engine prices
+every prefix of a trial in one call, and improvement_probabilities is its
+one-row case.
 
 Because the p_d sum to 1, the i terms cancel and E[t_{i+1}] >= t_i is
 exactly
@@ -46,12 +49,16 @@ import numpy as np
 from .abstract_tree import MAX_FINAL_DEPTH, UNBOUNDED, svb_depth, svb_tree_size
 from .distributions import (
     STOPPING_FAMILIES,
+    DegenerateFitError,
     GainAccumulator,
     MixedGainDistribution,
     cdf,
-    survival,
+    tail_survival,
 )
 from .gains import is_zero_gain
+
+# perfbench's tracer wraps this name on this module; nothing here calls it
+from .distributions import survival  # noqa: F401
 
 # Decision reasons, stable strings for logs and tests.
 CONTINUE = "continue"
@@ -164,26 +171,38 @@ def nodes_if_stop(session: SbSession) -> int:
     return svb_tree_size(session.d_min) + 2 * session.iteration
 
 
+def depth_probabilities(gap, top, p0, family: str, theta) -> np.ndarray:
+    """p_d for d = 1..max(top)-1, one row per fit.
+
+    Row r is the fit (p0[r], theta[k][r] for each k) of a scan whose best
+    depth is top[r]. With S_d = (1 - p0) * tail_survival at G/d, p_1 = S_1
+    and p_d = S_d - S_{d-1}, clamped at 0 against last-ulp dips. Entries at
+    d >= top[r] are not masked; saving_stops ignores them.
+    """
+    g = gap / np.arange(1.0, int(np.max(top)))
+    surv = (1.0 - p0)[:, None] * tail_survival(family, tuple(t[:, None] for t in theta), g)
+    return np.concatenate((surv[:, :1], np.maximum(surv[:, 1:] - surv[:, :-1], 0.0)), axis=1)
+
+
 def improvement_probabilities(
     dist: MixedGainDistribution, gap: float, d_min: int
 ) -> list[float]:
     """P[next-sample depth = d] for d = 1..d_min, last bucket absorbing.
 
-    Built from survival differences, so tail mass far below 1e-16 is kept;
-    the last bucket is the CDF at G/(d_min-1), so the vector telescopes to
-    1. Each entry is clamped at 0 against last-ulp dips.
+    The first d_min - 1 entries are depth_probabilities' one row for dist;
+    the last bucket is the CDF at G/(d_min-1), so the vector telescopes
+    to 1.
     """
     if not gap > 0:
         raise ValueError(f"gap must be positive, got {gap!r}")
     if d_min == UNBOUNDED or int(d_min) < 2:
         raise ValueError(f"d_min must be a finite integer >= 2, got {d_min!r}")
+    if dist.degenerate:
+        raise DegenerateFitError("degenerate tail queried above zero")
     d_min = int(d_min)
-    prev = survival(dist, gap)
-    ps = [prev]
-    for d in range(2, d_min):
-        cur = survival(dist, gap / d)
-        ps.append(max(cur - prev, 0.0))
-        prev = cur
+    ps = depth_probabilities(
+        gap, d_min, np.array([dist.p0]), dist.family, [np.array([t]) for t in dist.theta]
+    )[0].tolist()
     ps.append(cdf(dist, gap / (d_min - 1)))
     return ps
 

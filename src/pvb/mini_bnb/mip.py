@@ -58,6 +58,8 @@ class MiniMip:
         for row in self.matrix:
             if len(row) != n:
                 raise ValueError("matrix rows must match column count")
+            if not all(map(math.isfinite, row)):
+                raise ValueError("matrix entries must be finite")
         for v in self.rhs:
             if not math.isfinite(v):
                 raise ValueError("rhs must be finite")

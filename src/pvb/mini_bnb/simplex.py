@@ -458,6 +458,10 @@ class _Tableau:
 
 def _extend(objective, matrix, senses) -> ExtendedSystem:
     """Append one ranged slack per row; returns the equality system."""
+    if not np.isfinite(objective).all():
+        raise ValueError("objective must be finite")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must be finite")
     m, n = matrix.shape
     slack_lo = np.zeros(m)
     slack_hi = np.zeros(m)
@@ -575,6 +579,9 @@ def solve_bounded_lp(
     warm_start is the basis of an optimal result for the same objective
     and rows under other column bounds; the solve then starts from it
     with the dual simplex. An optimal result carries its basis.
+
+    Raises ValueError for a non-finite objective, matrix or rhs entry and
+    for a NaN bound.
     """
     objective = np.asarray(objective, dtype=float)
     matrix = np.asarray(matrix, dtype=float).reshape(len(senses), len(objective))
@@ -582,7 +589,12 @@ def solve_bounded_lp(
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     m, n = matrix.shape
-    if np.count_nonzero(lower > upper):
+    if np.count_nonzero(np.isfinite(rhs)) < rhs.size:
+        raise ValueError("rhs must be finite")
+    # NaN bounds fail lower <= upper too; they are an input fault, not an empty box
+    if np.count_nonzero(lower <= upper) < lower.size:
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("lower and upper bounds must not be NaN")
         return LpResult(INFEASIBLE, None, None, 0)
 
     if warm_start is None:

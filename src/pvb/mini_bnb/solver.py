@@ -70,6 +70,9 @@ _BOUND_TIE_TOL = 1e-9
 _INTEGRALITY_TOL = 1e-6
 # simplex iterations per SB child LP before it reports ITERATION_LIMIT
 _CHILD_ITERATION_LIMIT = 500
+# unreliable candidates strong branched per node at most; a vertex has at
+# most one fractional basic column per row, so no corpus node reaches it
+MAX_SB_CANDIDATES = 100
 _MODES = ("fixed", "dynamic")
 
 
@@ -147,7 +150,6 @@ class SolverConfig:
     prob: ProbLookaheadConfig = ProbLookaheadConfig()
     epsilon: float = DEFAULT_EPSILON
     reliability_threshold: int = 2
-    max_scan: int = 100
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
@@ -155,8 +157,6 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if self.max_scan < 1:
-            raise ValueError("max_scan must be >= 1")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be >= 1 when set")
         if self.reliability_threshold < 0:
@@ -298,7 +298,7 @@ def select_branching_variable(
 ) -> ScanOutcome:
     """Pick the branching column among the fractional candidates.
 
-    Unreliable candidates are strong branched, at most max_scan of them,
+    Unreliable candidates are strong branched, at most MAX_SB_CANDIDATES,
     in descending predicted-score order; reliable ones are scored from
     pseudocosts alone. An infeasible SB child short-circuits the scan:
     branching there prunes a whole side immediately. The final choice is
@@ -324,7 +324,7 @@ def select_branching_variable(
             best, PSEUDOCOST_ONLY, 0, 0, 0, node_objective, node_objective, False
         )
 
-    order = sorted(unreliable, key=lambda j: (-scores[j], j))[: config.max_scan]
+    order = sorted(unreliable, key=lambda j: (-scores[j], j))[:MAX_SB_CANDIDATES]
     prob = None
     if config.mode == "dynamic" and gap is not None and gap > 0.0:
         prob = config.prob

@@ -11,11 +11,13 @@ than a reveal-by-reveal loop:
   gains and the first streak or budget stop from prefix counts.
 - The probabilistic strategies take the running sums a GainAccumulator
   would hold after every prefix, derive each prefix's fit with the same
-  float operations as GainAccumulator.fit, and build each prefix's depth
-  probabilities from survival differences as one prefixes x depth array,
-  64 reveals at first and wider only while no stop falls inside.
-  lookahead.saving_stops decides every row, the same saving form the
-  solver's rule uses, so no prefix needs a second, scalar decision.
+  float operations as GainAccumulator.fit, and hand the fits to
+  lookahead.depth_probabilities, which builds every prefix's depth
+  probabilities as one prefixes x depth array, 64 reveals at first and
+  wider only while no stop falls inside. lookahead.saving_stops decides
+  every row, the same saving form the solver's rule uses, so no prefix
+  needs a second, scalar decision. `prob-exp` fits without a mass point:
+  p0 = 0 and an exponential rate over every reveal, zeros included.
 
 The probabilistic strategies apply the expected-tree-size test after every
 reveal with no streak cap: in the abstract model the criterion is free to
@@ -46,6 +48,7 @@ from .lookahead import (
     NO_EXPECTED_IMPROVEMENT,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
+    depth_probabilities,
     iteration_budget,
     max_lookahead,
     saving_stops,
@@ -66,8 +69,6 @@ _PROB_FITS = {
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _FIRST_WINDOW = 64
-
-_DEPTHS = np.arange(1, MAX_FINAL_DEPTH + 1, dtype=float)
 
 
 class UnclosableError(RuntimeError):
@@ -163,26 +164,6 @@ def _fixed_trial(gains: np.ndarray, order: np.ndarray, fixed: FixedLookaheadConf
     return len(order), CANDIDATES_EXHAUSTED, float(best[-1])
 
 
-def _depth_probabilities(gap, depth, p0, family, theta):
-    """p_d for d = 1..max(depth)-1, one row per prefix with 2 <= depth.
-
-    The survival differences of lookahead.improvement_probabilities: with
-    S_d = (1-p0) * tail survival at G/d, floored like
-    MixedGainDistribution.tail_survival, p_1 = S_1 and p_d = S_d - S_{d-1}.
-    Entries at d >= a row's depth are not masked; saving_stops ignores them.
-    """
-    g = gap / _DEPTHS[: int(depth.max()) - 1]
-    if family == "exponential":
-        tail = np.exp(-theta[0][:, None] * g)
-    else:
-        xm, alpha = theta
-        tail = np.minimum(xm[:, None] / g, 1.0) ** alpha[:, None]
-    surv = (1.0 - p0)[:, None] * np.maximum(tail, 5e-324)
-    return np.concatenate(
-        (surv[:, :1], np.maximum(surv[:, 1:] - surv[:, :-1], 0.0)), axis=1
-    )
-
-
 def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
     """(reveals, reason, best gain) of a probabilistic strategy on one permutation.
 
@@ -217,7 +198,7 @@ def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
             rows = lo + np.flatnonzero(test[lo:])
             if rows.size:
                 d = depth[rows].astype(np.int64)
-                ps = _depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
+                ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
                 stop[rows - lo] = saving_stops(ps, d)
         hits = np.flatnonzero(stop)
         if hits.size:

@@ -424,6 +424,16 @@ class TestSolve:
         code, _, stderr = run(capsys, "solve", str(path))
         assert code == 2 and "ENDATA" in stderr
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_matrix_entry_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "coef.mps"
+        text = (EXAMPLES / "tiny-knapsack.mps").read_text()
+        path.write_text(text.replace("CAP1            13.0", f"CAP1            {value}"))
+        code, stdout, stderr = run(capsys, "solve", str(path))
+        assert code == 2 and stdout == ""
+        assert "internal error" not in stderr
+        assert str(path) in stderr and "matrix entries must be finite" in stderr
+
     def test_solver_error_exits_2_and_names_instance(self, capsys, monkeypatch):
         import pvb.cli as cli
         from pvb.mini_bnb import SolverError
@@ -509,6 +519,23 @@ class TestSweep:
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[3] == "1" and cells[4] == "1"
 
+    def test_non_finite_matrix_entry_is_a_parse_failure(self, tmp_path, capsys):
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        save_mps(sparse_multiknapsack(14, 8, 2), directory / "good.mps")
+        text = (EXAMPLES / "tiny-knapsack.mps").read_text()
+        (directory / "nan.mps").write_text(text.replace("CAP1            13.0", "CAP1 nan"))
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(
+            capsys, "sweep", str(directory), "--modes", "fixed", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert "failed nan.mps" in stderr and "matrix entries must be finite" in stderr
+        assert "internal error" not in stderr
+        cells = out.read_text().splitlines()[1].split(",")
+        assert cells[3] == "1" and cells[4] == "1"
+
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         directory = tmp_path / "insts"
         directory.mkdir()
@@ -522,7 +549,6 @@ class TestSweep:
         [
             ("--L-grid", "0", "L must be >= 1"),
             ("--K-grid", "-5", "K must be >= 0"),
-            ("--max-scan", "0", "max_scan must be >= 1"),
             ("--reliability-threshold", "-1", "reliability_threshold must be >= 0"),
             ("--node-limit", "0", "node_limit must be >= 1"),
         ],

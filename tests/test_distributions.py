@@ -10,15 +10,23 @@ from pvb.distributions import (
     GainAccumulator,
     MixedGainDistribution,
     cdf,
-    fit,
     fit_report,
     kolmogorov_pvalue,
     ks_test,
     survival,
+    tail_cdf,
+    tail_survival,
 )
 from pvb.gains import GainPair, GainSeries
 
 from oracles import ks_brute, sample_mixed, sample_tail, tail_cdf_mp
+
+
+def fit(samples, family):
+    """Fit the mixed distribution to a batch of geometric-mean gains."""
+    acc = GainAccumulator()
+    acc.extend(samples)
+    return acc.fit(family)
 
 
 class TestFit:
@@ -62,12 +70,6 @@ class TestFit:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             fit([1.0], "weibull")
-
-    def test_no_mass_point_exponential(self):
-        # rate over all samples, zeros included
-        d = fit([0, 0, 2, 2], "exponential", mass_point=False)
-        assert d.p0 == 0.0
-        assert d.theta == (1.0,)
 
     def test_mle_matches_direct_formulas(self):
         rng = np.random.default_rng(103)
@@ -204,6 +206,71 @@ class TestCdf:
             MixedGainDistribution(0.5, "exponential", (-1.0,))
         with pytest.raises(ValueError):
             MixedGainDistribution(0.5, "pareto", (1.0,))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestTailFormulas:
+    """One implementation per formula: a scalar query of a distribution is
+    the array formula's element, bit for bit."""
+
+    # g <= 0 (signed zero included), below and at the pareto x_m = 0.7,
+    # the body, and the far tail where every stopping family's survival
+    # underflows to the 5e-324 floor
+    G = np.array([-3.0, -0.0, 0.0, 1e-300, 0.3, 0.7, 0.70001, 1.0, 2.5, 12.0, 1e3, 1e300])
+    THETAS = {
+        "exponential": (2.0,),
+        "pareto": (0.7, 1.8),
+        "lognormal": (0.3, 1.1),
+        "uniform": (5.0,),
+        "normal": (2.0, 0.9),
+    }
+
+    @staticmethod
+    def _random_theta(rng, family):
+        return {
+            "exponential": (rng.uniform(0.05, 5),),
+            "pareto": (rng.uniform(0.1, 3), rng.uniform(0.3, 5)),
+            "lognormal": (rng.uniform(-2, 2), rng.uniform(0.1, 2)),
+            "uniform": (rng.uniform(0.5, 10),),
+            "normal": (rng.uniform(-5, 5), rng.uniform(0.1, 3)),
+        }[family]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("formula", [tail_cdf, tail_survival])
+    def test_scalar_query_is_the_array_element(self, family, formula):
+        rng = np.random.default_rng(131)
+        thetas = [self.THETAS[family]] + [self._random_theta(rng, family) for _ in range(30)]
+        g = np.concatenate((self.G, rng.uniform(-1.0, 40.0, size=20)))
+        batch = formula(family, tuple(np.array(col)[:, None] for col in zip(*thetas)), g)
+        assert batch.shape == (len(thetas), len(g))
+        for theta, row in zip(thetas, batch):
+            d = MixedGainDistribution(0.3, family, theta)
+            method = getattr(d, formula.__name__)
+            scalars = [method(x) for x in g.tolist()]
+            assert all(type(v) is float for v in scalars)
+            assert _bits(scalars) == _bits(row)
+            assert _bits(method(g)) == _bits(row)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_boundary_values(self, family):
+        d = MixedGainDistribution(0.3, family, self.THETAS[family])
+        cdf_at = dict(zip(self.G.tolist(), d.tail_cdf(self.G).tolist()))
+        surv_at = dict(zip(self.G.tolist(), d.tail_survival(self.G).tolist()))
+        if family != "normal":
+            for g in (-3.0, 0.0):
+                assert cdf_at[g] == 0.0 and surv_at[g] == 1.0
+        if family == "pareto":
+            for g in (0.3, 0.7):
+                assert cdf_at[g] == 0.0 and surv_at[g] == 1.0
+            assert 0.0 < cdf_at[0.70001] < 1e-4
+        if family in STOPPING_FAMILIES:
+            assert surv_at[1e300] == 5e-324
+            assert cdf_at[1e300] == 1.0
+        if family == "uniform":
+            assert surv_at[12.0] == 0.0 and cdf_at[12.0] == 1.0
 
 
 class TestKsTest:

@@ -33,6 +33,7 @@ from pvb.lookahead import (
     NoUsableCandidateError,
     ProbLookaheadConfig,
     SbSession,
+    depth_probabilities,
     expected_nodes_if_continue,
     improvement_probabilities,
     iteration_budget,
@@ -251,6 +252,40 @@ def test_probability_closure_over_random_configurations():
         assert len(ps) == d_min
         assert min(ps) >= 0.0
         assert abs(sum(ps) - 1.0) <= 1e-10
+
+
+def _random_fit(rng, family):
+    """A fit of family to 5-60 random gains, a third of them zero."""
+    while True:
+        acc = GainAccumulator()
+        n = int(rng.integers(5, 60))
+        scale = 10.0 ** rng.uniform(-3, 2)
+        gains = rng.pareto(rng.uniform(0.5, 4.0), size=n) * scale + scale
+        acc.extend(np.where(rng.random(n) < 1 / 3, 0.0, gains))
+        try:
+            dist = acc.fit(family)
+        except DegenerateFitError:
+            continue
+        if not dist.degenerate:
+            return dist
+
+
+@pytest.mark.parametrize("family", STOPPING_FAMILIES)
+def test_one_fit_is_the_batched_row_bitwise(family):
+    """improvement_probabilities' head is, bit for bit, the fit's row of one
+    batched depth_probabilities call, the call the campaign engine makes."""
+    rng = np.random.default_rng(331)
+    for gap in (0.05, 3.0, 400.0, 1e5):
+        dists = [_random_fit(rng, family) for _ in range(25)]
+        tops = rng.integers(2, 90, size=len(dists))
+        tops[0] = MAX_FINAL_DEPTH
+        p0 = np.array([d.p0 for d in dists])
+        theta = tuple(np.array(col) for col in zip(*(d.theta for d in dists)))
+        batch = depth_probabilities(gap, tops, p0, family, theta)
+        assert batch.shape == (len(dists), MAX_FINAL_DEPTH - 1)
+        for dist, top, row in zip(dists, tops.tolist(), batch):
+            head = improvement_probabilities(dist, gap, top)[:-1]
+            assert np.array_equal(np.array(head).view(np.uint64), row[: top - 1].view(np.uint64))
 
 
 # ------------------------------------------------------- expected nodes

@@ -603,6 +603,37 @@ class TestWarmStart:
         with pytest.raises(SolverError, match="violates row 0"):
             solve_bounded_lp([-1.0], [[1.0]], ["<="], [4.0], [0.0], [10.0])
 
+    @pytest.mark.parametrize(
+        "field, value, match, warm",
+        [
+            ("objective", [math.nan], "objective must be finite", False),
+            ("matrix", [[math.nan]], "matrix must be finite", False),
+            ("matrix", [[-math.inf]], "matrix must be finite", False),
+            # a warm start reuses its parent's objective and matrix
+            *(
+                (field, [math.nan], match, warm)
+                for field, match in (
+                    ("rhs", "rhs must be finite"),
+                    ("lower", "bounds must not be NaN"),
+                    ("upper", "bounds must not be NaN"),
+                )
+                for warm in (False, True)
+            ),
+        ],
+    )
+    def test_nan_input_is_rejected(self, field, value, match, warm):
+        # once returned optimal -4.0 for a NaN lower bound, optimal NaN for a
+        # NaN objective, and numpy's empty-argmin error for a NaN rhs
+        args = dict(
+            objective=[-1.0], matrix=[[1.0]], senses=["<="], rhs=[4.0], lower=[0.0],
+            upper=[10.0],
+        )
+        if warm:
+            args["warm_start"] = solve_bounded_lp(**args).basis
+        args[field] = value
+        with pytest.raises(ValueError, match=match):
+            solve_bounded_lp(**args)
+
     def test_warm_start_of_another_shape_is_rejected(self):
         parent = solve_bounded_lp([1.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
         with pytest.raises(ValueError, match="another shape"):
@@ -1018,14 +1049,17 @@ class TestSelect:
         assert outcome.reason == BUDGET_EXHAUSTED
         assert outcome.reveals == 1
 
-    def test_max_scan_excludes_unscanned(self):
+    def test_max_scan_excludes_unscanned(self, monkeypatch):
+        from pvb.mini_bnb import solver
+
+        monkeypatch.setattr(solver, "MAX_SB_CANDIDATES", 1)
         mip = build(
             [-1.0, -1.0, -1.0],
             [([2.0, 2.0, 2.0], "<=", 3.0)],
             upper=0.6,
             integer=True,
         )
-        outcome, _, _ = run_select(mip, config=SolverConfig(max_scan=1))
+        outcome, _, _ = run_select(mip)
         assert outcome.reveals == 1
         assert outcome.column == 0
 
