@@ -67,7 +67,8 @@ class MiniMip:
             if not math.isfinite(c):
                 raise ValueError("objective must be finite")
         for lo, hi in zip(self.lower, self.upper):
-            if math.isnan(lo) or math.isnan(hi) or lo > hi:
+            # NaN fails lo <= hi; no finite value lies at +inf or -inf
+            if not (lo <= hi and lo < math.inf and hi > -math.inf):
                 raise ValueError(f"bound pair ({lo!r}, {hi!r}) is empty")
 
     @property

@@ -247,16 +247,11 @@ def strong_branch_candidate(
     if min(frac, 1.0 - frac) <= 1e-9:
         raise ValueError(f"candidate {j} is integral at {xj!r}")
     gains, bounds, kept, iters = [], [], [], 0
-    for new_lo, new_hi in (
-        (None, math.floor(xj)),
-        (math.ceil(xj), None),
-    ):
-        lo2 = np.array(lo, dtype=float)
-        hi2 = np.array(hi, dtype=float)
-        if new_hi is not None:
-            hi2[j] = new_hi
-        if new_lo is not None:
-            lo2[j] = new_lo
+    down_hi = np.array(hi, dtype=float)
+    down_hi[j] = math.floor(xj)
+    up_lo = np.array(lo, dtype=float)
+    up_lo[j] = math.ceil(xj)
+    for lo2, hi2 in ((lo, down_hi), (up_lo, hi)):
         res = solve_bounded_lp(
             c, A, senses, b, lo2, hi2, iteration_limit=iteration_limit,
             warm_start=warm_start,

@@ -434,6 +434,17 @@ class TestSolve:
         assert "internal error" not in stderr
         assert str(path) in stderr and "matrix entries must be finite" in stderr
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_fixed_bound_exits_2(self, tmp_path, capsys, value):
+        # FX at inf once solved to optimal -82 with X1 = 1 and exited 0
+        path = tmp_path / "bound.mps"
+        text = (EXAMPLES / "tiny-knapsack.mps").read_text()
+        path.write_text(text.replace(" UP BND       X1               1.0", f" FX BND X1 {value}"))
+        code, stdout, stderr = run(capsys, "solve", str(path))
+        assert code == 2 and stdout == ""
+        assert "internal error" not in stderr
+        assert str(path) in stderr and f"bound pair ({value}, {value}) is empty" in stderr
+
     def test_solver_error_exits_2_and_names_instance(self, capsys, monkeypatch):
         import pvb.cli as cli
         from pvb.mini_bnb import SolverError
@@ -532,6 +543,25 @@ class TestSweep:
         )
         assert code == 0
         assert "failed nan.mps" in stderr and "matrix entries must be finite" in stderr
+        assert "internal error" not in stderr
+        cells = out.read_text().splitlines()[1].split(",")
+        assert cells[3] == "1" and cells[4] == "1"
+
+    def test_infinite_fixed_bound_is_a_parse_failure(self, tmp_path, capsys):
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        save_mps(sparse_multiknapsack(14, 8, 2), directory / "good.mps")
+        text = (EXAMPLES / "tiny-knapsack.mps").read_text()
+        (directory / "inf.mps").write_text(
+            text.replace(" UP BND       X1               1.0", " FX BND X1 inf")
+        )
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(
+            capsys, "sweep", str(directory), "--modes", "fixed", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert "failed inf.mps" in stderr and "bound pair (inf, inf) is empty" in stderr
         assert "internal error" not in stderr
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[3] == "1" and cells[4] == "1"

@@ -288,6 +288,21 @@ def test_one_fit_is_the_batched_row_bitwise(family):
             assert np.array_equal(np.array(head).view(np.uint64), row[: top - 1].view(np.uint64))
 
 
+def test_depth_probabilities_clamp_a_last_ulp_dip(monkeypatch):
+    """Survival at G/d rises with d in exact arithmetic, but a rounded
+    tail may dip by one ulp; that p_d is 0, not a negative probability."""
+    from pvb import lookahead
+
+    dip = np.nextafter(0.5, 0.0)
+    row = np.array([0.25, 0.5, dip, 0.75])
+    monkeypatch.setattr(lookahead, "tail_survival", lambda family, theta, g: row[None, : g.size])
+    ps = depth_probabilities(10.0, np.array([5]), np.array([0.0]), "exponential", (np.ones(1),))
+    assert ps.shape == (1, 4)
+    assert (ps >= 0.0).all()
+    assert ps[0, 2] == 0.0
+    assert ps[0].tolist() == [0.25, 0.25, 0.0, 0.75 - dip]
+
+
 # ------------------------------------------------------- expected nodes
 
 

@@ -51,8 +51,10 @@ from pvb.mini_bnb import (
 from pvb.mini_bnb import simplex
 from pvb.mini_bnb.simplex import (
     _AT_LOWER,
+    _AT_UPPER,
     _BASIC,
     _COST_TOL,
+    _DIRECTION,
     _PIVOT_TOL,
     _REFACTOR_INTERVAL,
     _STALL_LIMIT,
@@ -619,6 +621,13 @@ class TestWarmStart:
                 )
                 for warm in (False, True)
             ),
+            # no finite value lies at a lower bound of +inf or an upper
+            # bound of -inf
+            *(
+                (field, [value], r"no lower bound may be \+inf and no upper bound -inf", warm)
+                for field, value in (("lower", math.inf), ("upper", -math.inf))
+                for warm in (False, True)
+            ),
         ],
     )
     def test_nan_input_is_rejected(self, field, value, match, warm):
@@ -633,6 +642,47 @@ class TestWarmStart:
         args[field] = value
         with pytest.raises(ValueError, match=match):
             solve_bounded_lp(**args)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf])
+    def test_infinite_bound_pair_is_rejected(self, bound, warm):
+        # [inf, inf] once returned optimal -4.0 at x = [4], outside its box
+        args = dict(objective=[-1.0], matrix=[[1.0]], senses=["<="], rhs=[4.0])
+        start = solve_bounded_lp(**args, lower=[0.0], upper=[10.0]).basis if warm else None
+        with pytest.raises(ValueError, match="no lower bound may be"):
+            solve_bounded_lp(**args, lower=[bound], upper=[bound], warm_start=start)
+
+    @pytest.mark.parametrize("where", ["values", "tableau"])
+    def test_replaced_basis_derives_its_own_start(self, monkeypatch, where):
+        # the parent starts a child first, so its derived start exists
+        # before the NaN copy is made; the copy must not inherit it
+        c, a = [-3.0, -2.0, -4.0], [[1.0, 1.0, 2.0], [2.0, 0.0, 3.0]]
+        senses, b = ["<=", "<="], [4.0, 5.0]
+        lower, upper = [0.0, 0.0, 0.0], [10.0, 10.0, 1.0]
+        parent = solve_bounded_lp(c, a, senses, b, lower, [10.0, 10.0, 10.0])
+        first = solve_bounded_lp(c, a, senses, b, lower, upper, warm_start=parent.basis)
+        assert first.status == OPTIMAL
+        if where == "values":
+            values = parent.basis.values.copy()
+            values[parent.basis.columns[0]] = math.nan
+            broken = parent.basis._replace(values=values)
+        else:
+            tableau = parent.basis.tableau.copy()
+            tableau[0, 0] = math.nan
+            broken = parent.basis._replace(tableau=tableau)
+        assert not broken.start.finite and parent.basis.start.finite
+        cold_starts = []
+        original = simplex._cold_tableau
+
+        def recording(*args):
+            cold_starts.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simplex, "_cold_tableau", recording)
+        child = solve_bounded_lp(c, a, senses, b, lower, upper, warm_start=broken)
+        assert len(cold_starts) == 1
+        assert child.status == OPTIMAL
+        assert child.objective == first.objective == pytest.approx(-10.5)
 
     def test_warm_start_of_another_shape_is_rejected(self):
         parent = solve_bounded_lp([1.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
@@ -651,9 +701,15 @@ def slack_tableau(a, b, c):
     return _Tableau(
         np.hstack([a, np.eye(m)]), np.asarray(b, dtype=float),
         [0.0] * (n + m), [math.inf] * (n + m), np.arange(n, n + m),
-        np.array([_AT_LOWER] * n + [_BASIC] * m, dtype=np.int8), np.zeros(n + m),
-        np.asarray(b, dtype=float), np.concatenate([c, np.zeros(m)]),
+        np.array([_AT_LOWER] * n + [_BASIC] * m, dtype=np.int8), [0.0] * (n + m),
+        np.asarray(b, dtype=float).tolist(), np.concatenate([c, np.zeros(m)]),
     )
+
+
+def dual(tab, cap):
+    """tab.dual with the directions of tab's own states."""
+    side = _DIRECTION[tab.state].tolist()
+    return tab.dual(cap, side, [j for j, s in enumerate(side) if s])
 
 
 def numpy_leaving_row(xb, lb, ub):
@@ -724,13 +780,13 @@ class TestDualScans:
         # s_i = x_i - 1 for both rows, so both slacks sit exactly 1 below 0
         tab = slack_tableau([[-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0], [1.0, 1.0])
         with pytest.raises(_ColdRestart):
-            tab.dual(1)
+            dual(tab, 1)
         assert tab.basis.tolist() == [0, 3]
 
     def test_exact_harris_tie_enters_the_lower_column(self):
         # duplicate columns: equal dual steps and equal pivot sizes
         tab = slack_tableau([[-1.0, -1.0]], [-1.0], [1.0, 1.0])
-        assert tab.dual(10)
+        assert dual(tab, 10)
         assert tab.basis.tolist() == [0]
         assert tab.iterations == 1
 
@@ -740,7 +796,7 @@ class TestDualScans:
         tab = slack_tableau([[-1.0, 0.0], [0.0, -1.0]], [-1.0, 0.5], [1.0, 1.0])
         tab.xb[0] = math.nan
         with pytest.raises(_ColdRestart):
-            tab.dual(50)
+            dual(tab, 50)
 
 
 FIXTURE = """* hand-written instance covering every supported record
@@ -1237,6 +1293,83 @@ class TestSolveGolden:
                     res.sb_lp_solves, res.sb_iterations, res.decisions,
                 ))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.GOLDEN[threshold]
+
+
+def lp_row(res):
+    """Status, objective bits, point bits, pivots and basic columns of one
+    LP result."""
+    return (
+        res.status, repr(res.objective), None if res.x is None else res.x.tobytes(),
+        res.iterations, None if res.basis is None else res.basis.columns.tobytes(),
+    )
+
+
+def api_warm_starts():
+    """Warm starts from the root of each of toy_corpus(4): bounds that move
+    one nonbasic column to its other bound, several, every one, none, a
+    basic column, and a basic column with nonbasic ones."""
+    for mip in toy_corpus(4):
+        c, a, senses, b, lo, hi = mip.dense()
+        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        state = root.basis.state[: mip.n_cols]
+        nonbasic = np.flatnonzero(state != _BASIC).tolist()
+        basic = np.flatnonzero(state == _BASIC).tolist()
+        moves = [
+            *([j] for j in nonbasic[:4]), nonbasic[:2], nonbasic[:5], nonbasic, [],
+            *([j] for j in basic[:3]), basic[:1] + nonbasic[:2],
+        ]
+        for cols in moves:
+            lo2, hi2 = lo.copy(), hi.copy()
+            for j in cols:
+                if state[j] == _AT_LOWER:
+                    lo2[j] = hi[j]
+                elif state[j] == _AT_UPPER:
+                    hi2[j] = lo[j]
+                else:
+                    hi2[j] = math.floor(root.x[j])
+            yield c, a, senses, b, lo2, hi2, root.basis
+
+
+class TestWarmLpGolden:
+    """Pinned results of single LPs, bit for bit: every solve_bounded_lp
+    call that solve() makes on the first eight corpus instances, both
+    modes, and warm starts through the API whose bound changes move
+    nonbasic columns (the child's basic values then come from a product
+    with the parent's tableau) or only basic ones (they are the parent's).
+    Like TestSolveGolden, the digests depend on the BLAS rounding of the
+    products the engine forms.
+    """
+
+    GOLDEN = {
+        2: "a1865cafa5c17b49fcea106b30f9908094e8e3a91fbec1f60b0e15931f832a97",
+        12: "e790bee2661f3ffe41f2bfd6ccf205103ab8187c910b84ce99b29f9662636996",
+        "api": "03f2f3e6e558a2b914f388f427f6a3363b4fdcf702e1a6cedd5b5bfce02e0fec",
+    }
+
+    @pytest.mark.parametrize("threshold", [2, 12])
+    def test_solver_lps_match_pinned_digest(self, monkeypatch, threshold):
+        from pvb.mini_bnb import solver
+
+        digest = hashlib.sha256()
+        original = solver.solve_bounded_lp
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            digest.update(repr(lp_row(res)).encode())
+            return res
+
+        monkeypatch.setattr(solver, "solve_bounded_lp", recording)
+        for mip in toy_corpus(8):
+            for mode in ("fixed", "dynamic"):
+                solve(mip, SolverConfig(mode=mode, reliability_threshold=threshold))
+        assert digest.hexdigest() == self.GOLDEN[threshold]
+
+    def test_api_warm_starts_match_pinned_digest(self):
+        rows = [
+            lp_row(solve_bounded_lp(c, a, senses, b, lo, hi, warm_start=basis))
+            for c, a, senses, b, lo, hi, basis in api_warm_starts()
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.GOLDEN["api"]
 
 
 class TestCorpus:
