@@ -214,12 +214,14 @@ def saving_stops(ps, d_min) -> np.ndarray:
     ignored. A row stops iff the expected tree saving of one more probe,
     sum_{d<d_min} p_d * (2**(d_min+1) - 2**(d+1)), is at most the probe's
     2 nodes, which is E[t_{i+1}] >= t_i with the i terms cancelled.
+    Each row is summed in order, so the ignored entries add exact zeros
+    and a row's verdict does not depend on how wide ps is.
     """
     ps = np.asarray(ps, dtype=float)
     top = np.asarray(d_min, dtype=np.int64)[:, None]
     d = np.arange(1, ps.shape[1] + 1)
     saving = np.ldexp(1.0, top + 1) - np.ldexp(1.0, d + 1)
-    return np.where(d < top, ps * saving, 0.0).sum(axis=1) <= 2.0
+    return np.cumsum(np.where(d < top, ps * saving, 0.0), axis=1)[:, -1] <= 2.0
 
 
 def expected_nodes_if_continue(session: SbSession, dist: MixedGainDistribution) -> float:

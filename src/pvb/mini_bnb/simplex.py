@@ -178,7 +178,8 @@ class Basis(_BasisArrays):
     @property
     def inverse(self) -> np.ndarray:
         """B^-1, the tableau's slack block (the slacks' columns of M are I)."""
-        return self.tableau[:, -len(self.columns):]
+        # counted from the left: with no rows, [:, -0:] would be every column
+        return self.tableau[:, self.tableau.shape[1] - len(self.columns):]
 
     @cached_property
     def start(self) -> _ChildStart:

@@ -1,35 +1,26 @@
 """Monte-Carlo harness comparing stopping strategies on abstract instances.
 
 A trial reveals pool gains in a uniform random permutation until the
-strategy stops; its cost is the perfect tree of the best depth found plus
-two nodes per reveal. run_trial prices a trial with array code rather
-than a reveal-by-reveal loop:
+strategy stops; its cost is the perfect tree (abstract_tree.svb_tree_size)
+of the best depth found plus two nodes per reveal. The engine prices a
+block of trials as arrays, one permutation per row; run_trial is its
+one-row case. `full` reveals every gain, in any order. `fixed` finds the
+improvements from running maxima along the rows and the first streak or
+budget stop from prefix counts, over the first 64 reveals and then the
+whole row for the few rows that need it. The probabilistic strategies
+advance one reveal at a time across the trials still running, each
+keeping a GainAccumulator's running sums, made by the same float
+operations in the same order, and fitting as GainAccumulator.fit does.
+One depth_probabilities and one saving_stops call decide all test rows of
+a step, each row on its own, and the trials that stopped leave. `prob-exp`
+fits without a mass point: p0 = 0 and an exponential rate over every
+reveal, zeros included.
 
-- `full` reveals the whole pool, so it has a closed form: every gain
-  revealed and depth ceil(G / largest gain). No permutation is drawn.
-- `fixed` finds the improvements from a running maximum of the permuted
-  gains and the first streak or budget stop from prefix counts.
-- The probabilistic strategies take the running sums a GainAccumulator
-  would hold after every prefix, derive each prefix's fit with the same
-  float operations as GainAccumulator.fit, and hand the fits to
-  lookahead.depth_probabilities, which builds every prefix's depth
-  probabilities as one prefixes x depth array, 64 reveals at first and
-  wider only while no stop falls inside. lookahead.saving_stops decides
-  every row, the same saving form the solver's rule uses, so no prefix
-  needs a second, scalar decision. `prob-exp` fits without a mass point:
-  p0 = 0 and an exponential rate over every reveal, zeros included.
-
-The probabilistic strategies apply the expected-tree-size test after every
-reveal with no streak cap: in the abstract model the criterion is free to
-run SB longer than the fixed rule whenever more scanning is expected to
-pay for itself, which is exactly how it escapes the fixed rule's blowup at
-large gaps. The phi-gated variant with hard caps is
-lookahead.should_continue, which the solver's branching rule calls.
-
-Every trial's final tree comes from abstract_tree.svb_tree_size.
-
-Campaigns aggregate means per (gap, strategy) cell with one rng stream per
-trial index, so results do not depend on execution order or worker count.
+Campaigns cut the trials, not the cells, into chunks. A chunk draws trial
+t's permutation from the rng stream seeded by seed xor t once and prices
+every (gap, strategy) cell on that block; one run_trial call prices a
+`full` cell's chunk. Chunk sums are exact ints, so the means do not
+depend on execution order or worker count.
 """
 
 from __future__ import annotations
@@ -37,6 +28,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -66,9 +58,9 @@ _PROB_FITS = {
     "prob-mixed-pareto": ("pareto", True),
 }
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 _FIRST_WINDOW = 64
+# permutation entries per chunk, which keeps a chunk's block within 1 MB
+_BLOCK_ENTRIES = 1 << 17
 
 
 class UnclosableError(RuntimeError):
@@ -129,82 +121,102 @@ class CampaignRow:
     mean_sb_nodes: float
 
 
-def _prefix_windows(n: int):
-    """Prefix lengths to evaluate: [0, 64), then four times wider up to n."""
-    lo, hi = 0, min(_FIRST_WINDOW, n)
-    while True:
-        yield lo, hi
-        if hi == n:
-            return
-        lo, hi = hi, min(4 * hi, n)
+def _fixed_stops(gains, orders, fixed, reveals, best_out, reasons):
+    """Write the fixed rule's stops into the outputs."""
+    lmax, budget = max_lookahead(fixed), iteration_budget(0.0, fixed.K)
+    rows = np.arange(len(orders))
+    for width in sorted({min(_FIRST_WINDOW, orders.shape[1]), orders.shape[1]}):
+        v = gains[orders[rows, :width]]
+        best = np.maximum.accumulate(v, axis=1)
+        i = np.arange(1, width + 1)
+        improved = v > np.concatenate((np.zeros((len(rows), 1)), best[:, :-1]), axis=1)
+        streak = i - np.maximum.accumulate(np.where(improved, i, 0), axis=1)
+        capped = streak >= lmax
+        hits = capped | (2.0 * i >= budget)
+        at, stop = np.arange(len(rows)), hits.argmax(axis=1)
+        # a stop with no nonzero gain yet waits for the first one
+        k = np.maximum(stop, (best > 0.0).argmax(axis=1))
+        done = hits[at, stop] & (best[at, k] > 0.0)
+        hit = rows[done]
+        reveals[hit], best_out[hit] = k[done] + 1, best[at, k][done]
+        reasons[hit] = np.where(capped[at, stop], LOOKAHEAD_EXHAUSTED, BUDGET_EXHAUSTED)[done]
+        rows = rows[~done]
 
 
-def _fixed_trial(gains: np.ndarray, order: np.ndarray, fixed: FixedLookaheadConfig):
-    """(reveals, reason, best gain) of the fixed rule on one permutation."""
-    lmax = max_lookahead(fixed)
-    budget = iteration_budget(0.0, fixed.K)
-    stop = None
-    for lo, hi in _prefix_windows(len(order)):
-        v = gains[order[:hi]]
-        best = np.maximum.accumulate(v)
-        if stop is None:
-            i = np.arange(1, hi + 1)
-            improved = v > np.concatenate(([0.0], best[:-1]))
-            streak = i - np.maximum.accumulate(np.where(improved, i, 0))
-            hits = np.flatnonzero(((streak >= lmax) | (2.0 * i >= budget))[lo:])
-            if hits.size:
-                stop = lo + int(hits[0])
-                reason = LOOKAHEAD_EXHAUSTED if streak[stop] >= lmax else BUDGET_EXHAUSTED
-        if stop is not None:
-            # a stop with no nonzero gain yet waits for the first one
-            usable = np.flatnonzero(best[stop:] > 0.0)
-            if usable.size:
-                k = stop + int(usable[0])
-                return k + 1, reason, float(best[k])
-    return len(order), CANDIDATES_EXHAUSTED, float(best[-1])
+def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, reasons):
+    """Write a probabilistic strategy's stops into the outputs.
 
-
-def _prob_trial(gains, logs, order, gap, family, mass_point, min_nonzero):
-    """(reveals, reason, best gain) of a probabilistic strategy on one permutation.
-
-    Applies the rule's gates in order to every prefix: no nonzero gain yet
-    (continue), depth 1 (stop), too few nonzero samples, depth past
-    MAX_FINAL_DEPTH or a degenerate fit (continue); then stop once the
-    expected saving of one more probe is at most its 2 nodes.
+    After every reveal: no nonzero gain yet continues, depth 1 stops; too
+    few nonzero samples, a depth past MAX_FINAL_DEPTH or a degenerate fit
+    continue; otherwise the trial stops once the expected saving of one
+    more probe is at most its 2 nodes. No streak cap applies: the model may
+    scan longer than the fixed rule whenever that is expected to pay, which
+    is how it escapes the fixed rule's blowup at large gaps. The solver's
+    phi-gated variant with hard caps is lookahead.should_continue.
     """
-    for lo, hi in _prefix_windows(len(order)):
-        idx = order[:hi]
-        v, lg = gains[idx], logs[idx]
-        i = np.arange(1, hi + 1)  # reveals so far, the accumulator's count
-        nonzero = v > 0.0
-        n1 = np.cumsum(nonzero)
-        best = np.maximum.accumulate(v)
-        sums = np.cumsum(v)  # zeros add 0.0, so these are the running sums
-        with np.errstate(all="ignore"):
+    family, mass_point = _PROB_FITS[strategy]
+    alive = np.arange(len(orders))
+    # the running statistics of each trial still running; zeros add 0.0 to both sums
+    state = np.zeros((6, len(orders)))
+    state[3] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, orders.shape[1] + 1):  # reveals so far, the accumulator's count
+            best, sums, n1, lowest, log_lowest, log_sum = state
+            idx = orders[alive, i - 1]
+            v = gains[idx]
+            nonzero = v > 0.0
+            np.maximum(best, v, out=best)
+            sums += v
+            n1 += nonzero
             depth = np.ceil(gap / best)  # inf before the first nonzero gain
-            if not mass_point:
-                p0, theta, fitted = np.zeros(hi), (i / sums,), True
-            elif family == "pareto":
-                # log of the running minimum, taken from the entry that set it
-                lowest = np.minimum.accumulate(np.where(nonzero, v, np.inf))
-                at_min = np.maximum.accumulate(np.where(nonzero & (v == lowest), i - 1, 0))
-                log_ratio_sum = np.cumsum(lg) - n1 * lg[at_min]
-                p0, theta = (i - n1) / i, (lowest, n1 / log_ratio_sum)
+            p0 = (i - n1) / i if mass_point else np.zeros(alive.size)
+            if family == "pareto":
+                lg = logs[idx]
+                log_sum += lg
+                np.minimum(lowest, v, out=lowest, where=nonzero)
+                np.copyto(log_lowest, lg, where=v == lowest)
+                log_ratio_sum = log_sum - n1 * log_lowest
+                theta = (lowest, n1 / log_ratio_sum)
                 fitted = (n1 >= 2) & (log_ratio_sum > 0.0)
             else:
-                p0, theta, fitted = (i - n1) / i, (n1 / sums,), True
-            test = (depth >= 2) & (depth <= MAX_FINAL_DEPTH) & (n1 >= min_nonzero) & fitted
-            stop = depth[lo:] == 1
-            rows = lo + np.flatnonzero(test[lo:])
+                theta, fitted = ((n1 if mass_point else i) / sums,), True
+            test = depth >= 2
+            test &= (depth <= MAX_FINAL_DEPTH) & (n1 >= prob.min_nonzero_samples) & fitted
+            stop = depth == 1
+            rows = np.flatnonzero(test)
             if rows.size:
                 d = depth[rows].astype(np.int64)
                 ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
-                stop[rows - lo] = saving_stops(ps, d)
-        hits = np.flatnonzero(stop)
-        if hits.size:
-            r = lo + int(hits[0])
-            return r + 1, NO_EXPECTED_IMPROVEMENT, float(best[r])
-    return len(order), CANDIDATES_EXHAUSTED, float(best[-1])
+                stop[rows] = saving_stops(ps, d)
+            if stop.any():
+                hit = alive[stop]
+                reveals[hit], best_out[hit], reasons[hit] = i, best[stop], NO_EXPECTED_IMPROVEMENT
+                alive, state = alive[~stop], state[:, ~stop]
+                if not alive.size:
+                    return
+
+
+def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
+    """Reveals, best gains and stop reasons of trials revealing in the orders' rows."""
+    gains, logs = instance.reveal_arrays
+    if not gains.any():
+        raise UnclosableError("every pool gain is zero; the gap cannot be closed")
+    # a trial that never stops reveals every gain and ends with the largest
+    reasons = np.full(len(orders), CANDIDATES_EXHAUSTED, dtype=object)
+    out = np.full(len(orders), orders.shape[1]), np.full(len(orders), gains.max()), reasons
+    if strategy == "fixed":
+        _fixed_stops(gains, orders, fixed or FixedLookaheadConfig(), *out)
+    elif strategy in _PROB_FITS:
+        _prob_stops(gains, logs, orders, gap, strategy, prob or ProbLookaheadConfig(), *out)
+    return out
+
+
+def _tree_nodes(gap, best) -> int:
+    """Summed final trees of trials with these best gains, or the first CapacityError."""
+    try:
+        return sum(svb_tree_size(svb_depth(gap, b)) for b in best.tolist())
+    except CapacityError as exc:
+        raise CapacityError(f"gap {gap!r}: best {exc}") from None
 
 
 def run_trial(
@@ -227,40 +239,37 @@ def run_trial(
     """
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"gap must be positive and finite, got {gap!r}")
-    gains, logs = instance.reveal_arrays
-    if not gains.any():
-        raise UnclosableError("every pool gain is zero; the gap cannot be closed")
-    if strategy == "full":
-        reveals, reason, best = len(gains), CANDIDATES_EXHAUSTED, float(gains.max())
-    elif strategy == "fixed":
-        reveals, reason, best = _fixed_trial(
-            gains, rng.permutation(len(gains)), fixed or FixedLookaheadConfig()
-        )
-    elif strategy in _PROB_FITS:
-        family, mass_point = _PROB_FITS[strategy]
-        reveals, reason, best = _prob_trial(
-            gains, logs, rng.permutation(len(gains)), gap, family, mass_point,
-            (prob or ProbLookaheadConfig()).min_nonzero_samples,
-        )
-    else:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    try:
-        final = svb_tree_size(svb_depth(gap, best))
-    except CapacityError as exc:
-        raise CapacityError(f"gap {gap!r}: best {exc}") from None
-    return TrialResult(strategy, gap, reveals, reason, final)
+    n = len(instance.pool)
+    order = np.arange(n) if strategy == "full" else rng.permutation(n)
+    reveals, best, reasons = _price(instance, gap, strategy, order[None], fixed, prob)
+    return TrialResult(strategy, gap, int(reveals[0]), reasons[0], _tree_nodes(gap, best))
 
 
-def _cell_sums(args):
-    instance, gap, strategy, seed, start, stop, fixed, prob = args
-    total = sb = 0
-    for t in range(start, stop):
-        # `full` draws no permutation, so it needs no stream
-        rng = None if strategy == "full" else np.random.default_rng((seed ^ t) & _MASK64)
-        result = run_trial(instance, gap, strategy, rng, fixed=fixed, prob=prob)
-        total += result.total_nodes
-        sb += result.sb_nodes
-    return total, sb
+def _chunk_sums(args):
+    """Exact (total, SB) node sums, or the CapacityError raised, of trials
+    start..stop-1 in every cell of the spec."""
+    spec, start, stop, fixed, prob = args
+    count, n = stop - start, len(spec.instance.pool)
+    orders = np.empty((count, n), dtype=np.min_scalar_type(n))
+    if set(spec.strategies) != {"full"}:
+        for row, t in zip(orders, range(start, stop)):
+            row[:] = np.random.default_rng((spec.seed ^ t) % 2**64).permutation(n)
+    sums = []
+    for gap, strategy in product(spec.gaps, spec.strategies):
+        try:
+            if strategy == "full":
+                # one trial prices the chunk; the benchmark wraps run_trial here
+                r = run_trial(spec.instance, gap, strategy, None, fixed, prob)
+                sums.append((r.total_nodes * count, r.sb_nodes * count))
+            else:
+                reveals, best, _ = _price(spec.instance, gap, strategy, orders, fixed, prob)
+                sb = 2 * int(reveals.sum())
+                sums.append((_tree_nodes(gap, best) + sb, sb))
+        except CapacityError as exc:
+            sums.append(exc)
+    return sums
 
 
 def run_campaign(
@@ -272,35 +281,26 @@ def run_campaign(
     """Mean total and SB nodes per (gap, strategy) cell over seeded trials.
 
     Trial t always uses the rng stream seeded by seed xor t, so every
-    strategy and gap sees the same permutation in trial t and the table is
-    reproducible for any worker count. Every cell is cut into the same
-    chunks of ceil(trials / (4 * workers)) trials; the chunk sums are
-    exact ints, so the means do not depend on the cut.
+    strategy and gap sees the same permutation in trial t. Chunks hold
+    ceil(trials / (4 * workers)) trials, fewer if their permutations pass
+    _BLOCK_ENTRIES. A tree too deep to price raises the CapacityError of
+    the first such trial in the first such cell.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    cells = [(gap, strategy) for gap in spec.gaps for strategy in spec.strategies]
-    step = -(-spec.trials // (workers * 4))
+    step = max(1, min(-(-spec.trials // (workers * 4)), _BLOCK_ENTRIES // len(spec.instance.pool)))
     starts = range(0, spec.trials, step)
-    chunks = [
-        (spec.instance, gap, strategy, spec.seed, lo, min(lo + step, spec.trials), fixed, prob)
-        for gap, strategy in cells
-        for lo in starts
-    ]
+    chunks = [(spec, lo, min(lo + step, spec.trials), fixed, prob) for lo in starts]
     if workers == 1:
-        sums = list(map(_cell_sums, chunks))
+        sums = list(map(_chunk_sums, chunks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            sums = list(executor.map(_cell_sums, chunks))
+            sums = list(executor.map(_chunk_sums, chunks))
     rows = []
-    for k, (gap, strategy) in enumerate(cells):
-        cell = sums[k * len(starts) : (k + 1) * len(starts)]
-        rows.append(
-            CampaignRow(
-                gap=gap,
-                strategy=strategy,
-                mean_total_nodes=sum(t for t, _ in cell) / spec.trials,
-                mean_sb_nodes=sum(s for _, s in cell) / spec.trials,
-            )
-        )
+    for (gap, strategy), cell in zip(product(spec.gaps, spec.strategies), zip(*sums)):
+        for s in cell:
+            if isinstance(s, CapacityError):
+                raise s
+        total, sb = map(sum, zip(*cell))
+        rows.append(CampaignRow(gap, strategy, total / spec.trials, sb / spec.trials))
     return rows

@@ -418,6 +418,20 @@ class TestSolve:
         assert code == 2 and stdout == ""
         assert "family must be one of" in stderr and family in stderr
 
+    def test_instance_without_rows_is_solved(self, tmp_path, capsys):
+        # once an internal error (exit 1) from the LP engine
+        path = tmp_path / "norows.mps"
+        path.write_text(
+            "NAME NOROWS\nROWS\n N COST\nCOLUMNS\n"
+            "    MARKER 'MARKER' 'INTORG'\n    X1 COST -3.0\n    X2 COST 2.0\n"
+            "    MARKER 'MARKER' 'INTEND'\n    X3 COST -1.0\n"
+            "BOUNDS\n UP BND X1 2.5\n UP BND X2 4.0\n UP BND X3 1.5\nENDATA\n"
+        )
+        for mode in ("fixed", "dynamic"):
+            code, stdout, stderr = run(capsys, "solve", str(path), "--mode", mode)
+            assert code == 0, stderr
+            assert "optimal" in stdout and "-7.5" in stdout
+
     def test_broken_mps_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.mps"
         path.write_text("NAME X\nROWS\n N OBJ\n")

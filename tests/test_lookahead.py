@@ -401,6 +401,21 @@ def test_saving_form_by_hand():
     assert saving_stops(rows, [3, 2, 5]).tolist() == [False, True, True]
 
 
+def test_a_rows_verdict_does_not_depend_on_the_width_of_its_array():
+    # at d_min 5 the terms are 2, 0, 2**-52 and 2**-52, a sum that sits on
+    # the verdict's edge: in order each tiny term is half an ulp of 2 and
+    # rounds away, while a pairwise sum over 8 or more entries adds the two
+    # first and lands above 2; the campaign prices rows of every depth in
+    # one array, so the width must not pick the verdict
+    row = [2.0 / 60, 0.0, 2.0**-52 / 48, 2.0**-52 / 32]
+    verdicts = {saving_stops([row], [5])[0]}
+    for width in (5, 8, 16, 200):
+        padded = row + [0.5] * (width - len(row))
+        verdicts.add(saving_stops([padded], [5])[0])
+        verdicts.add(saving_stops([padded, [0.0] * width], [5, width])[0])
+    assert len(verdicts) == 1
+
+
 def test_saving_form_is_the_expectation_comparison_with_i_cancelled():
     """In exact arithmetic, with p_{d_min} = 1 minus the other p_d,
     E[t_{i+1}] >= t_i gives the saving form's verdict at every i."""

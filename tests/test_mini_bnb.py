@@ -296,6 +296,23 @@ class TestSimplex:
         )
         assert res.status == UNBOUNDED
 
+    def test_lp_without_rows_puts_each_column_at_its_cheaper_bound(self):
+        # once a matmul shape error in warm_basis; a child of the optimum
+        # starts warm from a basis with no rows
+        none = np.zeros((0, 3))
+        res = solve_bounded_lp([2.0, -3.0, 0.0], none, [], [], [-1.0, -2.0, -5.0], [4.0, 6.0, 5.0])
+        assert res.status == OPTIMAL
+        assert res.x.tolist() == [-1.0, 6.0, -5.0] and res.objective == -20.0
+        child = solve_bounded_lp(
+            [2.0, -3.0, 0.0], none, [], [], [-1.0, -2.0, -5.0], [4.0, 2.5, 5.0],
+            warm_start=res.basis,
+        )
+        assert child.status == OPTIMAL
+        assert child.x.tolist() == [-1.0, 2.5, -5.0] and child.objective == -9.5
+        for cost, lower, upper in (([-1.0], [0.0], [math.inf]), ([1.0], [-math.inf], [3.0])):
+            res = solve_bounded_lp(cost, np.zeros((0, 1)), [], [], lower, upper)
+            assert res.status == UNBOUNDED
+
     def test_iteration_limit_keeps_feasible_point(self):
         # slacks seat the all-zero start, so the single allowed pivot
         # lands on a feasible but suboptimal vertex

@@ -1,11 +1,13 @@
 """Trial and campaign harness tests.
 
 The exact-value cases drive trials with preset permutations so every
-arithmetic step is checkable by hand; the fuzz case holds the array engine
-to the per-reveal reference walk in tests/oracles.py; the trend case
-reproduces the qualitative strategy ordering on a synthetic Pareto pool.
+arithmetic step is checkable by hand; the fuzz cases hold the array engine,
+trial by trial and summed over campaign cells, to the per-reveal reference
+walk in tests/oracles.py; the trend case reproduces the qualitative
+strategy ordering on a synthetic Pareto pool.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvb import simulator
 from pvb.abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_depth
 from pvb.gains import is_zero_gain
 from pvb.lookahead import (
@@ -203,6 +206,68 @@ def test_array_engine_matches_the_per_reveal_reference(case):
             assert getattr(got, name) == want[name], (strategy, name)
 
 
+@st.composite
+def campaign_cases(draw):
+    """A trial_cases pool with a second gap and a handful of trials."""
+    pool, gap, fixed, prob, seed = draw(trial_cases())
+    gaps = (gap, 10.0 ** draw(st.floats(-1.0, 3.0)))
+    return pool, gaps, fixed, prob, seed, draw(st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(campaign_cases(), st.integers(1, 2))
+def test_campaign_sums_match_the_per_reveal_reference(case, workers):
+    """Every cell's sums are those of the reference walk over the streams
+    seed ^ t, and a tree past the 1022 guard raises as a trial would."""
+    pool, gaps, fixed, prob, seed, trials = case
+    spec = CampaignSpec(make_instance(pool), gaps, trials=trials, seed=seed)
+    want, too_deep = [], False
+    for gap in spec.gaps:
+        for strategy in STRATEGIES:
+            total = sb = 0
+            for t in range(trials):
+                rng = np.random.default_rng((seed ^ t) & 0xFFFFFFFFFFFFFFFF)
+                r = reference_trial(pool, gap, strategy, rng, fixed, prob)
+                too_deep |= r["final_tree_nodes"] is None
+                total += r["total_nodes"] or 0
+                sb += r["sb_nodes"]
+            want.append((gap, strategy, total / trials, sb / trials))
+    if too_deep:
+        with pytest.raises(CapacityError, match="exceeds 1022"):
+            run_campaign(spec, workers, fixed, prob)
+        return
+    rows = run_campaign(spec, workers, fixed, prob)
+    assert [(r.gap, r.strategy, r.mean_total_nodes, r.mean_sb_nodes) for r in rows] == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(trial_cases())
+def test_a_trial_does_not_depend_on_the_trials_in_its_block(case):
+    """Trial t priced alone by run_trial, and in blocks of 1, 7 and 250
+    permutations that hold it, gives one result."""
+    pool, gap, fixed, prob, seed = case
+    inst = make_instance(pool)
+    orders = np.array([np.random.default_rng(seed + t).permutation(len(pool)) for t in range(250)])
+    for strategy in ("fixed", "prob-exp", "prob-mixed-exp", "prob-mixed-pareto"):
+        whole = simulator._price(inst, gap, strategy, orders, fixed, prob)
+        for t in (0, 3, 121, 249):
+            lo = min(t, 243)
+            seen = {tuple(x[t] for x in whole)}
+            for rows in (slice(t, t + 1), slice(lo, lo + 7)):
+                part = simulator._price(inst, gap, strategy, orders[rows], fixed, prob)
+                seen.add(tuple(x[t - rows.start] for x in part))
+            assert len(seen) == 1
+            ((reveals, best, reason),) = seen
+            rng = np.random.default_rng(seed + t)
+            if svb_depth(gap, best) > MAX_FINAL_DEPTH:
+                with pytest.raises(CapacityError):
+                    run_trial(inst, gap, strategy, rng, fixed, prob)
+                continue
+            alone = run_trial(inst, gap, strategy, rng, fixed, prob)
+            assert (alone.reveals, alone.stop_reason) == (reveals, reason)
+            assert alone.final_tree_nodes == 2 ** (svb_depth(gap, best) + 1) - 1
+
+
 def test_expected_size_test_runs_past_depth_512_up_to_the_one_guard():
     # best depth 600 from the first gain; every later gain is tiny, so the
     # fitted tail's mass past G/599 falls like exp(-k) after k reveals and
@@ -311,3 +376,49 @@ def test_campaign_spec_validation():
         CampaignSpec(instance=inst, gaps=(1.0,), strategies=("fixed", "full", "fixed"))
     with pytest.raises(ValueError):
         run_campaign(CampaignSpec(instance=inst, gaps=(1.0,)), workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fault_in_run_trial_fails_the_campaign(monkeypatch, workers):
+    """The benchmark's --break-program makes run_trial raise for `full`;
+    the campaign must look it up per call and let the fault through."""
+    original = simulator.run_trial
+
+    def faulty(instance, gap, strategy, *args, **kwargs):
+        if strategy == "full":
+            raise RuntimeError("fault injected")
+        return original(instance, gap, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_trial", faulty)
+    spec = CampaignSpec(_pareto_pool(73, 8, 22), (6.0,), trials=20, seed=3)
+    with pytest.raises(RuntimeError, match="fault injected"):
+        run_campaign(spec, workers=workers)
+
+
+class TestCampaignGolden:
+    """Pinned rows of the criterion-5 campaign: the zero-inflated Pareto
+    pool of rng 97, gaps 8..48, 1000 trials at seed 424242, with `fixed`,
+    `prob-mixed-pareto` and `full`.
+
+    The digest was taken before the campaign priced its trials as one
+    block of permutations per chunk; any change to a decision, a count or
+    a mean moves it.
+    """
+
+    DIGEST = "bd163a7201447247234f684583fda5afed3fe81e632ddeeae9c60596659ed627"
+
+    def test_rows_match_pinned_digest(self):
+        rng = np.random.default_rng(97)
+        tail = rng.pareto(2.0, size=350) + 1.0
+        pool = np.concatenate([np.zeros(150), tail])
+        rng.shuffle(pool)
+        gaps = (8.0, 16.0, 24.0, 32.0, 40.0, 48.0)
+        spec = CampaignSpec(
+            instance=PvbInstance(gap=gaps[0], pool=tuple(pool)),
+            gaps=gaps,
+            trials=1000,
+            seed=424242,
+            strategies=("fixed", "prob-mixed-pareto", "full"),
+        )
+        rows = run_campaign(spec)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
