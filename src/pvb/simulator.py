@@ -16,11 +16,18 @@ a step, each row on its own, and the trials that stopped leave. `prob-exp`
 fits without a mass point: p0 = 0 and an exponential rate over every
 reveal, zeros included.
 
-Campaigns cut the trials, not the cells, into chunks. A chunk draws trial
-t's permutation from the rng stream seeded by seed xor t once and prices
-every (gap, strategy) cell on that block; one run_trial call prices a
-`full` cell's chunk. Chunk sums are exact ints, so the means do not
-depend on execution order or worker count.
+Campaigns cut the trials, not the cells, into chunks: every trial in one
+chunk with one worker and four chunks per worker with more, each capped
+so its permutation block stays within 1 MB. A chunk draws trial t's permutation
+from the rng stream seeded by seed xor t once and prices every (gap,
+strategy) cell on that block; one run_trial call prices a `full` cell's
+chunk. The chunk seeds its streams as arrays: numpy's SeedSequence hash of
+every seed in uint32 arithmetic, then PCG64's seeding step per trial on one
+reused generator, checked against default_rng on the chunk's first trial.
+`fixed` rows and the test rows of a probabilistic step are priced in
+groups of _ROW_GROUP, which bounds the temporaries of a large block.
+Chunk sums are exact ints, so the means do not depend on execution order
+or worker count.
 """
 
 from __future__ import annotations
@@ -59,8 +66,17 @@ _PROB_FITS = {
 }
 
 _FIRST_WINDOW = 64
-# permutation entries per chunk, which keeps a chunk's block within 1 MB
-_BLOCK_ENTRIES = 1 << 17
+# bytes of a chunk's permutation block, at its dtype
+_BLOCK_BYTES = 1 << 20
+# rows priced per array call, which bounds a block's (rows, n) temporaries
+_ROW_GROUP = 256
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 class UnclosableError(RuntimeError):
@@ -111,6 +127,8 @@ class CampaignSpec:
                 raise ValueError(f"unknown strategy {s!r} (known: {', '.join(STRATEGIES)})")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("duplicate strategies")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +201,9 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
             test = depth >= 2
             test &= (depth <= MAX_FINAL_DEPTH) & (n1 >= prob.min_nonzero_samples) & fitted
             stop = depth == 1
-            rows = np.flatnonzero(test)
-            if rows.size:
+            tested = np.flatnonzero(test)
+            for g in range(0, tested.size, _ROW_GROUP):
+                rows = tested[g : g + _ROW_GROUP]
                 d = depth[rows].astype(np.int64)
                 ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
                 stop[rows] = saving_stops(ps, d)
@@ -205,7 +224,10 @@ def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
     reasons = np.full(len(orders), CANDIDATES_EXHAUSTED, dtype=object)
     out = np.full(len(orders), orders.shape[1]), np.full(len(orders), gains.max()), reasons
     if strategy == "fixed":
-        _fixed_stops(gains, orders, fixed or FixedLookaheadConfig(), *out)
+        fixed = fixed or FixedLookaheadConfig()
+        for g in range(0, len(orders), _ROW_GROUP):
+            rows = slice(g, g + _ROW_GROUP)
+            _fixed_stops(gains, orders[rows], fixed, *(x[rows] for x in out))
     elif strategy in _PROB_FITS:
         _prob_stops(gains, logs, orders, gap, strategy, prob or ProbLookaheadConfig(), *out)
     return out
@@ -247,15 +269,70 @@ def run_trial(
     return TrialResult(strategy, gap, int(reveals[0]), reasons[0], _tree_nodes(gap, best))
 
 
+def _hasher(init, mult):
+    """SeedSequence's hashmix: xor the constant, step it, multiply, fold."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _seed_words(seeds):
+    """SeedSequence(s).generate_state(4, np.uint64) for each uint64 s, one row each.
+
+    The entropy is s's low and high uint32 word, zero-padded to the pool of
+    4 (so a seed below 2**32, one word, hashes the same); every pool word
+    is mixed into every other, and the pool is hashed cyclically into 8
+    output words, read in little-endian pairs.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    low, high = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
+    pool = [hashmix(w.astype(np.uint32)) for w in (low, high, zero, zero)]
+    for src, dst in product(range(4), repeat=2):
+        if src != dst:
+            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+            pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype(np.uint64)
+    return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
+
+
+def _draw_orders(seed, start, stop, n):
+    """Rows t - start of default_rng(seed ^ t).permutation(n) for t in start..stop-1."""
+    orders = np.empty((stop - start, n), dtype=np.min_scalar_type(n))
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    words = _seed_words(np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(orders, words.tolist()):
+        # pcg64_set_seed: one step from 0, add the initial state, one more step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        row[:] = rng.permutation(n)
+    if not np.array_equal(orders[0], np.random.default_rng(seed ^ start).permutation(n)):
+        raise RuntimeError("numpy's default_rng no longer seeds as this module derives it")
+    return orders
+
+
 def _chunk_sums(args):
     """Exact (total, SB) node sums, or the CapacityError raised, of trials
     start..stop-1 in every cell of the spec."""
     spec, start, stop, fixed, prob = args
-    count, n = stop - start, len(spec.instance.pool)
-    orders = np.empty((count, n), dtype=np.min_scalar_type(n))
+    count = stop - start
     if set(spec.strategies) != {"full"}:
-        for row, t in zip(orders, range(start, stop)):
-            row[:] = np.random.default_rng((spec.seed ^ t) % 2**64).permutation(n)
+        orders = _draw_orders(spec.seed, start, stop, len(spec.instance.pool))
     sums = []
     for gap, strategy in product(spec.gaps, spec.strategies):
         try:
@@ -280,15 +357,19 @@ def run_campaign(
 ) -> list[CampaignRow]:
     """Mean total and SB nodes per (gap, strategy) cell over seeded trials.
 
-    Trial t always uses the rng stream seeded by seed xor t, so every
-    strategy and gap sees the same permutation in trial t. Chunks hold
-    ceil(trials / (4 * workers)) trials, fewer if their permutations pass
-    _BLOCK_ENTRIES. A tree too deep to price raises the CapacityError of
-    the first such trial in the first such cell.
+    Trial t always uses the rng stream seeded by seed xor t, a seed in
+    [0, 2**64), so every strategy and gap sees the same permutation in
+    trial t. With one worker a chunk holds every trial, and with more
+    ceil(trials / (4 * workers)), which balances the load; either way
+    fewer if the chunk's permutation block would pass _BLOCK_BYTES. A tree
+    too deep to price raises the CapacityError of the first such trial in
+    the first such cell.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    step = max(1, min(-(-spec.trials // (workers * 4)), _BLOCK_ENTRIES // len(spec.instance.pool)))
+    n = len(spec.instance.pool)
+    per_chunk = spec.trials if workers == 1 else -(-spec.trials // (workers * 4))
+    step = max(1, min(per_chunk, _BLOCK_BYTES // (n * np.min_scalar_type(n).itemsize)))
     starts = range(0, spec.trials, step)
     chunks = [(spec, lo, min(lo + step, spec.trials), fixed, prob) for lo in starts]
     if workers == 1:

@@ -201,6 +201,14 @@ class TestSimulate:
         code, _, stderr = run(capsys, "fit", str(path), "--out", str(tmp_path / "f.csv"))
         assert code == 2 and f"{path}:2:" in stderr and "internal error" not in stderr
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        pool = write_pool(tmp_path / "pool.csv", 5)
+        out = tmp_path / "o.csv"
+        code, _, stderr = self.simulate(capsys, pool, out, f"--seed={seed}")
+        assert code == 2 and "seed must be in [0, 2**64)" in stderr
+        assert "internal error" not in stderr and not out.exists()
+
     def test_seed_is_mandatory(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 5)
         with pytest.raises(SystemExit) as exc:

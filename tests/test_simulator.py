@@ -3,8 +3,10 @@
 The exact-value cases drive trials with preset permutations so every
 arithmetic step is checkable by hand; the fuzz cases hold the array engine,
 trial by trial and summed over campaign cells, to the per-reveal reference
-walk in tests/oracles.py; the trend case reproduces the qualitative
-strategy ordering on a synthetic Pareto pool.
+walk in tests/oracles.py; the stream cases hold every drawn block to
+default_rng(seed ^ t), and the chunk cases one worker's chunks to two
+workers'; the trend case reproduces the qualitative strategy ordering on
+a synthetic Pareto pool.
 """
 
 import hashlib
@@ -187,7 +189,7 @@ def trial_cases(draw):
         uninit_fraction=draw(st.sampled_from([0.0, 0.0, 0.25, 1.0])),
     )
     prob = ProbLookaheadConfig(min_nonzero_samples=draw(st.integers(1, 8)))
-    return pool, gap, fixed, prob, draw(st.integers(0, 2**32 - 1))
+    return pool, gap, fixed, prob, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -376,6 +378,86 @@ def test_campaign_spec_validation():
         CampaignSpec(instance=inst, gaps=(1.0,), strategies=("fixed", "full", "fixed"))
     with pytest.raises(ValueError):
         run_campaign(CampaignSpec(instance=inst, gaps=(1.0,)), workers=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seeds_outside_64_bits_are_refused(seed):
+    """seed xor t is one uint64 stream per trial, so a seed past 64 bits
+    would run the streams of another seed."""
+    with pytest.raises(ValueError, match="seed"):
+        CampaignSpec(instance=make_instance([1.0, 2.0]), gaps=(1.0,), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 424242 + (9 << 32), 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 500, 65536])
+def test_drawn_blocks_are_the_default_rng_streams(seed, n):
+    """Every row of a chunk's block is default_rng(seed ^ t).permutation(n),
+    for seeds that fill the low, the high and both words, for uint8,
+    uint16 and uint32 blocks, and for chunks that do not start at 0."""
+    for start, stop in ((0, 3), (1, 4), (997, 1000), (2**32 - 1, 2**32 + 1)):
+        orders = simulator._draw_orders(seed, start, stop, n)
+        assert orders.dtype == np.min_scalar_type(n)
+        for row, t in zip(orders, range(start, stop)):
+            want = np.random.default_rng((seed ^ t) % 2**64).permutation(n)
+            assert np.array_equal(row, want), (start, t)
+
+
+def test_a_campaign_draws_no_block_for_full_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a `full` cell drew a permutation block")
+
+    monkeypatch.setattr(simulator, "_draw_orders", refuse)
+    spec = CampaignSpec(
+        _pareto_pool(73, 8, 22), (6.0, 14.0), trials=30, seed=3, strategies=("full",)
+    )
+    assert [r.mean_sb_nodes for r in run_campaign(spec)] == [60.0, 60.0]
+
+
+@pytest.mark.parametrize("trials", [1, 999, 1000, 1001, 2500])
+def test_one_worker_chunks_match_two_workers(monkeypatch, trials):
+    """With one worker a cell is one chunk until its block passes 1 MB
+    (1048 rows of uint16 at n = 500); the rows equal those of the four
+    chunks per worker that two workers price."""
+    spec = CampaignSpec(
+        _pareto_pool(71, 150, 350), (8.0, 40.0), trials=trials, seed=424242 + (3 << 32),
+        strategies=("fixed", "prob-mixed-pareto", "full"),
+    )
+    two = run_campaign(spec, workers=2)
+    chunks = []
+    price = simulator._chunk_sums
+
+    def recorded(args):
+        chunks.append(args[1:3])
+        return price(args)
+
+    monkeypatch.setattr(simulator, "_chunk_sums", recorded)
+    assert run_campaign(spec, workers=1) == two
+    step = min(trials, 1048)
+    assert chunks == [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_capacity_error_is_the_first_trials_in_the_first_cell(workers):
+    """At gap 8 a few `fixed` trials stop on a gain below 8/1022; the
+    first of them, past the first chunk of two workers, raises, though
+    `full` comes first in each gap and gap 9 fails in other trials."""
+    rng = np.random.default_rng(5)
+    pool = np.concatenate([np.zeros(300), rng.uniform(0.004, 0.03, 200)])
+    rng.shuffle(pool)
+    spec = CampaignSpec(
+        make_instance(pool), (8.0, 9.0), trials=2500, seed=77, strategies=("full", "fixed")
+    )
+    first = None
+    for t in range(spec.trials):
+        try:
+            run_trial(spec.instance, 8.0, "fixed", np.random.default_rng(77 ^ t))
+        except CapacityError as exc:
+            first = t, str(exc)
+            break
+    assert first is not None and first[0] >= -(-spec.trials // 8)
+    with pytest.raises(CapacityError) as exc:
+        run_campaign(spec, workers)
+    assert str(exc.value) == first[1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
