@@ -1,8 +1,9 @@
 """Stopping criteria for a strong-branching scan.
 
-Two rules share one session object. The fixed rule stops after L_max
-consecutive non-improving evaluations or once the iteration budget
-gamma_max = gamma_node + K is spent, with L_max = (1 + uninit_fraction) * L.
+Two rules share one session object. The fixed rule stops after L_max =
+(1 + uninit_fraction) * L consecutive non-improving evaluations or once the
+budget gamma_max = gamma_node + K is spent. L and K are settings; the node's
+unreliable share uninit_fraction and cost gamma_node are session measurements.
 The probabilistic rule additionally compares, once warmed up, the cost of
 stopping now,
 
@@ -19,8 +20,8 @@ survival differences at G/d and G/(d-1), and the last bucket absorbs every
 non-improving outcome including zero gains. Survival differences keep the
 far-tail mass that CDF differences round to zero. depth_probabilities
 builds them as array code, one row per fit: the campaign engine prices
-every prefix of a trial in one call, and improvement_probabilities is its
-one-row case.
+every prefix of a trial in one call, and the solver's rule prices its one
+row for the session's fit.
 
 Because the p_d sum to 1, the i terms cancel and E[t_{i+1}] >= t_i is
 exactly
@@ -41,6 +42,7 @@ abstract_tree.MAX_FINAL_DEPTH, the deepest tree that can be priced.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,21 +79,26 @@ class Decision(NamedTuple):
     reason: str
 
 
+def check_int(name: str, value) -> int:
+    """value as an int, or ValueError when it is not one (NaN, 2.0 and "3")."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FixedLookaheadConfig:
     """Hard working limits: no-improvement cap L and simplex budget K."""
 
     L: int = 9
     K: int = 10**6
-    uninit_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.L < 1:
+        if check_int("L", self.L) < 1:
             raise ValueError(f"L must be >= 1, got {self.L!r}")
-        if self.K < 0:
+        if check_int("K", self.K) < 0:
             raise ValueError(f"K must be >= 0, got {self.K!r}")
-        if not 0.0 <= self.uninit_fraction <= 1.0:
-            raise ValueError(f"uninit_fraction must be in [0,1], got {self.uninit_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ class ProbLookaheadConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.phi <= 1.0:
             raise ValueError(f"phi must be in (0,1], got {self.phi!r}")
-        if self.min_nonzero_samples < 1:
+        if check_int("min_nonzero_samples", self.min_nonzero_samples) < 1:
             raise ValueError("min_nonzero_samples must be >= 1")
         if self.family not in STOPPING_FAMILIES:
             raise ValueError(
@@ -119,7 +126,7 @@ class SbSession:
 
     budget_used and node_cost are in the caller's work units: revealed
     candidates cost 2 apiece in the abstract model, simplex iterations in
-    the mini solver.
+    the mini solver, which also measures node_cost and uninit_fraction.
     """
 
     gap: float
@@ -129,6 +136,7 @@ class SbSession:
     samples: GainAccumulator = field(default_factory=GainAccumulator)
     no_improvement_streak: int = 0
     node_cost: float = 0.0
+    uninit_fraction: float = 0.0
     budget_used: float = 0.0
 
     def observe(self, gain: float, cost: float = 2.0) -> bool:
@@ -148,18 +156,6 @@ class SbSession:
             return True
         self.no_improvement_streak += 1
         return False
-
-
-def max_lookahead(config: FixedLookaheadConfig) -> float:
-    """L_max = (1 + uninit_fraction) * L."""
-    return (1.0 + config.uninit_fraction) * config.L
-
-
-def iteration_budget(node_lp_iters: float, K: float):
-    """gamma_max = gamma_node + K."""
-    if node_lp_iters < 0 or K < 0:
-        raise ValueError("budget inputs must be nonnegative")
-    return node_lp_iters + K
 
 
 def nodes_if_stop(session: SbSession) -> int:
@@ -242,19 +238,20 @@ def should_continue(
     """Decide whether the scan keeps evaluating candidates.
 
     Hard caps come first in both modes (they mirror the fixed rule's break
-    conditions). With prob set, the scan then stops at d_min = 1 once
-    enough nonzero samples exist: one branching on the best candidate
-    finishes the node, so each further reveal buys two SB LPs for a tree
-    that cannot get smaller. The expected-size test fires only once, in
-    addition, the streak reaches phi * L_max and 2 <= d_min <=
-    MAX_FINAL_DEPTH; it then stops iff saving_stops does. A missing or
-    degenerate distribution silently disables that test but not the
-    d_min = 1 stop.
+    conditions): the streak cap L_max = (1 + session.uninit_fraction) * L
+    and the budget session.node_cost + K. With prob set, the scan then
+    stops at d_min = 1 once enough nonzero samples exist: one branching on
+    the best candidate finishes the node, so each further reveal buys two
+    SB LPs for a tree that cannot get smaller. The expected-size test fires
+    only once, in addition, the streak reaches phi * L_max and 2 <= d_min
+    <= MAX_FINAL_DEPTH; it then stops iff saving_stops does on the fit's
+    depth_probabilities row. A missing or degenerate distribution silently
+    disables that test but not the d_min = 1 stop.
     """
-    lmax = max_lookahead(fixed)
+    lmax = (1.0 + session.uninit_fraction) * fixed.L
     if session.no_improvement_streak >= lmax:
         return Decision(True, LOOKAHEAD_EXHAUSTED)
-    if session.budget_used >= iteration_budget(session.node_cost, fixed.K):
+    if session.budget_used >= session.node_cost + fixed.K:
         return Decision(True, BUDGET_EXHAUSTED)
     if prob is None or session.samples.n_nonzero < prob.min_nonzero_samples:
         return Decision(False, CONTINUE)
@@ -265,9 +262,10 @@ def should_continue(
         and not dist.degenerate
         and session.no_improvement_streak >= prob.phi * lmax
         and 2 <= session.d_min <= MAX_FINAL_DEPTH
-        and saving_stops(
-            [improvement_probabilities(dist, session.gap, session.d_min)], [session.d_min]
-        )[0]
+        and saving_stops(depth_probabilities(
+            session.gap, session.d_min, np.array([dist.p0]), dist.family,
+            [np.array([t]) for t in dist.theta],
+        ), [session.d_min])[0]
     ):
         return Decision(True, NO_EXPECTED_IMPROVEMENT)
     return Decision(False, CONTINUE)

@@ -7,7 +7,8 @@ gain sample as it goes. Every scan stop other than a cutoff or running
 out of candidates comes from lookahead.should_continue: the
 no-improvement streak cap, the simplex-iteration budget, or (dynamic
 mode, once warmed up) the best gain closing the gap outright or the
-expected-tree-size test. The solver holds no stop policy of its own.
+expected-tree-size test. The solver holds no stop policy of its own; its
+SbSession carries the node LP's iterations and unreliable share.
 The branching choice is then the best score overall, measured
 geometric-mean gains for scanned candidates against predicted ones for
 reliable candidates.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,7 @@ from ..lookahead import (
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     SbSession,
+    check_int,
     should_continue,
 )
 from .mip import MiniMip
@@ -137,8 +139,15 @@ class Pseudocost:
         return down, up
 
     def predicted_score(self, j: int, frac: float, epsilon: float = DEFAULT_EPSILON) -> float:
-        down, up = self.predicted_gains(j, frac)
+        return _score(*self.predicted_gains(j, frac), epsilon)
+
+
+def _score(down: float, up: float, epsilon: float) -> float:
+    """shifted_geomean of a gain pair; SolverError past the float range."""
+    try:
         return shifted_geomean(GainPair(down, up), epsilon)
+    except ValueError as exc:
+        raise SolverError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -157,9 +166,9 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if self.node_limit is not None and self.node_limit < 1:
+        if self.node_limit is not None and check_int("node_limit", self.node_limit) < 1:
             raise ValueError("node_limit must be >= 1 when set")
-        if self.reliability_threshold < 0:
+        if check_int("reliability_threshold", self.reliability_threshold) < 0:
             raise ValueError("reliability_threshold must be >= 0")
 
 
@@ -187,12 +196,15 @@ class ScanOutcome(NamedTuple):
     column: int
     reason: str
     reveals: int
-    sb_lp_solves: int
     sb_iterations: int
     down_bound: float
     up_bound: float
     node_infeasible: bool
     children: tuple[LpResult | None, LpResult | None] = (None, None)
+
+    @property
+    def sb_lp_solves(self) -> int:
+        return 2 * self.reveals
 
 
 class BranchDecision(NamedTuple):
@@ -213,9 +225,15 @@ class MipResult:
     x: tuple | None
     bound: float
     nodes: int
-    sb_lp_solves: int
-    sb_iterations: int
     decisions: tuple[BranchDecision, ...]
+
+    @property
+    def sb_lp_solves(self) -> int:
+        return sum(2 * d.reveals for d in self.decisions)
+
+    @property
+    def sb_iterations(self) -> int:
+        return sum(d.sb_iterations for d in self.decisions)
 
 
 def strong_branch_candidate(
@@ -316,45 +334,38 @@ def select_branching_variable(
     if not unreliable:
         best = min(candidates, key=lambda j: (-scores[j], j))
         return ScanOutcome(
-            best, PSEUDOCOST_ONLY, 0, 0, 0, node_objective, node_objective, False
+            best, PSEUDOCOST_ONLY, 0, 0, node_objective, node_objective, False
         )
 
     order = sorted(unreliable, key=lambda j: (-scores[j], j))[:MAX_SB_CANDIDATES]
-    prob = None
-    if config.mode == "dynamic" and gap is not None and gap > 0.0:
-        prob = config.prob
-    else:
-        gap = 1.0
-    fixed_cfg = replace(
-        config.fixed, uninit_fraction=len(unreliable) / len(candidates)
+    armed = config.mode == "dynamic" and gap is not None and gap > 0.0
+    prob = config.prob if armed else None
+    session = SbSession(
+        gap=gap if armed else 1.0, node_cost=float(node_iterations),
+        uninit_fraction=len(unreliable) / len(candidates), samples=samples,
     )
-    session = SbSession(gap=gap, node_cost=float(node_iterations), samples=samples)
 
-    measured: dict[int, float] = {}
+    final: dict[int, float] = {}
     evaluated: dict[int, SbEval] = {}
-    sb_iterations = 0
     reason = CANDIDATES_EXHAUSTED
-    cutoff_j = None
+    best = None
     for j in order:
         ev = strong_branch_candidate(
             c, A, senses, b, lo, hi, j, float(x[j]), node_objective,
             warm_start=warm_start,
         )
         evaluated[j] = ev
-        sb_iterations += ev.iterations
-        if math.isinf(ev.down_gain) or math.isinf(ev.up_gain):
-            down = None if math.isinf(ev.down_gain) else ev.down_gain / fracs[j]
-            up = None if math.isinf(ev.up_gain) else ev.up_gain / (1.0 - fracs[j])
-            if down is not None or up is not None:
-                pseudocost.update(j, down, up)
-            cutoff_j = j
-            reason = CUTOFF_FOUND
+        down = None if math.isinf(ev.down_gain) else ev.down_gain / fracs[j]
+        up = None if math.isinf(ev.up_gain) else ev.up_gain / (1.0 - fracs[j])
+        if math.inf in (down, up):
+            raise SolverError(f"per-unit gain of column {j} overflows")
+        if down is not None or up is not None:
+            pseudocost.update(j, down, up)
+        if down is None or up is None:
+            best, reason = j, CUTOFF_FOUND
             break
-        pseudocost.update(
-            j, ev.down_gain / fracs[j], ev.up_gain / (1.0 - fracs[j])
-        )
-        g = shifted_geomean(GainPair(ev.down_gain, ev.up_gain), config.epsilon)
-        measured[j] = g
+        g = _score(ev.down_gain, ev.up_gain, config.epsilon)
+        final[j] = g
         session.observe(g, cost=float(ev.iterations))
         dist = None
         if prob is not None and samples.n_nonzero >= prob.min_nonzero_samples:
@@ -362,32 +373,27 @@ def select_branching_variable(
                 dist = samples.fit(prob.family)
             except DegenerateFitError:
                 dist = None
-        decision = should_continue(session, fixed_cfg, prob, dist)
+        decision = should_continue(session, config.fixed, prob, dist)
         if decision.stop:
             reason = decision.reason
             break
 
-    reveals = len(evaluated)
-    if cutoff_j is not None:
-        ev = evaluated[cutoff_j]
-        both = math.isinf(ev.down_gain) and math.isinf(ev.up_gain)
-        return ScanOutcome(
-            cutoff_j, reason, reveals, 2 * reveals, sb_iterations,
-            ev.down_bound, ev.up_bound, both, ev.children,
-        )
-
-    final = dict(measured)
-    for j in candidates:
-        if j not in evaluated and pseudocost.reliable(j):
-            final[j] = scores[j]
-    best = min(final, key=lambda j: (-final[j], j))
+    sb_iterations = sum(ev.iterations for ev in evaluated.values())
+    if best is None:
+        for j in candidates:
+            if j not in evaluated and pseudocost.reliable(j):
+                final[j] = scores[j]
+        best = min(final, key=lambda j: (-final[j], j))
     ev = evaluated.get(best)
-    down_bound = ev.down_bound if ev is not None else node_objective
-    up_bound = ev.up_bound if ev is not None else node_objective
-    children = ev.children if ev is not None else (None, None)
+    if ev is None:
+        return ScanOutcome(
+            best, reason, len(evaluated), sb_iterations, node_objective, node_objective, False
+        )
+    # a cutoff on both sides proves the node itself infeasible
+    both = math.isinf(ev.down_gain) and math.isinf(ev.up_gain)
     return ScanOutcome(
-        best, reason, reveals, 2 * reveals, sb_iterations,
-        down_bound, up_bound, False, children,
+        best, reason, len(evaluated), sb_iterations,
+        ev.down_bound, ev.up_bound, both, ev.children,
     )
 
 
@@ -436,7 +442,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         tuple[float, int, np.ndarray, np.ndarray, Basis | None, LpResult | None]
     ] = [(-math.inf, 0, lo0, hi0, None, None)]
     seq = 0
-    nodes = sb_lp_solves = sb_iterations = 0
+    nodes = 0
     decisions: list[BranchDecision] = []
     status: str | None = None
 
@@ -482,8 +488,6 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             c, A, senses, b, lo, hi, x, obj, res.iterations,
             fractional, pseudocost, samples, config, gap, res.basis,
         )
-        sb_lp_solves += outcome.sb_lp_solves
-        sb_iterations += outcome.sb_iterations
         if estimate is None:
             # First branched node seeds the bound-to-prove estimate: one
             # geometric-mean side gain per fractional candidate, the
@@ -495,6 +499,8 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
                 )
                 total += math.sqrt(down * up)
             estimate = obj + total
+            if not math.isfinite(estimate):
+                raise SolverError(f"bound-to-prove estimate overflows: {estimate!r}")
         decisions.append(
             BranchDecision(
                 nodes, outcome.column, outcome.reveals, outcome.reason,
@@ -543,7 +549,5 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         x=tuple(float(v) for v in incumbent_x) if incumbent_x is not None else None,
         bound=float(bound),
         nodes=nodes,
-        sb_lp_solves=sb_lp_solves,
-        sb_iterations=sb_iterations,
         decisions=tuple(decisions),
     )

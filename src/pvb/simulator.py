@@ -48,8 +48,6 @@ from .lookahead import (
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     depth_probabilities,
-    iteration_budget,
-    max_lookahead,
     saving_stops,
 )
 
@@ -140,8 +138,7 @@ class CampaignRow:
 
 
 def _fixed_stops(gains, orders, fixed, reveals, best_out, reasons):
-    """Write the fixed rule's stops into the outputs."""
-    lmax, budget = max_lookahead(fixed), iteration_budget(0.0, fixed.K)
+    """Write the fixed rule's stops into the outputs: L_max = L, gamma_max = K."""
     rows = np.arange(len(orders))
     for width in sorted({min(_FIRST_WINDOW, orders.shape[1]), orders.shape[1]}):
         v = gains[orders[rows, :width]]
@@ -149,8 +146,8 @@ def _fixed_stops(gains, orders, fixed, reveals, best_out, reasons):
         i = np.arange(1, width + 1)
         improved = v > np.concatenate((np.zeros((len(rows), 1)), best[:, :-1]), axis=1)
         streak = i - np.maximum.accumulate(np.where(improved, i, 0), axis=1)
-        capped = streak >= lmax
-        hits = capped | (2.0 * i >= budget)
+        capped = streak >= fixed.L
+        hits = capped | (2.0 * i >= fixed.K)
         at, stop = np.arange(len(rows)), hits.argmax(axis=1)
         # a stop with no nonzero gain yet waits for the first one
         k = np.maximum(stop, (best > 0.0).argmax(axis=1))

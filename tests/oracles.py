@@ -363,9 +363,9 @@ def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
     Reveals pool gains in rng.permutation order and asks the strategy after
     every reveal; a stop before any nonzero gain is deferred until one
     appears. `strategy` is one of the five campaign names or a callable
-    session -> (stop, reason). `fixed` and `prob` are read for L, K,
-    uninit_fraction and min_nonzero_samples only (defaults 9, 10**6, 0.0,
-    5). The probabilistic strategies decide with probe_saving_stops_exact.
+    session -> (stop, reason). `fixed` and `prob` are read for L, K and
+    min_nonzero_samples only (defaults 9, 10**6, 5). The probabilistic
+    strategies decide with probe_saving_stops_exact.
     Tree sizes are Python ints; a best depth above 1022 is reported
     with final_tree_nodes and total_nodes None instead of being built.
     Raises ValueError for a gap that is not positive and finite and
@@ -373,7 +373,6 @@ def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
     """
     L = getattr(fixed, "L", 9)
     K = getattr(fixed, "K", 10**6)
-    uninit = getattr(fixed, "uninit_fraction", 0.0)
     min_nonzero = getattr(prob, "min_nonzero_samples", 5)
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"gap must be positive and finite, got {gap!r}")
@@ -381,7 +380,7 @@ def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
         raise LookupError("every pool gain is zero")
 
     def fixed_policy(s):
-        if s.no_improvement_streak >= (1.0 + uninit) * L:
+        if s.no_improvement_streak >= L:
             return True, "lookahead_exhausted"
         if s.budget_used >= 0.0 + K:
             return True, "budget_exhausted"

@@ -6,6 +6,7 @@ raw output bytes; statistical cases reuse the seeded corpus and pools.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_scaled_knapsack(path, exponent):
+    """tiny-knapsack.mps with every objective coefficient times 10**exponent."""
+    text = (EXAMPLES / "tiny-knapsack.mps").read_text()
+    scaled = re.sub(r"(COST +-\d+\.\d+)", rf"\1e{exponent}", text)
+    assert scaled.count(f"e{exponent}") == 6
+    path.write_text(scaled)
+    return path
 
 
 def write_pool(path, seed, n=300, zero_frac=0.3, tail="pareto", node="root"):
@@ -467,6 +477,17 @@ class TestSolve:
         assert "internal error" not in stderr
         assert str(path) in stderr and f"bound pair ({value}, {value}) is empty" in stderr
 
+    @pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+    @pytest.mark.parametrize("exponent", [155, 160, 300])
+    def test_gain_overflow_exits_2(self, tmp_path, capsys, mode, exponent):
+        # the SB gains' geometric mean overflows; it once escaped as an
+        # internal error with exit 1
+        path = write_scaled_knapsack(tmp_path / "huge.mps", exponent)
+        code, stdout, stderr = run(capsys, "solve", str(path), "--mode", mode)
+        assert code == 2 and stdout == ""
+        assert "internal error" not in stderr
+        assert str(path) in stderr and "geometric-mean gain overflows" in stderr
+
     def test_solver_error_exits_2_and_names_instance(self, capsys, monkeypatch):
         import pvb.cli as cli
         from pvb.mini_bnb import SolverError
@@ -536,6 +557,25 @@ class TestSweep:
         assert code == 1
         assert "internal error: broken invariant" in stderr
         assert not out.exists()
+
+    def test_gain_overflow_is_a_failed_instance(self, tmp_path, capsys):
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        save_mps(sparse_multiknapsack(14, 8, 2), directory / "good.mps")
+        write_scaled_knapsack(directory / "huge.mps", 160)
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(
+            capsys, "sweep", str(directory), "--modes", "fixed,dynamic", "--seed", "1",
+            "--workers", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert "internal error" not in stderr
+        assert stderr.count("failed huge.mps") == 2 and "gain overflows" in stderr
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            cells = row.split(",")
+            assert cells[3] == "1" and cells[4] == "1"
 
     def test_parse_failure_is_recorded_and_sweep_continues(self, tmp_path, capsys):
         directory = tmp_path / "insts"

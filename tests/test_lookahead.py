@@ -36,8 +36,6 @@ from pvb.lookahead import (
     depth_probabilities,
     expected_nodes_if_continue,
     improvement_probabilities,
-    iteration_budget,
-    max_lookahead,
     nodes_if_stop,
     saving_stops,
     should_continue,
@@ -62,10 +60,13 @@ def walk(gap, gains, cost=2.0):
 # ---------------------------------------------------------------- formulas
 
 
-def test_max_lookahead_values():
-    assert max_lookahead(FixedLookaheadConfig()) == 9.0
-    assert max_lookahead(FixedLookaheadConfig(uninit_fraction=1.0)) == 18.0
-    assert max_lookahead(FixedLookaheadConfig(uninit_fraction=0.5)) == 13.5
+def test_unreliable_share_stretches_the_streak_cap():
+    """L_max = (1 + session.uninit_fraction) * L: 9, 13.5 and 18 at L = 9."""
+    for share, first_stop in ((0.0, 9), (0.5, 14), (1.0, 18)):
+        for streak in (first_stop - 1, first_stop):
+            s = SbSession(gap=10.0, uninit_fraction=share, no_improvement_streak=streak)
+            want = (True, LOOKAHEAD_EXHAUSTED) if streak == first_stop else (False, CONTINUE)
+            assert should_continue(s, FIXED) == want, (share, streak)
 
 
 def test_config_validation():
@@ -73,8 +74,8 @@ def test_config_validation():
         FixedLookaheadConfig(L=0)
     with pytest.raises(ValueError):
         FixedLookaheadConfig(K=-1)
-    with pytest.raises(ValueError):
-        FixedLookaheadConfig(uninit_fraction=1.5)
+    with pytest.raises(TypeError):  # measured per node: SbSession's field
+        FixedLookaheadConfig(uninit_fraction=0.5)
     with pytest.raises(ValueError):
         ProbLookaheadConfig(phi=0.0)
     with pytest.raises(ValueError):
@@ -92,16 +93,38 @@ def test_prob_config_takes_only_stopping_families(family):
             ProbLookaheadConfig(family=family)
 
 
-def test_iteration_budget_values():
-    assert iteration_budget(1000, 10**6) == 1_001_000
-    assert iteration_budget(0, 0) == 0
-    with pytest.raises(ValueError):
-        iteration_budget(-1, 10)
+def test_budget_is_the_node_cost_plus_K():
+    """gamma_max = gamma_node + K, with gamma_node the session's node cost."""
+    for node_cost, K, spent, want in (
+        (1000.0, 10**6, 1_000_999.0, (False, CONTINUE)),
+        (1000.0, 10**6, 1_001_000.0, (True, BUDGET_EXHAUSTED)),
+        (0.0, 0, 0.0, (True, BUDGET_EXHAUSTED)),
+    ):
+        s = SbSession(gap=10.0, node_cost=node_cost, budget_used=spent)
+        assert should_continue(s, FixedLookaheadConfig(K=K)) == want
 
 
 def test_default_budget_is_a_million_extra_iterations():
     assert FixedLookaheadConfig().K == 10**6
-    assert iteration_budget(777, FixedLookaheadConfig().K) == 777 + 10**6
+    s = SbSession(gap=10.0, node_cost=777.0, budget_used=777.0 + 10**6 - 1)
+    assert should_continue(s, FixedLookaheadConfig()) == (False, CONTINUE)
+    s.budget_used += 1
+    assert should_continue(s, FixedLookaheadConfig()) == (True, BUDGET_EXHAUSTED)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"L": math.nan}, {"K": math.nan}, {"L": 2.5}, {"K": 7.0}, {"L": "9"}]
+)
+def test_fixed_config_refuses_non_integer_limits(kwargs):
+    # L = NaN would silently switch the streak cap off
+    with pytest.raises(ValueError, match="must be an integer"):
+        FixedLookaheadConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, 5.0, 2.5])
+def test_prob_config_refuses_a_non_integer_sample_count(value):
+    with pytest.raises(ValueError, match="min_nonzero_samples must be an integer"):
+        ProbLookaheadConfig(min_nonzero_samples=value)
 
 
 # ----------------------------------------------------------- nodes_if_stop
@@ -505,8 +528,8 @@ def test_lookahead_cap_reported_before_budget():
 
 def test_uninit_fraction_stretches_the_cap():
     s = walk(10.0, [5.0] + [0.1] * 9)
-    stretched = FixedLookaheadConfig(uninit_fraction=0.5)  # cap 13.5
-    assert should_continue(s, stretched) == (False, CONTINUE)
+    s.uninit_fraction = 0.5  # cap 13.5
+    assert should_continue(s, FIXED) == (False, CONTINUE)
 
 
 def _stop_heavy_dist():
@@ -554,7 +577,7 @@ def test_depth_one_stops_without_the_phi_gate_or_a_fit():
         True, NO_EXPECTED_IMPROVEMENT,
     )
     s = walk(4.0, [0.5] * 4 + [5.0])
-    assert s.d_min == 1 and s.no_improvement_streak < PROB.phi * max_lookahead(FIXED)
+    assert s.d_min == 1 and s.no_improvement_streak < PROB.phi * FIXED.L
     assert s.samples.n_nonzero == PROB.min_nonzero_samples
     assert should_continue(s, FIXED, PROB, None) == (True, NO_EXPECTED_IMPROVEMENT)
 
@@ -567,7 +590,7 @@ def test_depth_one_waits_for_enough_nonzero_samples():
 
 def test_depth_one_stop_comes_after_the_hard_caps():
     s = walk(4.0, [5.0] + [5.0] * 9)
-    assert s.d_min == 1 and s.no_improvement_streak == max_lookahead(FIXED)
+    assert s.d_min == 1 and s.no_improvement_streak == FIXED.L
     assert should_continue(s, FIXED, PROB, None) == (True, LOOKAHEAD_EXHAUSTED)
 
 

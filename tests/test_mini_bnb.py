@@ -48,7 +48,7 @@ from pvb.mini_bnb import (
     strong_branch_candidate,
     toy_corpus,
 )
-from pvb.mini_bnb import simplex
+from pvb.mini_bnb import simplex, solver
 from pvb.mini_bnb.simplex import (
     _AT_LOWER,
     _AT_UPPER,
@@ -1098,6 +1098,14 @@ class TestSelect:
         assert not outcome.node_infeasible
         assert pc.calls == [(0, pytest.approx(1.0), None)]
 
+    def test_a_per_unit_gain_past_the_float_range_is_a_solver_error(self, monkeypatch):
+        # x0 = 0.5, so a down gain of 1e308 is 2e308 per unit
+        mip = build([-1.0, -1.0], [([2.0, 0.0], "<=", 1.0)], upper=1.0, integer=(True, False))
+        huge = solver.SbEval(1e308, 1.0, 0.0, 0.0, 1, (None, None))
+        monkeypatch.setattr(solver, "strong_branch_candidate", lambda *args, **kwargs: huge)
+        with pytest.raises(SolverError, match="per-unit gain of column 0 overflows"):
+            run_select(mip)
+
     def test_cutoff_both_sides_marks_node_infeasible(self):
         mip = build([-1.0], [([2.0], "=", 1.0)], upper=1.0, integer=True)
         outcome, pc, _ = run_select(mip, pseudocost=RecordingPseudocost(1))
@@ -1173,6 +1181,54 @@ DYNAMIC = SolverConfig(mode="dynamic")
 def test_solver_config_rejects_a_nonpositive_or_infinite_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         SolverConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"reliability_threshold": math.nan},
+        {"reliability_threshold": 2.5},
+        {"node_limit": math.nan},
+        {"node_limit": 10.0},
+    ],
+)
+def test_solver_config_refuses_non_integer_counts(kwargs):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+def test_the_scan_asks_should_continue_through_its_module_global(monkeypatch, mode):
+    """A stand-in for solver.should_continue taking exactly (session, fixed,
+    prob, dist), positionally, sees every scan decision: the config's own
+    limits, prob only where the dynamic rule is armed, and the node's share
+    of unreliable candidates on the session."""
+    config = SolverConfig(mode=mode)
+    decide, select = solver.should_continue, solver.select_branching_variable
+    scans, asked = [], []
+
+    def opening(*args):
+        candidates, pseudocost, gap = args[9], args[10], args[13]
+        unreliable = sum(not pseudocost.reliable(j) for j in candidates)
+        scans.append((unreliable / len(candidates), gap))
+        return select(*args)
+
+    def spy(session, fixed, prob, dist, /):
+        share, gap = scans[-1]
+        armed = mode == "dynamic" and gap is not None and gap > 0.0
+        assert fixed is config.fixed
+        assert prob is (config.prob if armed else None)
+        assert session.uninit_fraction == share
+        asked.append(armed)
+        return decide(session, fixed, prob, dist)
+
+    monkeypatch.setattr(solver, "select_branching_variable", opening)
+    monkeypatch.setattr(solver, "should_continue", spy)
+    res = solve(toy_corpus(1)[0], config)
+    # every reveal but a cutoff's is asked about
+    cutoffs = sum(d.reason == CUTOFF_FOUND for d in res.decisions)
+    assert res.status == OPTIMAL and len(asked) == res.sb_lp_solves // 2 - cutoffs
+    assert any(asked) == (mode == "dynamic")
 
 
 class TestSolve:

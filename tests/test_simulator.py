@@ -186,7 +186,6 @@ def trial_cases(draw):
     fixed = FixedLookaheadConfig(
         L=draw(st.integers(1, 12)),
         K=draw(st.sampled_from([10**6, 10**6, 0, 7, 40, 150])),
-        uninit_fraction=draw(st.sampled_from([0.0, 0.0, 0.25, 1.0])),
     )
     prob = ProbLookaheadConfig(min_nonzero_samples=draw(st.integers(1, 8)))
     return pool, gap, fixed, prob, draw(st.integers(0, 2**64 - 1))
