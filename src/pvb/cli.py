@@ -106,6 +106,8 @@ def _load_config_file(path, keys) -> dict:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -335,6 +337,8 @@ def cmd_sweep(args) -> int:
     for path in paths:
         try:
             mips.append((path.name, load_mps(path)))
+        except OSError as exc:
+            parse_failures.append((path.name, f"cannot read: {exc.strerror or exc}"))
         except MpsError as exc:
             parse_failures.append((path.name, str(exc)))
     jobs = [(name, mip, config) for config in configs for name, mip in mips]
@@ -386,6 +390,8 @@ def cmd_report(args) -> int:
             table = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise CliError(f"cannot read {args.csvfile}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{args.csvfile}: not UTF-8 text: {exc}") from None
     if not table:
         raise CliError(f"{args.csvfile}: empty CSV")
     width = len(table[0])

@@ -96,37 +96,41 @@ def load_gain_series(path: str, epsilon: float = DEFAULT_EPSILON) -> list[GainSe
     """
     by_node: dict[str, list[tuple[str, GainPair]]] = {}
     seen_keys: set[tuple[str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise GainFileError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        return []
+    if tuple(cell.strip() for cell in header) != GAIN_FILE_HEADER:
+        raise GainFileError(
+            f"{path}:1: expected header {','.join(GAIN_FILE_HEADER)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise GainFileError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        node_id, var_id = row[0].strip(), row[1].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        if tuple(cell.strip() for cell in header) != GAIN_FILE_HEADER:
-            raise GainFileError(
-                f"{path}:1: expected header {','.join(GAIN_FILE_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise GainFileError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            node_id, var_id = row[0].strip(), row[1].strip()
-            try:
-                down, up = float(row[2]), float(row[3])
-            except ValueError:
-                raise GainFileError(f"{path}:{lineno}: unparseable gain value") from None
-            key = (node_id, var_id)
-            if key in seen_keys:
-                raise GainFileError(f"{path}:{lineno}: duplicate entry {key!r}")
-            seen_keys.add(key)
-            try:
-                pair = GainPair(down, up)
-                shifted_geomean(pair, epsilon)
-            except ValueError as exc:
-                raise GainFileError(f"{path}:{lineno}: {exc}") from None
-            by_node.setdefault(node_id, []).append((var_id, pair))
+            down, up = float(row[2]), float(row[3])
+        except ValueError:
+            raise GainFileError(f"{path}:{lineno}: unparseable gain value") from None
+        key = (node_id, var_id)
+        if key in seen_keys:
+            raise GainFileError(f"{path}:{lineno}: duplicate entry {key!r}")
+        seen_keys.add(key)
+        try:
+            pair = GainPair(down, up)
+            shifted_geomean(pair, epsilon)
+        except ValueError as exc:
+            raise GainFileError(f"{path}:{lineno}: {exc}") from None
+        by_node.setdefault(node_id, []).append((var_id, pair))
     return [
         GainSeries(node_id, tuple(entries), epsilon)
         for node_id, entries in by_node.items()

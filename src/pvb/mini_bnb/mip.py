@@ -113,128 +113,132 @@ def load_mps(path) -> MiniMip:
     def fail(lineno, msg):
         raise MpsError(f"{path}:{lineno}: {msg}")
 
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if saw_end:
-                break
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            if line[0] not in (" ", "\t"):
-                head = _tokens(line)
-                section = head[0].upper()
-                if section == "NAME":
-                    name = head[1] if len(head) > 1 else ""
-                elif section == "ENDATA":
-                    saw_end = True
-                elif section == "RANGES":
-                    fail(lineno, "RANGES section is not supported")
-                elif section not in ("ROWS", "COLUMNS", "RHS", "BOUNDS"):
-                    fail(lineno, f"unknown section {section!r}")
-                continue
-            toks = _tokens(line)
-            if section == "ROWS":
-                if len(toks) != 2:
-                    fail(lineno, "expected '<type> <row>'")
-                rtype, rname = toks[0].upper(), toks[1]
-                if rname in row_sense or rname == obj_row:
-                    fail(lineno, f"duplicate row {rname!r}")
-                if rtype == "N":
-                    if obj_row is not None:
-                        fail(lineno, "multiple objective rows")
-                    obj_row = rname
-                elif rtype in _ROW_TYPES:
-                    row_order.append(rname)
-                    row_sense[rname] = _ROW_TYPES[rtype]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise MpsError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        if saw_end:
+            break
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("*"):
+            continue
+        if line[0] not in (" ", "\t"):
+            head = _tokens(line)
+            section = head[0].upper()
+            if section == "NAME":
+                name = head[1] if len(head) > 1 else ""
+            elif section == "ENDATA":
+                saw_end = True
+            elif section == "RANGES":
+                fail(lineno, "RANGES section is not supported")
+            elif section not in ("ROWS", "COLUMNS", "RHS", "BOUNDS"):
+                fail(lineno, f"unknown section {section!r}")
+            continue
+        toks = _tokens(line)
+        if section == "ROWS":
+            if len(toks) != 2:
+                fail(lineno, "expected '<type> <row>'")
+            rtype, rname = toks[0].upper(), toks[1]
+            if rname in row_sense or rname == obj_row:
+                fail(lineno, f"duplicate row {rname!r}")
+            if rtype == "N":
+                if obj_row is not None:
+                    fail(lineno, "multiple objective rows")
+                obj_row = rname
+            elif rtype in _ROW_TYPES:
+                row_order.append(rname)
+                row_sense[rname] = _ROW_TYPES[rtype]
+            else:
+                fail(lineno, f"unknown row type {rtype!r}")
+        elif section == "COLUMNS":
+            if len(toks) >= 3 and toks[1] == "'MARKER'":
+                marker = toks[2]
+                if marker == "'INTORG'":
+                    in_integer = True
+                elif marker == "'INTEND'":
+                    in_integer = False
                 else:
-                    fail(lineno, f"unknown row type {rtype!r}")
-            elif section == "COLUMNS":
-                if len(toks) >= 3 and toks[1] == "'MARKER'":
-                    marker = toks[2]
-                    if marker == "'INTORG'":
-                        in_integer = True
-                    elif marker == "'INTEND'":
-                        in_integer = False
-                    else:
-                        fail(lineno, f"unknown marker {marker!r}")
-                    continue
-                if len(toks) not in (3, 5):
-                    fail(lineno, "expected '<col> <row> <value>' pairs")
-                col = toks[0]
-                if col not in col_integer:
-                    col_order.append(col)
-                    col_integer[col] = in_integer
-                for k in range(1, len(toks), 2):
-                    rname, text = toks[k], toks[k + 1]
-                    if rname != obj_row and rname not in row_sense:
-                        fail(lineno, f"unknown row {rname!r}")
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        fail(lineno, f"bad number {text!r}")
-                    key = (col, rname)
-                    if key in entries:
-                        fail(lineno, f"duplicate entry for {col!r} in {rname!r}")
-                    entries[key] = value
-            elif section == "RHS":
-                if len(toks) not in (3, 5):
-                    fail(lineno, "expected '<set> <row> <value>' pairs")
-                for k in range(1, len(toks), 2):
-                    rname, text = toks[k], toks[k + 1]
-                    if rname == obj_row:
-                        fail(lineno, "objective constants are not supported")
-                    if rname not in row_sense:
-                        fail(lineno, f"unknown row {rname!r}")
-                    if rname in rhs:
-                        fail(lineno, f"duplicate rhs for {rname!r}")
-                    try:
-                        rhs[rname] = float(text)
-                    except ValueError:
-                        fail(lineno, f"bad number {text!r}")
-            elif section == "BOUNDS":
-                if len(toks) not in (3, 4):
-                    fail(lineno, "expected '<type> <set> <col> [value]'")
-                btype, col = toks[0].upper(), toks[2]
-                if btype not in ("UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI"):
-                    fail(lineno, f"unknown bound type {btype!r}")
-                if col not in col_integer:
-                    fail(lineno, f"unknown column {col!r}")
-                needs_value = btype in ("UP", "LO", "FX", "UI", "LI")
-                if needs_value and len(toks) != 4:
-                    fail(lineno, f"{btype} bound needs a value")
-                if not needs_value and len(toks) != 3:
-                    fail(lineno, f"{btype} bound takes no value")
-                value = None
-                if needs_value:
-                    try:
-                        value = float(toks[3])
-                    except ValueError:
-                        fail(lineno, f"bad number {toks[3]!r}")
-                lo, hi = bounds.get(col, (0.0, math.inf))
-                if btype == "UP":
-                    hi = value
-                elif btype == "LO":
-                    lo = value
-                elif btype == "FX":
-                    lo = hi = value
-                elif btype == "FR":
-                    lo, hi = -math.inf, math.inf
-                elif btype == "MI":
-                    lo = -math.inf
-                elif btype == "PL":
-                    hi = math.inf
-                elif btype == "BV":
-                    lo, hi = 0.0, 1.0
-                    col_integer[col] = True
-                elif btype == "UI":
-                    hi = value
-                    col_integer[col] = True
-                else:
-                    lo = value
-                    col_integer[col] = True
-                bounds[col] = (lo, hi)
-            elif section in ("NAME", None):
-                fail(lineno, "data before a section header")
+                    fail(lineno, f"unknown marker {marker!r}")
+                continue
+            if len(toks) not in (3, 5):
+                fail(lineno, "expected '<col> <row> <value>' pairs")
+            col = toks[0]
+            if col not in col_integer:
+                col_order.append(col)
+                col_integer[col] = in_integer
+            for k in range(1, len(toks), 2):
+                rname, text = toks[k], toks[k + 1]
+                if rname != obj_row and rname not in row_sense:
+                    fail(lineno, f"unknown row {rname!r}")
+                try:
+                    value = float(text)
+                except ValueError:
+                    fail(lineno, f"bad number {text!r}")
+                key = (col, rname)
+                if key in entries:
+                    fail(lineno, f"duplicate entry for {col!r} in {rname!r}")
+                entries[key] = value
+        elif section == "RHS":
+            if len(toks) not in (3, 5):
+                fail(lineno, "expected '<set> <row> <value>' pairs")
+            for k in range(1, len(toks), 2):
+                rname, text = toks[k], toks[k + 1]
+                if rname == obj_row:
+                    fail(lineno, "objective constants are not supported")
+                if rname not in row_sense:
+                    fail(lineno, f"unknown row {rname!r}")
+                if rname in rhs:
+                    fail(lineno, f"duplicate rhs for {rname!r}")
+                try:
+                    rhs[rname] = float(text)
+                except ValueError:
+                    fail(lineno, f"bad number {text!r}")
+        elif section == "BOUNDS":
+            if len(toks) not in (3, 4):
+                fail(lineno, "expected '<type> <set> <col> [value]'")
+            btype, col = toks[0].upper(), toks[2]
+            if btype not in ("UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI"):
+                fail(lineno, f"unknown bound type {btype!r}")
+            if col not in col_integer:
+                fail(lineno, f"unknown column {col!r}")
+            needs_value = btype in ("UP", "LO", "FX", "UI", "LI")
+            if needs_value and len(toks) != 4:
+                fail(lineno, f"{btype} bound needs a value")
+            if not needs_value and len(toks) != 3:
+                fail(lineno, f"{btype} bound takes no value")
+            value = None
+            if needs_value:
+                try:
+                    value = float(toks[3])
+                except ValueError:
+                    fail(lineno, f"bad number {toks[3]!r}")
+            lo, hi = bounds.get(col, (0.0, math.inf))
+            if btype == "UP":
+                hi = value
+            elif btype == "LO":
+                lo = value
+            elif btype == "FX":
+                lo = hi = value
+            elif btype == "FR":
+                lo, hi = -math.inf, math.inf
+            elif btype == "MI":
+                lo = -math.inf
+            elif btype == "PL":
+                hi = math.inf
+            elif btype == "BV":
+                lo, hi = 0.0, 1.0
+                col_integer[col] = True
+            elif btype == "UI":
+                hi = value
+                col_integer[col] = True
+            else:
+                lo = value
+                col_integer[col] = True
+            bounds[col] = (lo, hi)
+        elif section in ("NAME", None):
+            fail(lineno, "data before a section header")
     if not saw_end:
         raise MpsError(f"{path}: missing ENDATA")
     if obj_row is None:

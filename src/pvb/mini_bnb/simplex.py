@@ -15,8 +15,8 @@ simplex forms its pivot row from it afresh, because exact zeros in B^-1
 keep exact ties between columns that a carried row would break by
 rounding. The tableau is rebuilt from M with one linear solve when the
 pivot element is below _REFACTOR_PIVOT_TOL or after _REFACTOR_INTERVAL
-updates. A singular basis or an exhausted safety cap raises instead of
-returning a silently wrong answer.
+updates. A singular basis, an exhausted safety cap or an overflow in the
+arithmetic raises SolverError instead of returning a silently wrong answer.
 
 At the sizes the solver meets (12 rows, 32 columns with the slacks),
 numpy's call overhead of about 1 us, not arithmetic, sets the cost of
@@ -701,8 +701,20 @@ def solve_bounded_lp(
     with the dual simplex. An optimal result carries its basis.
 
     Raises ValueError for a non-finite objective, matrix or rhs entry, for
-    a NaN bound, and for a lower bound of +inf or an upper bound of -inf.
+    a NaN bound, and for a lower bound of +inf or an upper bound of -inf;
+    SolverError when the arithmetic overflows.
     """
+    try:
+        return _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_start)
+    except FloatingPointError as exc:
+        raise SolverError(f"LP arithmetic overflows: {exc}") from None
+
+
+# one errstate per LP call: an overflow anywhere in the arithmetic would
+# otherwise pass as inf or NaN into a pivot or an "optimal" answer; the
+# decorator form enters it at about half the cost of a with statement
+@np.errstate(over="raise")
+def _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_start):
     objective = np.asarray(objective, dtype=float)
     matrix = np.asarray(matrix, dtype=float).reshape(len(senses), len(objective))
     rhs = np.asarray(rhs, dtype=float)

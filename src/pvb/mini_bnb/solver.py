@@ -11,7 +11,9 @@ expected-tree-size test. The solver holds no stop policy of its own; its
 SbSession carries the node LP's iterations and unreliable share.
 The branching choice is then the best score overall, measured
 geometric-mean gains for scanned candidates against predicted ones for
-reliable candidates.
+reliable candidates. The scan hands back the chosen column's SbEval (None
+for a choice from pseudocosts alone), whose bounds and kept child LPs
+queue the two children.
 
 Node selection is best bound so that node counts compare branching
 quality rather than incumbent luck. Bounds that agree to a relative
@@ -190,17 +192,15 @@ class SbEval(NamedTuple):
 class ScanOutcome(NamedTuple):
     """select_branching_variable's answer plus its accounting.
 
-    children are the chosen column's kept SB child LPs (see SbEval).
+    chosen is the chosen column's SbEval, None when pseudocosts alone
+    chose the column.
     """
 
     column: int
     reason: str
     reveals: int
     sb_iterations: int
-    down_bound: float
-    up_bound: float
-    node_infeasible: bool
-    children: tuple[LpResult | None, LpResult | None] = (None, None)
+    chosen: SbEval | None = None
 
     @property
     def sb_lp_solves(self) -> int:
@@ -246,7 +246,6 @@ def strong_branch_candidate(
     j: int,
     xj: float,
     node_objective: float,
-    iteration_limit: int = _CHILD_ITERATION_LIMIT,
     warm_start: Basis | None = None,
 ) -> SbEval:
     """Solve both child LPs for rounding x_j down and up.
@@ -254,30 +253,28 @@ def strong_branch_candidate(
     Gains are child-objective increases clamped at zero; an infeasible
     child reports an infinite gain, which doubles as a cutoff
     certificate for that side. A child stopped by the per-candidate
-    iteration limit still contributes its reached objective to the gain
-    but certifies no bound beyond the node's own. warm_start, the node
-    LP's optimal basis, restarts both children from the node's vertex.
-    A child that is optimal in fewer pivots than iteration_limit hit no
-    cap, so its result is the one a node solve would compute and is kept
-    in children.
+    iteration limit (_CHILD_ITERATION_LIMIT) still contributes its
+    reached objective to the gain but certifies no bound beyond the
+    node's own. warm_start, the node LP's optimal basis, restarts both
+    children from the node's vertex. A child that is optimal in fewer
+    pivots than the limit hit no cap, so its result is the one a node
+    solve would compute and is kept in children.
     """
     frac = xj - math.floor(xj)
     if min(frac, 1.0 - frac) <= 1e-9:
         raise ValueError(f"candidate {j} is integral at {xj!r}")
     gains, bounds, kept, iters = [], [], [], 0
+    limit = _CHILD_ITERATION_LIMIT
     down_hi = np.array(hi, dtype=float)
     down_hi[j] = math.floor(xj)
     up_lo = np.array(lo, dtype=float)
     up_lo[j] = math.ceil(xj)
     for lo2, hi2 in ((lo, down_hi), (up_lo, hi)):
         res = solve_bounded_lp(
-            c, A, senses, b, lo2, hi2, iteration_limit=iteration_limit,
-            warm_start=warm_start,
+            c, A, senses, b, lo2, hi2, iteration_limit=limit, warm_start=warm_start,
         )
         iters += res.iterations
-        kept.append(
-            res if res.status == OPTIMAL and res.iterations < iteration_limit else None
-        )
+        kept.append(res if res.status == OPTIMAL and res.iterations < limit else None)
         if res.status == INFEASIBLE:
             gains.append(math.inf)
             bounds.append(math.inf)
@@ -299,15 +296,12 @@ def select_branching_variable(
     b,
     lo,
     hi,
-    x,
-    node_objective: float,
-    node_iterations: int,
+    node: LpResult,
     candidates,
     pseudocost: Pseudocost,
     samples: GainAccumulator,
     config: SolverConfig,
     gap: float | None = None,
-    warm_start: Basis | None = None,
 ) -> ScanOutcome:
     """Pick the branching column among the fractional candidates.
 
@@ -319,9 +313,10 @@ def select_branching_variable(
 
     gap is the objective distance this node's subtree is expected to
     close; a positive value arms the expected-tree-size stop in dynamic
-    mode, None or nonpositive leaves only the hard caps. warm_start is
-    the node LP's optimal basis, handed on to every SB child.
+    mode, None or nonpositive leaves only the hard caps. node is the node's
+    optimal LpResult; its basis warm-starts every SB child.
     """
+    x = node.x
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no fractional candidates to select from")
@@ -333,15 +328,13 @@ def select_branching_variable(
 
     if not unreliable:
         best = min(candidates, key=lambda j: (-scores[j], j))
-        return ScanOutcome(
-            best, PSEUDOCOST_ONLY, 0, 0, node_objective, node_objective, False
-        )
+        return ScanOutcome(best, PSEUDOCOST_ONLY, 0, 0)
 
     order = sorted(unreliable, key=lambda j: (-scores[j], j))[:MAX_SB_CANDIDATES]
     armed = config.mode == "dynamic" and gap is not None and gap > 0.0
     prob = config.prob if armed else None
     session = SbSession(
-        gap=gap if armed else 1.0, node_cost=float(node_iterations),
+        gap=gap if armed else 1.0, node_cost=float(node.iterations),
         uninit_fraction=len(unreliable) / len(candidates), samples=samples,
     )
 
@@ -351,8 +344,7 @@ def select_branching_variable(
     best = None
     for j in order:
         ev = strong_branch_candidate(
-            c, A, senses, b, lo, hi, j, float(x[j]), node_objective,
-            warm_start=warm_start,
+            c, A, senses, b, lo, hi, j, float(x[j]), node.objective, node.basis
         )
         evaluated[j] = ev
         down = None if math.isinf(ev.down_gain) else ev.down_gain / fracs[j]
@@ -384,17 +376,7 @@ def select_branching_variable(
             if j not in evaluated and pseudocost.reliable(j):
                 final[j] = scores[j]
         best = min(final, key=lambda j: (-final[j], j))
-    ev = evaluated.get(best)
-    if ev is None:
-        return ScanOutcome(
-            best, reason, len(evaluated), sb_iterations, node_objective, node_objective, False
-        )
-    # a cutoff on both sides proves the node itself infeasible
-    both = math.isinf(ev.down_gain) and math.isinf(ev.up_gain)
-    return ScanOutcome(
-        best, reason, len(evaluated), sb_iterations,
-        ev.down_bound, ev.up_bound, both, ev.children,
-    )
+    return ScanOutcome(best, reason, len(evaluated), sb_iterations, evaluated.get(best))
 
 
 def _pop_best(heap: list) -> tuple:
@@ -485,8 +467,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         targets = [t for t in (incumbent_obj, estimate) if t is not None]
         gap = min(targets) - obj if targets else None
         outcome = select_branching_variable(
-            c, A, senses, b, lo, hi, x, obj, res.iterations,
-            fractional, pseudocost, samples, config, gap, res.basis,
+            c, A, senses, b, lo, hi, res, fractional, pseudocost, samples, config, gap
         )
         if estimate is None:
             # First branched node seeds the bound-to-prove estimate: one
@@ -507,17 +488,17 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
                 outcome.sb_iterations, res.iterations,
             )
         )
-        if outcome.node_infeasible:
-            continue
         j = outcome.column
         xj = float(x[j])
+        # a column chosen from pseudocosts alone bounds both sides at obj
+        ev = outcome.chosen or SbEval(0.0, 0.0, obj, obj, 0, (None, None))
         for child_bound, new_lo, new_hi, child in (
-            (outcome.down_bound, None, math.floor(xj), outcome.children[0]),
-            (outcome.up_bound, math.ceil(xj), None, outcome.children[1]),
+            (ev.down_bound, None, math.floor(xj), ev.children[0]),
+            (ev.up_bound, math.ceil(xj), None, ev.children[1]),
         ):
+            # an infeasible side (an SB child's cutoff) queues nothing
             if math.isinf(child_bound):
                 continue
-            child_bound = max(child_bound, obj)
             if incumbent_obj is not None and child_bound >= incumbent_obj - _PRUNE_TOL:
                 continue
             lo2, hi2 = lo.copy(), hi.copy()

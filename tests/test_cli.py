@@ -35,6 +35,13 @@ def write_scaled_knapsack(path, exponent):
     return path
 
 
+def write_non_utf8(path, source):
+    """source's bytes with a 0xff byte, which no UTF-8 text holds, in the first line."""
+    data = source.read_bytes()
+    path.write_bytes(data[:1] + b"\xff" + data[1:])
+    return path
+
+
 def write_pool(path, seed, n=300, zero_frac=0.3, tail="pareto", node="root"):
     rng = np.random.default_rng(seed)
     entries = []
@@ -676,6 +683,24 @@ class TestSweep:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_undecodable_or_unreadable_mps_is_a_parse_failure(self, tmp_path, capsys):
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        save_mps(sparse_multiknapsack(14, 8, 2), directory / "good.mps")
+        write_non_utf8(directory / "bad.mps", EXAMPLES / "tiny-knapsack.mps")
+        (directory / "x.mps").mkdir()
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(
+            capsys, "sweep", str(directory), "--modes", "fixed", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 0, stderr
+        assert "failed bad.mps" in stderr and "not UTF-8 text" in stderr
+        assert "failed x.mps: cannot read" in stderr
+        assert "internal error" not in stderr
+        cells = out.read_text().splitlines()[1].split(",")
+        assert cells[3] == "1" and cells[4] == "2"
+
     def test_grid_dynamic_no_worse_in_nodes_at_default_lookahead(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code, _, _ = run(
@@ -719,3 +744,37 @@ class TestReport:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "report", str(tmp_path / "nope.csv"))
         assert code == 2 and "nope.csv" in stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "fit", "simulate", "report"])
+def test_non_utf8_input_exits_2_and_names_the_file(tmp_path, capsys, command):
+    if command == "solve":
+        source = EXAMPLES / "tiny-knapsack.mps"
+    else:
+        source = write_pool(tmp_path / "pool.csv", 5)
+    bad = write_non_utf8(tmp_path / "bad", source)
+    out = str(tmp_path / "o.csv")
+    argv = {
+        "solve": ("solve", str(bad)),
+        "fit": ("fit", str(bad), "--out", out),
+        "simulate": (
+            "simulate", "--instance", str(bad), "--gaps", "8", "--trials", "5",
+            "--seed", "1", "--out", out,
+        ),
+        "report": ("report", str(bad)),
+    }[command]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2, stderr
+    assert f"{bad}: not UTF-8 text" in stderr and "internal error" not in stderr
+    assert stdout == ""
+
+
+def test_non_utf8_config_file_exits_2_and_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_bytes(b"L = 3\n\xff\n")
+    code, stdout, stderr = run(
+        capsys, "solve", str(EXAMPLES / "tiny-knapsack.mps"), "--config", str(cfg)
+    )
+    assert code == 2, stderr
+    assert f"{cfg}: not UTF-8 text" in stderr and "internal error" not in stderr
+    assert stdout == ""

@@ -158,6 +158,12 @@ class TestGainFile:
         with pytest.raises(GainFileError, match=":1:"):
             load_gain_series(str(p))
 
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_bytes((self.HEADER + "n0,x1,1,2\n").encode() + b"n\xff,x2,1,2\n")
+        with pytest.raises(GainFileError, match="not UTF-8 text"):
+            load_gain_series(str(p))
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(19)
         entries = tuple(

@@ -7,8 +7,11 @@ cases pin the small contracts (cutoffs, budgets, bound certificates)
 where a referee would just re-run the same arithmetic.
 """
 
+import dataclasses
 import hashlib
+import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -518,9 +521,6 @@ class TestWarmStart:
         assert capped.iterations == cap + cold.iterations
 
     def test_solve_warm_starts_every_lp_below_the_root(self, monkeypatch):
-        import heapq
-        from types import SimpleNamespace
-
         from pvb.mini_bnb import solver
 
         starts = []
@@ -927,6 +927,12 @@ class TestMps:
         with pytest.raises(MpsError, match="data before a section header"):
             load_mps(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.mps"
+        path.write_bytes(FIXTURE.encode().replace(b"COST", b"CO\xffT", 1))
+        with pytest.raises(MpsError, match="not UTF-8 text"):
+            load_mps(path)
+
     @pytest.mark.parametrize(
         "mip",
         [random_binary_mip(s) for s in range(1, 16)]
@@ -1000,7 +1006,8 @@ class TestStrongBranching:
                 [-1.0], [[2.0]], ["<="], [2.0], [0.0], [1.0], 0, 1.0, -1.0
             )
 
-    def test_capped_children_certify_no_bound(self):
+    def test_capped_children_certify_no_bound(self, monkeypatch):
+        monkeypatch.setattr(solver, "_CHILD_ITERATION_LIMIT", 1)
         mip = multiknapsack(12, 3, 1)
         c, a, senses, b, lo, hi = mip.dense()
         root = solve_bounded_lp(c, a, senses, b, lo, hi)
@@ -1009,8 +1016,7 @@ class TestStrongBranching:
             if min(root.x[j] % 1.0, 1.0 - root.x[j] % 1.0) > 1e-6
         )
         ev = strong_branch_candidate(
-            c, a, senses, b, lo, hi, j, float(root.x[j]), root.objective,
-            iteration_limit=1,
+            c, a, senses, b, lo, hi, j, float(root.x[j]), root.objective
         )
         assert ev.down_bound == pytest.approx(root.objective)
         assert ev.up_bound == pytest.approx(root.objective)
@@ -1071,8 +1077,7 @@ def run_select(mip, pseudocost=None, config=None, candidates=None, gap=None):
             if flag and min(res.x[j] % 1.0, 1.0 - res.x[j] % 1.0) > 1e-6
         ]
     outcome = select_branching_variable(
-        c, a, senses, b, lo, hi, res.x, res.objective, res.iterations,
-        candidates, pseudocost, GainAccumulator(), config, gap,
+        c, a, senses, b, lo, hi, res, candidates, pseudocost, GainAccumulator(), config, gap
     )
     return outcome, pseudocost, res
 
@@ -1095,7 +1100,9 @@ class TestSelect:
         assert outcome.column == 0
         assert outcome.reason == CUTOFF_FOUND  # up child is infeasible
         assert outcome.reveals == 1 and outcome.sb_lp_solves == 2
-        assert not outcome.node_infeasible
+        # the chosen SbEval: a finite down gain, the up side cut off
+        assert outcome.chosen.down_gain == pytest.approx(0.5)
+        assert math.isinf(outcome.chosen.up_gain)
         assert pc.calls == [(0, pytest.approx(1.0), None)]
 
     def test_a_per_unit_gain_past_the_float_range_is_a_solver_error(self, monkeypatch):
@@ -1106,12 +1113,24 @@ class TestSelect:
         with pytest.raises(SolverError, match="per-unit gain of column 0 overflows"):
             run_select(mip)
 
-    def test_cutoff_both_sides_marks_node_infeasible(self):
+    def test_cutoff_both_sides_marks_node_infeasible(self, monkeypatch):
         mip = build([-1.0], [([2.0], "=", 1.0)], upper=1.0, integer=True)
         outcome, pc, _ = run_select(mip, pseudocost=RecordingPseudocost(1))
         assert outcome.reason == CUTOFF_FOUND
-        assert outcome.node_infeasible
+        assert math.isinf(outcome.chosen.down_gain) and math.isinf(outcome.chosen.up_gain)
         assert pc.calls == []
+        # both sides are infinite bounds, so the solve queues no child
+        pushed = []
+
+        def push(heap, entry):
+            pushed.append(entry)
+
+        monkeypatch.setattr(
+            solver, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop)
+        )
+        res = solve(mip)
+        assert res.status == INFEASIBLE and res.nodes == 1 and pushed == []
+        assert [d.reason for d in res.decisions] == [CUTOFF_FOUND]
 
     def test_budget_stop(self):
         mip = sparse_multiknapsack(20, 12, 3)
@@ -1124,7 +1143,7 @@ class TestSelect:
         ]
         assert len(candidates) >= 2
         outcome = select_branching_variable(
-            c, a, senses, b, lo, hi, res.x, res.objective, 0,
+            c, a, senses, b, lo, hi, dataclasses.replace(res, iterations=0),
             candidates, Pseudocost(mip.n_cols), GainAccumulator(), config,
         )
         assert outcome.reason == BUDGET_EXHAUSTED
@@ -1208,7 +1227,7 @@ def test_the_scan_asks_should_continue_through_its_module_global(monkeypatch, mo
     scans, asked = [], []
 
     def opening(*args):
-        candidates, pseudocost, gap = args[9], args[10], args[13]
+        candidates, pseudocost, gap = args[7], args[8], args[11]
         unreliable = sum(not pseudocost.reliable(j) for j in candidates)
         scans.append((unreliable / len(candidates), gap))
         return select(*args)
@@ -1336,6 +1355,19 @@ class TestSolve:
         direct = solve(mip, FIXED)
         loaded = solve(load_mps(path), FIXED)
         assert loaded == direct
+
+    @pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+    def test_overflowing_pivot_is_a_solver_error(self, mode):
+        # objective coefficients near the float limit overflow a tableau
+        # update, and HiGHS reports a numerical failure on this instance,
+        # so an "optimal" answer here would be a wrong one
+        mip = random_binary_mip(206)
+        scale = 10.0 ** np.random.default_rng(206).uniform(140, 307, mip.n_cols)
+        objective = np.asarray(mip.objective) * scale
+        assert np.isfinite(objective).all()
+        mip = dataclasses.replace(mip, objective=tuple(objective.tolist()))
+        with pytest.raises(SolverError, match="LP arithmetic overflows"):
+            solve(mip, SolverConfig(mode=mode))
 
 
 class TestSolveGolden:
