@@ -70,10 +70,13 @@ def render_table(header, rows) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_list(text: str, kind, what: str) -> tuple:
@@ -481,6 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # fit, simulate and sweep refuse a missing --out directory before any work
+        out = getattr(args, "out", None)
+        if out is not None and not Path(out).parent.is_dir():
+            raise CliError(f"cannot write {out}: no directory {Path(out).parent}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

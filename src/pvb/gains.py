@@ -48,16 +48,17 @@ class GainPair:
                 raise ValueError(f"negative {side}gain: {v!r}")
 
 
-def shifted_geomean(pair: GainPair, epsilon: float = DEFAULT_EPSILON) -> float:
+def shifted_geomean(down: float, up: float, epsilon: float = DEFAULT_EPSILON) -> float:
     """Collapse a gain pair to g = sqrt((down+eps)(up+eps)) - eps.
 
+    down and up are gains >= 0 (GainPair checks a gain file's rows).
     Symmetric in (down, up), monotone in each argument, and exact for
     down == up (sqrt of a perfect square rounds back to its root).
     Raises ValueError when the product overflows to inf.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    value = math.sqrt((pair.down + epsilon) * (pair.up + epsilon)) - epsilon
+    value = math.sqrt((down + epsilon) * (up + epsilon)) - epsilon
     if not math.isfinite(value):
         raise ValueError(f"geometric-mean gain overflows: {value!r}")
     # Guard the subtraction against a last-ulp dip below zero.
@@ -83,7 +84,7 @@ class GainSeries:
 
     @cached_property
     def geomeans(self) -> tuple[float, ...]:
-        return tuple(shifted_geomean(p, self.epsilon) for _, p in self.entries)
+        return tuple(shifted_geomean(p.down, p.up, self.epsilon) for _, p in self.entries)
 
 
 def load_gain_series(path: str, epsilon: float = DEFAULT_EPSILON) -> list[GainSeries]:
@@ -127,7 +128,7 @@ def load_gain_series(path: str, epsilon: float = DEFAULT_EPSILON) -> list[GainSe
         seen_keys.add(key)
         try:
             pair = GainPair(down, up)
-            shifted_geomean(pair, epsilon)
+            shifted_geomean(down, up, epsilon)
         except ValueError as exc:
             raise GainFileError(f"{path}:{lineno}: {exc}") from None
         by_node.setdefault(node_id, []).append((var_id, pair))

@@ -8,6 +8,9 @@ fixes the artificials to zero and optimizes the real objective from the
 phase-1 basis. Pricing is Dantzig until the objective stalls, then
 Bland's rule for guaranteed termination.
 
+An LP's objective and rows are one LpSystem, converted and checked once
+by lp_system; each solve over it checks only its column bounds.
+
 The engine works on a dense tableau: B^-1 M over every column, stacked
 over the reduced costs, plus the basic values. Since the slack columns
 of M are the identity, the slack block of the tableau is B^-1; the dual
@@ -40,7 +43,8 @@ at 2.1 GHz, numpy 2.4), so a model much wider than the solver's corpus
 would want the numpy scans back.
 
 A solve may instead start warm from the optimal basis of a parent LP
-that differs only in its column bounds. The basis carries its tableau,
+over the same LpSystem that differs only in its column bounds; a basis
+over another system is refused. The basis carries its tableau,
 reduced costs, values and update count. What every child of one parent
 needs from it is derived once, on the first child, from the parent's
 own arrays (Basis.start): the tableau stacked over the reduced costs,
@@ -106,10 +110,16 @@ class SolverError(RuntimeError):
     """Numerical failure: singular basis, lost feasibility, or a blown cap."""
 
 
-class ExtendedSystem(NamedTuple):
-    """[A | I] with one ranged slack per row, built once per constraint
-    set; the slacks' bounds are lists of floats, one per row."""
+@dataclass(frozen=True, eq=False)
+class LpSystem:
+    """min objective @ x s.t. matrix x (senses) rhs as checked float
+    arrays, plus M = [matrix | I] with one ranged slack per row, the costs
+    c over M's columns, and the slacks' bounds as lists of floats. Built
+    once per constraint set by lp_system; a system equals only itself."""
 
+    objective: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
     M: np.ndarray
     c: np.ndarray
     slack_lo: list
@@ -150,7 +160,7 @@ class _BasisArrays(NamedTuple):
     """Basis's fields; a subclass of a NamedTuple has an instance dict,
     where Basis caches its start."""
 
-    system: ExtendedSystem
+    system: LpSystem
     columns: np.ndarray
     state: np.ndarray
     tableau: np.ndarray
@@ -531,7 +541,7 @@ class _Tableau:
             except np.linalg.LinAlgError:
                 raise _ColdRestart from None
 
-    def warm_basis(self, system: ExtendedSystem) -> Basis:
+    def warm_basis(self, system: LpSystem) -> Basis:
         """This optimal basis over the columns of system; the tableau is
         not used afterwards, so the basis takes its arrays over.
 
@@ -569,13 +579,20 @@ class _Tableau:
         return basis
 
 
-def _extend(objective, matrix, senses) -> ExtendedSystem:
-    """Append one ranged slack per row; returns the equality system."""
+def lp_system(objective, matrix, senses, rhs) -> LpSystem:
+    """The LpSystem of min objective @ x s.t. matrix x (senses) rhs; raises
+    ValueError for a non-finite entry, an unknown sense, or a matrix or rhs
+    whose size does not match the objective and the senses."""
+    objective = np.asarray(objective, dtype=float)
+    m = len(senses)
+    matrix = np.asarray(matrix, dtype=float).reshape(m, len(objective))
+    rhs = np.asarray(rhs, dtype=float).reshape(m)
     if not np.isfinite(objective).all():
         raise ValueError("objective must be finite")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must be finite")
-    m, n = matrix.shape
+    if not all(map(math.isfinite, rhs.tolist())):
+        raise ValueError("rhs must be finite")
     slack_lo = [0.0] * m
     slack_hi = [0.0] * m
     for i, sense in enumerate(senses):
@@ -587,10 +604,10 @@ def _extend(objective, matrix, senses) -> ExtendedSystem:
             raise ValueError(f"unknown row sense {sense!r}")
     M = np.hstack([matrix, np.eye(m)])
     c = np.concatenate([objective, np.zeros(m)])
-    return ExtendedSystem(M, c, slack_lo, slack_hi)
+    return LpSystem(objective, matrix, rhs, M, c, slack_lo, slack_hi)
 
 
-def _warm_tableau(warm: Basis, b, lo, hi) -> _Tableau:
+def _warm_tableau(warm: Basis, lo, hi) -> _Tableau:
     """A tableau on warm's basis with the nonbasic columns at the new bounds.
 
     Only nonbasic values move, so the basic values follow from the
@@ -612,17 +629,18 @@ def _warm_tableau(warm: Basis, b, lo, hi) -> _Tableau:
         shift = np.array(z) - warm.values
         shift[warm.columns] = 0.0
         xb = (warm.values[warm.columns] - warm.tableau @ shift).tolist()
+    system = warm.system
     return _Tableau(
-        warm.system.M, b, lo, hi, warm.columns.copy(), warm.state.copy(), z, xb,
-        warm.system.c, start.stack.copy(), warm.updates,
+        system.M, system.rhs, lo, hi, warm.columns.copy(), warm.state.copy(), z, xb,
+        system.c, start.stack.copy(), warm.updates,
     )
 
 
-def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, bool]:
+def _cold_tableau(system: LpSystem, lo, hi, cap) -> tuple[_Tableau, bool]:
     """Phase 1 from the slack basis; returns the tableau, priced for the
     system's costs, and whether the LP is feasible. On success the
     artificials are pinned at zero."""
-    M, c = system.M, system.c
+    M, c, rhs = system.M, system.c, system.rhs
     m = M.shape[0]
     n = M.shape[1] - m
     z = [_start_value(lo[j], hi[j]) for j in range(n + m)]
@@ -680,32 +698,29 @@ def _cold_tableau(system: ExtendedSystem, rhs, lo, hi, cap) -> tuple[_Tableau, b
 
 
 def solve_bounded_lp(
-    objective,
-    matrix,
-    senses,
-    rhs,
-    lower,
-    upper,
-    iteration_limit: int | None = None,
+    system: LpSystem, lower, upper, iteration_limit: int | None = None,
     warm_start: Basis | None = None,
 ) -> LpResult:
-    """Minimize objective @ x subject to matrix x (senses) rhs, lower <= x <= upper.
+    """Minimize system's objective @ x subject to its rows and lower <= x <= upper.
 
     iteration_limit caps total simplex iterations across both phases; when
     it bites after feasibility is established, the result carries the best
     feasible objective so far with status iteration_limit. Running out
     during phase 1 is a SolverError since nothing is certified yet.
 
-    warm_start is the basis of an optimal result for the same objective
-    and rows under other column bounds; the solve then starts from it
-    with the dual simplex. An optimal result carries its basis.
+    warm_start is the basis of an optimal result over the same system
+    under other column bounds; the solve then starts from it with the
+    dual simplex. An optimal result carries its basis.
 
-    Raises ValueError for a non-finite objective, matrix or rhs entry, for
-    a NaN bound, and for a lower bound of +inf or an upper bound of -inf;
-    SolverError when the arithmetic overflows.
+    Raises ValueError for a warm start whose basis belongs to another
+    system, for bounds that are not one per column, for a NaN bound, and
+    for a lower bound of +inf or an upper bound of -inf; SolverError when
+    the arithmetic overflows.
     """
+    if warm_start is not None and warm_start.system is not system:
+        raise ValueError("warm start belongs to another LpSystem")
     try:
-        return _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_start)
+        return _solve(system, lower, upper, iteration_limit, warm_start)
     except FloatingPointError as exc:
         raise SolverError(f"LP arithmetic overflows: {exc}") from None
 
@@ -714,15 +729,12 @@ def solve_bounded_lp(
 # otherwise pass as inf or NaN into a pivot or an "optimal" answer; the
 # decorator form enters it at about half the cost of a with statement
 @np.errstate(over="raise")
-def _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_start):
-    objective = np.asarray(objective, dtype=float)
-    matrix = np.asarray(matrix, dtype=float).reshape(len(senses), len(objective))
-    rhs = np.asarray(rhs, dtype=float)
-    m, n = matrix.shape
-    if not all(map(math.isfinite, rhs.tolist())):
-        raise ValueError("rhs must be finite")
+def _solve(system, lower, upper, iteration_limit, warm_start):
+    m, n = system.matrix.shape
     lo = np.asarray(lower, dtype=float).tolist()
     hi = np.asarray(upper, dtype=float).tolist()
+    if len(lo) != n or len(hi) != n:
+        raise ValueError(f"lower and upper must have one entry per column ({n})")
     if math.inf in lo or -math.inf in hi:
         raise ValueError("no lower bound may be +inf and no upper bound -inf")
     # NaN bounds fail lower <= upper too; they are an input fault, not an empty box
@@ -731,12 +743,6 @@ def _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_s
             raise ValueError("lower and upper bounds must not be NaN")
         return LpResult(INFEASIBLE, None, None, 0)
 
-    if warm_start is None:
-        system = _extend(objective, matrix, senses)
-    else:
-        system = warm_start.system
-        if system.M.shape != (m, n + m):
-            raise ValueError("warm start belongs to a system of another shape")
     lo += system.slack_lo
     hi += system.slack_hi
     cap = iteration_limit if iteration_limit is not None else 200 * (n + m) + 2000
@@ -745,7 +751,7 @@ def _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_s
     tab = None
     if warm_start is not None:
         try:
-            tab = _warm_tableau(warm_start, rhs, lo, hi)
+            tab = _warm_tableau(warm_start, lo, hi)
             start = warm_start.start
             if not tab.dual(cap, start.side.copy(), start.movers.copy()):
                 return LpResult(INFEASIBLE, None, None, tab.iterations)
@@ -753,7 +759,7 @@ def _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_s
             spent = tab.iterations if tab is not None else 0
             tab = None
     if tab is None:
-        tab, feasible = _cold_tableau(system, rhs, lo, hi, cap)
+        tab, feasible = _cold_tableau(system, lo, hi, cap)
         if not feasible:
             return LpResult(INFEASIBLE, None, None, spent + tab.iterations)
 
@@ -765,12 +771,12 @@ def _solve(objective, matrix, senses, rhs, lower, upper, iteration_limit, warm_s
         if iteration_limit is None:
             raise SolverError("simplex failed to converge within the safety cap")
         x = tab.values()[:n]
-        return LpResult(ITERATION_LIMIT, x, float(objective @ x), iterations)
+        return LpResult(ITERATION_LIMIT, x, float(system.objective @ x), iterations)
     basis = tab.warm_basis(system)
     x = basis.values[:n].copy()
-    slack = (rhs - matrix @ x).tolist()
+    slack = (system.rhs - system.matrix @ x).tolist()
     for i, s, l, h in zip(count(), slack, system.slack_lo, system.slack_hi):
         # a NaN violation is not within the tolerance either
         if not (l - s <= 1e-6 and s - h <= 1e-6):
             raise SolverError(f"optimal point violates row {i}")
-    return LpResult(OPTIMAL, x, float(objective @ x), iterations, basis)
+    return LpResult(OPTIMAL, x, float(system.objective @ x), iterations, basis)

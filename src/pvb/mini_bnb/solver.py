@@ -21,8 +21,10 @@ quality rather than incumbent luck. Bounds that agree to a relative
 engine does not decide which of two equal nodes comes first. An SB
 child LP that proves infeasible doubles as a cutoff certificate: that
 child is never queued.
-Every LP below the root, SB child or queued node, starts warm from its
-parent node's optimal basis. A queued child of the branching column
+The LP is one LpSystem per MIP, built once by solve; every node and SB
+child LP is solved over it under its own column bounds. Every LP below
+the root, SB child or queued node, starts warm from its parent node's
+optimal basis over that system. A queued child of the branching column
 whose SB child LP finished optimal within the per-candidate iteration
 limit is not solved again: that LP result serves as the node's LP, since
 the node solve would repeat the same pivots from the same basis.
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..distributions import DegenerateFitError, GainAccumulator
-from ..gains import DEFAULT_EPSILON, GainPair, shifted_geomean
+from ..gains import DEFAULT_EPSILON, shifted_geomean
 from ..lookahead import (
     CANDIDATES_EXHAUSTED,
     FixedLookaheadConfig,
@@ -55,7 +57,9 @@ from .simplex import (
     UNBOUNDED,
     Basis,
     LpResult,
+    LpSystem,
     SolverError,
+    lp_system,
     solve_bounded_lp,
 )
 
@@ -147,7 +151,7 @@ class Pseudocost:
 def _score(down: float, up: float, epsilon: float) -> float:
     """shifted_geomean of a gain pair; SolverError past the float range."""
     try:
-        return shifted_geomean(GainPair(down, up), epsilon)
+        return shifted_geomean(down, up, epsilon)
     except ValueError as exc:
         raise SolverError(str(exc)) from None
 
@@ -236,30 +240,20 @@ class MipResult:
         return sum(d.sb_iterations for d in self.decisions)
 
 
-def strong_branch_candidate(
-    c,
-    A,
-    senses,
-    b,
-    lo,
-    hi,
-    j: int,
-    xj: float,
-    node_objective: float,
-    warm_start: Basis | None = None,
-) -> SbEval:
-    """Solve both child LPs for rounding x_j down and up.
+def strong_branch_candidate(system: LpSystem, lo, hi, j: int, node: LpResult) -> SbEval:
+    """Solve both child LPs for rounding x_j of the node's LP down and up.
 
     Gains are child-objective increases clamped at zero; an infeasible
     child reports an infinite gain, which doubles as a cutoff
     certificate for that side. A child stopped by the per-candidate
     iteration limit (_CHILD_ITERATION_LIMIT) still contributes its
     reached objective to the gain but certifies no bound beyond the
-    node's own. warm_start, the node LP's optimal basis, restarts both
-    children from the node's vertex. A child that is optimal in fewer
-    pivots than the limit hit no cap, so its result is the one a node
-    solve would compute and is kept in children.
+    node's own. node is the node's LpResult over system; its basis, when
+    it has one, restarts both children from the node's vertex. A child
+    that is optimal in fewer pivots than the limit hit no cap, so its
+    result is the one a node solve would compute and is kept in children.
     """
+    xj, node_objective = float(node.x[j]), node.objective
     frac = xj - math.floor(xj)
     if min(frac, 1.0 - frac) <= 1e-9:
         raise ValueError(f"candidate {j} is integral at {xj!r}")
@@ -270,9 +264,7 @@ def strong_branch_candidate(
     up_lo = np.array(lo, dtype=float)
     up_lo[j] = math.ceil(xj)
     for lo2, hi2 in ((lo, down_hi), (up_lo, hi)):
-        res = solve_bounded_lp(
-            c, A, senses, b, lo2, hi2, iteration_limit=limit, warm_start=warm_start,
-        )
+        res = solve_bounded_lp(system, lo2, hi2, iteration_limit=limit, warm_start=node.basis)
         iters += res.iterations
         kept.append(res if res.status == OPTIMAL and res.iterations < limit else None)
         if res.status == INFEASIBLE:
@@ -290,18 +282,8 @@ def strong_branch_candidate(
 
 
 def select_branching_variable(
-    c,
-    A,
-    senses,
-    b,
-    lo,
-    hi,
-    node: LpResult,
-    candidates,
-    pseudocost: Pseudocost,
-    samples: GainAccumulator,
-    config: SolverConfig,
-    gap: float | None = None,
+    system: LpSystem, lo, hi, node: LpResult, candidates, pseudocost: Pseudocost,
+    samples: GainAccumulator, config: SolverConfig, gap: float | None = None,
 ) -> ScanOutcome:
     """Pick the branching column among the fractional candidates.
 
@@ -314,7 +296,7 @@ def select_branching_variable(
     gap is the objective distance this node's subtree is expected to
     close; a positive value arms the expected-tree-size stop in dynamic
     mode, None or nonpositive leaves only the hard caps. node is the node's
-    optimal LpResult; its basis warm-starts every SB child.
+    optimal LpResult over system; its basis warm-starts every SB child.
     """
     x = node.x
     candidates = list(candidates)
@@ -343,9 +325,7 @@ def select_branching_variable(
     reason = CANDIDATES_EXHAUSTED
     best = None
     for j in order:
-        ev = strong_branch_candidate(
-            c, A, senses, b, lo, hi, j, float(x[j]), node.objective, node.basis
-        )
+        ev = strong_branch_candidate(system, lo, hi, j, node)
         evaluated[j] = ev
         down = None if math.isinf(ev.down_gain) else ev.down_gain / fracs[j]
         up = None if math.isinf(ev.up_gain) else ev.up_gain / (1.0 - fracs[j])
@@ -410,7 +390,8 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     node (its objective plus the sum, over its fractional candidates, of
     the geometric mean of each one's predicted side gains).
     """
-    c, A, senses, b, lo0, hi0 = mip.dense()
+    *rows, lo0, hi0 = mip.dense()
+    system = lp_system(*rows)
     int_cols = np.flatnonzero(mip.integer)
     pseudocost = Pseudocost(mip.n_cols, config.reliability_threshold)
     samples = GainAccumulator()
@@ -441,7 +422,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             # a tie with the minimum bound can sit at the cutoff
             continue
         if res is None:
-            res = solve_bounded_lp(c, A, senses, b, lo, hi, warm_start=warm_start)
+            res = solve_bounded_lp(system, lo, hi, warm_start=warm_start)
         nodes += 1
         if res.status == INFEASIBLE:
             continue
@@ -467,7 +448,7 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         targets = [t for t in (incumbent_obj, estimate) if t is not None]
         gap = min(targets) - obj if targets else None
         outcome = select_branching_variable(
-            c, A, senses, b, lo, hi, res, fractional, pseudocost, samples, config, gap
+            system, lo, hi, res, fractional, pseudocost, samples, config, gap
         )
         if estimate is None:
             # First branched node seeds the bound-to-prove estimate: one

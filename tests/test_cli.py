@@ -42,6 +42,17 @@ def write_non_utf8(path, source):
     return path
 
 
+def assert_refused_before_work(code, stdout, stderr, out):
+    """The command exited 2 on its --out path, with an error line and no table."""
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: cannot write") and str(out) in stderr
+    assert "internal error" not in stderr
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the command did its work before checking --out")
+
+
 def write_pool(path, seed, n=300, zero_frac=0.3, tail="pareto", node="root"):
     rng = np.random.default_rng(seed)
     entries = []
@@ -105,6 +116,19 @@ class TestFit:
         row = out.read_text().splitlines()[1].split(",")
         assert row[1] == "exponential"
         assert row[7] == "not-rejected"
+
+    def test_missing_out_directory_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch):
+        pool = write_pool(tmp_path / "pool.csv", 3)
+        monkeypatch.setattr(cli, "fit_report", no_work)
+        out = tmp_path / "missing" / "fit.csv"
+        code, stdout, stderr = run(capsys, "fit", str(pool), "--out", str(out))
+        assert_refused_before_work(code, stdout, stderr, out)
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # the directory exists, but --out names a directory, not a file
+        pool = write_pool(tmp_path / "pool.csv", 3)
+        code, stdout, stderr = run(capsys, "fit", str(pool), "--out", str(tmp_path))
+        assert_refused_before_work(code, stdout, stderr, tmp_path)
 
     def test_bad_alpha(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 3)
@@ -217,6 +241,16 @@ class TestSimulate:
         assert code == 2 and f"{path}:2:" in stderr and "internal error" not in stderr
         code, _, stderr = run(capsys, "fit", str(path), "--out", str(tmp_path / "f.csv"))
         assert code == 2 and f"{path}:2:" in stderr and "internal error" not in stderr
+
+    def test_missing_out_directory_exits_2_before_the_campaign(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # once ran every trial, then failed to open --out with exit code 1
+        pool = write_pool(tmp_path / "pool.csv", 5)
+        monkeypatch.setattr(cli, "run_campaign", no_work)
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, stderr = self.simulate(capsys, pool, out)
+        assert_refused_before_work(code, stdout, stderr, out)
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
@@ -545,6 +579,14 @@ class TestSweep:
         assert cells[:5] == ["fixed", "9", "1000000", "1", "0"]
         assert float(cells[5]) == pytest.approx(direct.nodes)
         assert float(cells[6]) == pytest.approx(direct.sb_lp_solves)
+
+    def test_missing_out_directory_exits_2_before_solving(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", no_work)
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, stderr = run(
+            capsys, "sweep", str(EXAMPLES), "--seed", "1", "--out", str(out)
+        )
+        assert_refused_before_work(code, stdout, stderr, out)
 
     def test_internal_fault_in_a_solve_exits_1(self, tmp_path, capsys, monkeypatch):
         # a ValueError inside solve is a bug in pvb, not a failed instance

@@ -41,6 +41,7 @@ from pvb.mini_bnb import (
     SolverConfig,
     SolverError,
     load_mps,
+    lp_system,
     multiknapsack,
     random_binary_mip,
     save_mps,
@@ -254,7 +255,7 @@ def tighten(x, lower, upper, j, side, shift):
 class TestSimplex:
     def test_face_optimum(self):
         res = solve_bounded_lp(
-            [-1.0, -1.0], [[1.0, 1.0]], ["<="], [5.0], [0.0, 0.0],
+            lp_system([-1.0, -1.0], [[1.0, 1.0]], ["<="], [5.0]), [0.0, 0.0],
             [math.inf, math.inf],
         )
         assert res.status == OPTIMAL
@@ -264,7 +265,7 @@ class TestSimplex:
     def test_bounded_vertex(self):
         # optimum sits at x0 capped, remainder on x1: obj -2*3 - 2 = -8
         res = solve_bounded_lp(
-            [-2.0, -1.0], [[1.0, 1.0]], ["<="], [5.0], [0.0, 0.0], [3.0, 3.0]
+            lp_system([-2.0, -1.0], [[1.0, 1.0]], ["<="], [5.0]), [0.0, 0.0], [3.0, 3.0]
         )
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(-8.0)
@@ -272,21 +273,19 @@ class TestSimplex:
 
     def test_equality_row(self):
         res = solve_bounded_lp(
-            [1.0, 0.0], [[1.0, 1.0]], ["="], [4.0], [0.0, 0.0], [3.0, 3.0]
+            lp_system([1.0, 0.0], [[1.0, 1.0]], ["="], [4.0]), [0.0, 0.0], [3.0, 3.0]
         )
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(1.0)
 
     def test_negative_lower_bound(self):
-        res = solve_bounded_lp(
-            [1.0], [[1.0]], [">="], [-2.0], [-5.0], [math.inf]
-        )
+        res = solve_bounded_lp(lp_system([1.0], [[1.0]], [">="], [-2.0]), [-5.0], [math.inf])
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(-2.0)
 
     def test_infeasible(self):
         res = solve_bounded_lp(
-            [-1.0, -1.0], [[1.0, 1.0]], ["<="], [-1.0], [0.0, 0.0],
+            lp_system([-1.0, -1.0], [[1.0, 1.0]], ["<="], [-1.0]), [0.0, 0.0],
             [math.inf, math.inf],
         )
         assert res.status == INFEASIBLE
@@ -294,7 +293,7 @@ class TestSimplex:
 
     def test_unbounded(self):
         res = solve_bounded_lp(
-            [-1.0, 0.0], [[0.0, 1.0]], ["<="], [1.0], [0.0, 0.0],
+            lp_system([-1.0, 0.0], [[0.0, 1.0]], ["<="], [1.0]), [0.0, 0.0],
             [math.inf, math.inf],
         )
         assert res.status == UNBOUNDED
@@ -302,25 +301,24 @@ class TestSimplex:
     def test_lp_without_rows_puts_each_column_at_its_cheaper_bound(self):
         # once a matmul shape error in warm_basis; a child of the optimum
         # starts warm from a basis with no rows
-        none = np.zeros((0, 3))
-        res = solve_bounded_lp([2.0, -3.0, 0.0], none, [], [], [-1.0, -2.0, -5.0], [4.0, 6.0, 5.0])
+        system = lp_system([2.0, -3.0, 0.0], np.zeros((0, 3)), [], [])
+        res = solve_bounded_lp(system, [-1.0, -2.0, -5.0], [4.0, 6.0, 5.0])
         assert res.status == OPTIMAL
         assert res.x.tolist() == [-1.0, 6.0, -5.0] and res.objective == -20.0
         child = solve_bounded_lp(
-            [2.0, -3.0, 0.0], none, [], [], [-1.0, -2.0, -5.0], [4.0, 2.5, 5.0],
-            warm_start=res.basis,
+            system, [-1.0, -2.0, -5.0], [4.0, 2.5, 5.0], warm_start=res.basis
         )
         assert child.status == OPTIMAL
         assert child.x.tolist() == [-1.0, 2.5, -5.0] and child.objective == -9.5
         for cost, lower, upper in (([-1.0], [0.0], [math.inf]), ([1.0], [-math.inf], [3.0])):
-            res = solve_bounded_lp(cost, np.zeros((0, 1)), [], [], lower, upper)
+            res = solve_bounded_lp(lp_system(cost, np.zeros((0, 1)), [], []), lower, upper)
             assert res.status == UNBOUNDED
 
     def test_iteration_limit_keeps_feasible_point(self):
         # slacks seat the all-zero start, so the single allowed pivot
         # lands on a feasible but suboptimal vertex
         res = solve_bounded_lp(
-            [-1.0, -1.0], [[1.0, 1.0]], ["<="], [5.0], [0.0, 0.0],
+            lp_system([-1.0, -1.0], [[1.0, 1.0]], ["<="], [5.0]), [0.0, 0.0],
             [3.0, 3.0], iteration_limit=1,
         )
         assert res.status == ITERATION_LIMIT
@@ -330,7 +328,7 @@ class TestSimplex:
     def test_phase1_cap_raises(self):
         with pytest.raises(SolverError):
             solve_bounded_lp(
-                [1.0, 1.0], [[1.0, 1.0]], ["="], [5.0], [0.0, 0.0],
+                lp_system([1.0, 1.0], [[1.0, 1.0]], ["="], [5.0]), [0.0, 0.0],
                 [3.0, 3.0], iteration_limit=1,
             )
 
@@ -340,7 +338,7 @@ class TestSimplex:
         c = [-0.75, 20.0, -0.5, 6.0]
         a = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
         res = solve_bounded_lp(
-            c, a, ["<="] * 3, [0.0, 0.0, 1.0], [0.0] * 4, [math.inf] * 4
+            lp_system(c, a, ["<="] * 3, [0.0, 0.0, 1.0]), [0.0] * 4, [math.inf] * 4
         )
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(-1.25)
@@ -355,7 +353,7 @@ class TestSimplex:
         b = [1400.0, 0.14, 900.0, -0.03]
         lower, upper = [-math.inf, 0.0, -math.inf], [math.inf, 6.0, math.inf]
         assert linprog_lp(c, a, senses, b, lower, upper) == ("unbounded", None)
-        assert solve_bounded_lp(c, a, senses, b, lower, upper).status == UNBOUNDED
+        assert solve_bounded_lp(lp_system(c, a, senses, b), lower, upper).status == UNBOUNDED
 
     @pytest.mark.parametrize("seed", range(150))
     def test_fuzz_against_highs(self, seed):
@@ -369,7 +367,7 @@ class TestSimplex:
         b = rng.integers(-8, 15, size=m).astype(float)
         lower = np.where(rng.random(n) < 0.7, 0.0, -3.0)
         upper = np.where(rng.random(n) < 0.6, 6.0, math.inf)
-        res = solve_bounded_lp(c, a, senses, b, lower, upper)
+        res = solve_bounded_lp(lp_system(c, a, senses, b), lower, upper)
         ref_status, ref_obj = linprog_lp(c, a, senses, b, lower, upper)
         assert res.status == ref_status
         if ref_status == "optimal":
@@ -384,12 +382,13 @@ class TestWarmStart:
     @given(parent_and_child_lps())
     def test_fuzz_child_matches_cold_and_highs(self, case):
         c, a, senses, b, lower, upper, j, side, shift = case
-        parent = solve_bounded_lp(c, a, senses, b, lower, upper)
+        system = lp_system(c, a, senses, b)
+        parent = solve_bounded_lp(system, lower, upper)
         if parent.status != OPTIMAL:
             return
         lo2, hi2 = tighten(parent.x, lower, upper, j, side, shift)
-        warm = solve_bounded_lp(c, a, senses, b, lo2, hi2, warm_start=parent.basis)
-        cold = solve_bounded_lp(c, a, senses, b, lo2, hi2)
+        warm = solve_bounded_lp(system, lo2, hi2, warm_start=parent.basis)
+        cold = solve_bounded_lp(system, lo2, hi2)
         ref_status, ref_obj = linprog_lp(c, a, senses, b, lo2, hi2)
         assert warm.status == cold.status == ref_status
         if ref_status == OPTIMAL:
@@ -406,7 +405,8 @@ class TestWarmStart:
         # each LP starts from the previous optimum's basis, so the tableau
         # it carries accumulates updates along the chain
         c, a, senses, b, lo, hi, cuts = case
-        res = solve_bounded_lp(c, a, senses, b, lo, hi)
+        system = lp_system(c, a, senses, b)
+        res = solve_bounded_lp(system, lo, hi)
         for k, side in cuts:
             if res.status != OPTIMAL:
                 break
@@ -418,8 +418,8 @@ class TestWarmStart:
             if bounds is None:
                 continue
             lo, hi = bounds
-            warm = solve_bounded_lp(c, a, senses, b, lo, hi, warm_start=res.basis)
-            cold = solve_bounded_lp(c, a, senses, b, lo, hi)
+            warm = solve_bounded_lp(system, lo, hi, warm_start=res.basis)
+            cold = solve_bounded_lp(system, lo, hi)
             ref_status, ref_obj = linprog_lp(c, a, senses, b, lo, hi)
             assert warm.status == cold.status == ref_status
             if ref_status == OPTIMAL:
@@ -432,7 +432,8 @@ class TestWarmStart:
         # refactor interval in dual pivots, all on one carried tableau
         mip = sparse_multiknapsack(20, 12, 22)
         c, a, senses, b, lo, hi = mip.dense()
-        res = solve_bounded_lp(c, a, senses, b, lo, hi)
+        system = lp_system(c, a, senses, b)
+        res = solve_bounded_lp(system, lo, hi)
         pivots = 0
         while True:
             assert_basis_is_current(res, b)
@@ -444,7 +445,7 @@ class TestWarmStart:
                 break
             j = fractional[pivots % len(fractional)]
             lo, hi = cut(res.x, lo, hi, j, "down" if j % 2 else "up")
-            child = solve_bounded_lp(c, a, senses, b, lo, hi, warm_start=res.basis)
+            child = solve_bounded_lp(system, lo, hi, warm_start=res.basis)
             if child.status != OPTIMAL:
                 break
             pivots += child.iterations
@@ -455,18 +456,20 @@ class TestWarmStart:
         # guards the warm start itself: SB children restarted from the
         # root basis against the same children solved from scratch
         mip = sparse_multiknapsack(20, 12, 1)
-        c, a, senses, b, lo, hi = mip.dense()
-        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        *rows, lo, hi = mip.dense()
+        system = lp_system(*rows)
+        root = solve_bounded_lp(system, lo, hi)
         fractional = [
             j for j in range(mip.n_cols)
             if min(root.x[j] % 1.0, 1.0 - root.x[j] % 1.0) > 1e-6
         ]
         assert len(fractional) >= 4
         warm_iters = cold_iters = 0
+        # the same node without its basis starts both children cold
+        basisless = dataclasses.replace(root, basis=None)
         for j in fractional:
-            args = (c, a, senses, b, lo, hi, j, float(root.x[j]), root.objective)
-            warm = strong_branch_candidate(*args, warm_start=root.basis)
-            cold = strong_branch_candidate(*args)
+            warm = strong_branch_candidate(system, lo, hi, j, root)
+            cold = strong_branch_candidate(system, lo, hi, j, basisless)
             assert warm.down_gain == pytest.approx(cold.down_gain, abs=1e-9)
             assert warm.up_gain == pytest.approx(cold.up_gain, abs=1e-9)
             warm_iters += warm.iterations
@@ -475,47 +478,42 @@ class TestWarmStart:
 
     def test_infeasible_child_is_certified_by_the_dual(self):
         # x0 + x1 >= 3 with both capped at 2; fixing x0 at 0 leaves x1 short
-        c, a, senses, b = [1.0, 1.0], [[1.0, 1.0]], [">="], [3.0]
-        parent = solve_bounded_lp(c, a, senses, b, [0.0, 0.0], [2.0, 2.0])
+        system = lp_system([1.0, 1.0], [[1.0, 1.0]], [">="], [3.0])
+        parent = solve_bounded_lp(system, [0.0, 0.0], [2.0, 2.0])
         assert parent.status == OPTIMAL
-        child = solve_bounded_lp(
-            c, a, senses, b, [0.0, 0.0], [0.0, 2.0], warm_start=parent.basis
-        )
+        child = solve_bounded_lp(system, [0.0, 0.0], [0.0, 2.0], warm_start=parent.basis)
         assert child.status == INFEASIBLE
         assert child.iterations == 0
 
     def test_free_nonbasic_column_falls_back_to_cold(self):
         # the free x1 has zero cost and sits nonbasic at 0 in the parent
-        c, a, senses, b = [-1.0, 0.0], [[1.0, 0.0]], ["<="], [4.0]
+        system = lp_system([-1.0, 0.0], [[1.0, 0.0]], ["<="], [4.0])
         lower, upper = [0.0, -math.inf], [math.inf, math.inf]
-        parent = solve_bounded_lp(c, a, senses, b, lower, upper)
+        parent = solve_bounded_lp(system, lower, upper)
         assert parent.status == OPTIMAL
-        child = solve_bounded_lp(
-            c, a, senses, b, lower, [2.0, math.inf], warm_start=parent.basis
-        )
-        cold = solve_bounded_lp(c, a, senses, b, lower, [2.0, math.inf])
+        child = solve_bounded_lp(system, lower, [2.0, math.inf], warm_start=parent.basis)
+        cold = solve_bounded_lp(system, lower, [2.0, math.inf])
         assert child.status == OPTIMAL
         assert child.objective == pytest.approx(-2.0)
         assert child.iterations == cold.iterations
 
     def test_capped_dual_phase_falls_back_and_counts_both(self):
         mip = sparse_multiknapsack(20, 12, 1)
-        c, a, senses, b, lo, hi = mip.dense()
-        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        *rows, lo, hi = mip.dense()
+        system = lp_system(*rows)
+        root = solve_bounded_lp(system, lo, hi)
         j = next(
             j for j in range(mip.n_cols)
             if min(root.x[j] % 1.0, 1.0 - root.x[j] % 1.0) > 1e-6
         )
         lo2 = lo.copy()
         lo2[j] = 1.0
-        warm = solve_bounded_lp(c, a, senses, b, lo2, hi, warm_start=root.basis)
+        warm = solve_bounded_lp(system, lo2, hi, warm_start=root.basis)
         assert warm.status == OPTIMAL and warm.iterations >= 2
         # one pivot short of the warm solve, so the dual phase cannot finish
         cap = warm.iterations - 1
-        capped = solve_bounded_lp(
-            c, a, senses, b, lo2, hi, iteration_limit=cap, warm_start=root.basis
-        )
-        cold = solve_bounded_lp(c, a, senses, b, lo2, hi, iteration_limit=cap)
+        capped = solve_bounded_lp(system, lo2, hi, iteration_limit=cap, warm_start=root.basis)
+        cold = solve_bounded_lp(system, lo2, hi, iteration_limit=cap)
         assert capped.status == cold.status
         assert capped.objective == pytest.approx(cold.objective)
         assert capped.iterations == cap + cold.iterations
@@ -584,10 +582,11 @@ class TestWarmStart:
     def test_nan_in_the_warm_start_falls_back_to_cold(self, monkeypatch, where):
         # NaN compares false, so a test written as "violation <= tol" lets
         # a NaN row through as a certificate of infeasibility
-        c, a = [-3.0, -2.0, -4.0], [[1.0, 1.0, 2.0], [2.0, 0.0, 3.0]]
-        senses, b = ["<=", "<="], [4.0, 5.0]
+        system = lp_system(
+            [-3.0, -2.0, -4.0], [[1.0, 1.0, 2.0], [2.0, 0.0, 3.0]], ["<=", "<="], [4.0, 5.0]
+        )
         lower, upper = [0.0, 0.0, 0.0], [10.0, 10.0, 1.0]
-        parent = solve_bounded_lp(c, a, senses, b, lower, [10.0, 10.0, 10.0])
+        parent = solve_bounded_lp(system, lower, [10.0, 10.0, 10.0])
         assert parent.status == OPTIMAL
         if where == "values":
             values = parent.basis.values.copy()
@@ -605,7 +604,7 @@ class TestWarmStart:
             return original(*args)
 
         monkeypatch.setattr(simplex, "_cold_tableau", recording)
-        child = solve_bounded_lp(c, a, senses, b, lower, upper, warm_start=broken)
+        child = solve_bounded_lp(system, lower, upper, warm_start=broken)
         assert len(cold_starts) == 1
         assert child.status == OPTIMAL
         assert child.objective == pytest.approx(-10.5)
@@ -620,7 +619,7 @@ class TestWarmStart:
         original = _Tableau.warm_basis
         monkeypatch.setattr(_Tableau, "warm_basis", nan_values)
         with pytest.raises(SolverError, match="violates row 0"):
-            solve_bounded_lp([-1.0], [[1.0]], ["<="], [4.0], [0.0], [10.0])
+            solve_bounded_lp(lp_system([-1.0], [[1.0]], ["<="], [4.0]), [0.0], [10.0])
 
     @pytest.mark.parametrize(
         "field, value, match, warm",
@@ -628,7 +627,6 @@ class TestWarmStart:
             ("objective", [math.nan], "objective must be finite", False),
             ("matrix", [[math.nan]], "matrix must be finite", False),
             ("matrix", [[-math.inf]], "matrix must be finite", False),
-            # a warm start reuses its parent's objective and matrix
             *(
                 (field, [math.nan], match, warm)
                 for field, match in (
@@ -645,39 +643,53 @@ class TestWarmStart:
                 for field, value in (("lower", math.inf), ("upper", -math.inf))
                 for warm in (False, True)
             ),
+            # rows of another size or an unknown sense
+            ("senses", ["<"], "unknown row sense '<'", False),
+            ("matrix", [[1.0, 2.0]], "cannot reshape", False),
+            ("rhs", [4.0, 5.0], "cannot reshape", False),
+            # once read the extra lower bound as the slack's and returned
+            # infeasible; bounds are one per column, cold or warm
+            *(
+                (field, [0.0, 5.0], r"one entry per column \(1\)", warm)
+                for field in ("lower", "upper")
+                for warm in (False, True)
+            ),
         ],
     )
     def test_nan_input_is_rejected(self, field, value, match, warm):
         # once returned optimal -4.0 for a NaN lower bound, optimal NaN for a
-        # NaN objective, and numpy's empty-argmin error for a NaN rhs
-        args = dict(
-            objective=[-1.0], matrix=[[1.0]], senses=["<="], rhs=[4.0], lower=[0.0],
-            upper=[10.0],
-        )
-        if warm:
-            args["warm_start"] = solve_bounded_lp(**args).basis
-        args[field] = value
+        # NaN objective, and numpy's empty-argmin error for a NaN rhs. The
+        # rows are checked once, by lp_system, so no solve, cold or warm,
+        # can see a bad one; the bounds are checked by every solve
+        rows = dict(objective=[-1.0], matrix=[[1.0]], senses=["<="], rhs=[4.0])
+        box = dict(lower=[0.0], upper=[10.0])
+        system = lp_system(**rows)
+        start = solve_bounded_lp(system, **box).basis if warm else None
         with pytest.raises(ValueError, match=match):
-            solve_bounded_lp(**args)
+            if field in rows:
+                lp_system(**{**rows, field: value})
+            else:
+                solve_bounded_lp(system, **{**box, field: value}, warm_start=start)
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("bound", [math.inf, -math.inf])
     def test_infinite_bound_pair_is_rejected(self, bound, warm):
         # [inf, inf] once returned optimal -4.0 at x = [4], outside its box
-        args = dict(objective=[-1.0], matrix=[[1.0]], senses=["<="], rhs=[4.0])
-        start = solve_bounded_lp(**args, lower=[0.0], upper=[10.0]).basis if warm else None
+        system = lp_system([-1.0], [[1.0]], ["<="], [4.0])
+        start = solve_bounded_lp(system, [0.0], [10.0]).basis if warm else None
         with pytest.raises(ValueError, match="no lower bound may be"):
-            solve_bounded_lp(**args, lower=[bound], upper=[bound], warm_start=start)
+            solve_bounded_lp(system, [bound], [bound], warm_start=start)
 
     @pytest.mark.parametrize("where", ["values", "tableau"])
     def test_replaced_basis_derives_its_own_start(self, monkeypatch, where):
         # the parent starts a child first, so its derived start exists
         # before the NaN copy is made; the copy must not inherit it
-        c, a = [-3.0, -2.0, -4.0], [[1.0, 1.0, 2.0], [2.0, 0.0, 3.0]]
-        senses, b = ["<=", "<="], [4.0, 5.0]
+        system = lp_system(
+            [-3.0, -2.0, -4.0], [[1.0, 1.0, 2.0], [2.0, 0.0, 3.0]], ["<=", "<="], [4.0, 5.0]
+        )
         lower, upper = [0.0, 0.0, 0.0], [10.0, 10.0, 1.0]
-        parent = solve_bounded_lp(c, a, senses, b, lower, [10.0, 10.0, 10.0])
-        first = solve_bounded_lp(c, a, senses, b, lower, upper, warm_start=parent.basis)
+        parent = solve_bounded_lp(system, lower, [10.0, 10.0, 10.0])
+        first = solve_bounded_lp(system, lower, upper, warm_start=parent.basis)
         assert first.status == OPTIMAL
         if where == "values":
             values = parent.basis.values.copy()
@@ -696,18 +708,24 @@ class TestWarmStart:
             return original(*args)
 
         monkeypatch.setattr(simplex, "_cold_tableau", recording)
-        child = solve_bounded_lp(c, a, senses, b, lower, upper, warm_start=broken)
+        child = solve_bounded_lp(system, lower, upper, warm_start=broken)
         assert len(cold_starts) == 1
         assert child.status == OPTIMAL
         assert child.objective == first.objective == pytest.approx(-10.5)
 
-    def test_warm_start_of_another_shape_is_rejected(self):
-        parent = solve_bounded_lp([1.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
-        with pytest.raises(ValueError, match="another shape"):
-            solve_bounded_lp(
-                [1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [0.0, 0.0], [1.0, 1.0],
-                warm_start=parent.basis,
-            )
+    def test_warm_start_from_another_system_is_rejected(self):
+        # min -x0 over x0 + x1 <= 1 in [0, 1]^2; a warm start from that
+        # optimum once solved min -x1 over the same rows as "optimal" 0.0,
+        # carrying the first system's costs, where the optimum is -1.0
+        a, senses, b, box = [[1.0, 1.0]], ["<="], [1.0], ([0.0, 0.0], [1.0, 1.0])
+        parent = solve_bounded_lp(lp_system([-1.0, 0.0], a, senses, b), *box)
+        other = lp_system([0.0, -1.0], a, senses, b)
+        with pytest.raises(ValueError, match="another LpSystem"):
+            solve_bounded_lp(other, *box, warm_start=parent.basis)
+        # an equal system built anew is another system too
+        with pytest.raises(ValueError, match="another LpSystem"):
+            solve_bounded_lp(lp_system([-1.0, 0.0], a, senses, b), *box, warm_start=parent.basis)
+        assert solve_bounded_lp(other, *box).objective == -1.0
 
 
 def slack_tableau(a, b, c):
@@ -963,7 +981,8 @@ class TestStrongBranching:
     def test_gains_match_child_resolve(self):
         mip = sparse_multiknapsack(20, 12, 1)
         c, a, senses, b, lo, hi = mip.dense()
-        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        system = lp_system(c, a, senses, b)
+        root = solve_bounded_lp(system, lo, hi)
         assert root.status == OPTIMAL
         fractional = [
             j for j in range(mip.n_cols)
@@ -972,7 +991,7 @@ class TestStrongBranching:
         assert len(fractional) >= 4
         for j in fractional[:4]:
             xj = float(root.x[j])
-            ev = strong_branch_candidate(c, a, senses, b, lo, hi, j, xj, root.objective)
+            ev = strong_branch_candidate(system, lo, hi, j, root)
             for side, new_lo, new_hi in (
                 ("down", None, math.floor(xj)),
                 ("up", math.ceil(xj), None),
@@ -993,31 +1012,33 @@ class TestStrongBranching:
 
     def test_infeasible_side_reports_infinite_gain(self):
         # up child needs x0 >= 1 against the row 2 x0 <= 1
-        ev = strong_branch_candidate(
-            [-1.0], [[2.0]], ["<="], [1.0], [0.0], [1.0], 0, 0.5, -0.5
-        )
+        system = lp_system([-1.0], [[2.0]], ["<="], [1.0])
+        node = solve_bounded_lp(system, [0.0], [1.0])
+        assert node.x.tolist() == [0.5] and node.objective == -0.5
+        ev = strong_branch_candidate(system, [0.0], [1.0], 0, node)
         assert ev.down_gain == pytest.approx(0.5)
         assert ev.down_bound == pytest.approx(0.0)
         assert math.isinf(ev.up_gain) and math.isinf(ev.up_bound)
 
     def test_integral_candidate_rejected(self):
+        system = lp_system([-1.0], [[2.0]], ["<="], [2.0])
+        node = solve_bounded_lp(system, [0.0], [1.0])
+        assert node.x.tolist() == [1.0]
         with pytest.raises(ValueError, match="integral"):
-            strong_branch_candidate(
-                [-1.0], [[2.0]], ["<="], [2.0], [0.0], [1.0], 0, 1.0, -1.0
-            )
+            strong_branch_candidate(system, [0.0], [1.0], 0, node)
 
     def test_capped_children_certify_no_bound(self, monkeypatch):
         monkeypatch.setattr(solver, "_CHILD_ITERATION_LIMIT", 1)
         mip = multiknapsack(12, 3, 1)
-        c, a, senses, b, lo, hi = mip.dense()
-        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        *rows, lo, hi = mip.dense()
+        system = lp_system(*rows)
+        root = solve_bounded_lp(system, lo, hi)
         j = next(
             j for j in range(mip.n_cols)
             if min(root.x[j] % 1.0, 1.0 - root.x[j] % 1.0) > 1e-6
         )
-        ev = strong_branch_candidate(
-            c, a, senses, b, lo, hi, j, float(root.x[j]), root.objective
-        )
+        # children started cold, which one pivot cannot finish
+        ev = strong_branch_candidate(system, lo, hi, j, dataclasses.replace(root, basis=None))
         assert ev.down_bound == pytest.approx(root.objective)
         assert ev.up_bound == pytest.approx(root.objective)
         assert math.isfinite(ev.down_gain) and ev.down_gain >= 0.0
@@ -1066,8 +1087,9 @@ class TestPseudocost:
 
 
 def run_select(mip, pseudocost=None, config=None, candidates=None, gap=None):
-    c, a, senses, b, lo, hi = mip.dense()
-    res = solve_bounded_lp(c, a, senses, b, lo, hi)
+    *rows, lo, hi = mip.dense()
+    system = lp_system(*rows)
+    res = solve_bounded_lp(system, lo, hi)
     assert res.status == OPTIMAL
     pseudocost = pseudocost or Pseudocost(mip.n_cols, threshold=2)
     config = config or SolverConfig()
@@ -1077,7 +1099,7 @@ def run_select(mip, pseudocost=None, config=None, candidates=None, gap=None):
             if flag and min(res.x[j] % 1.0, 1.0 - res.x[j] % 1.0) > 1e-6
         ]
     outcome = select_branching_variable(
-        c, a, senses, b, lo, hi, res, candidates, pseudocost, GainAccumulator(), config, gap
+        system, lo, hi, res, candidates, pseudocost, GainAccumulator(), config, gap
     )
     return outcome, pseudocost, res
 
@@ -1135,15 +1157,16 @@ class TestSelect:
     def test_budget_stop(self):
         mip = sparse_multiknapsack(20, 12, 3)
         config = SolverConfig(fixed=FixedLookaheadConfig(K=0))
-        c, a, senses, b, lo, hi = mip.dense()
-        res = solve_bounded_lp(c, a, senses, b, lo, hi)
+        *rows, lo, hi = mip.dense()
+        system = lp_system(*rows)
+        res = solve_bounded_lp(system, lo, hi)
         candidates = [
             j for j in range(mip.n_cols)
             if min(res.x[j] % 1.0, 1.0 - res.x[j] % 1.0) > 1e-6
         ]
         assert len(candidates) >= 2
         outcome = select_branching_variable(
-            c, a, senses, b, lo, hi, dataclasses.replace(res, iterations=0),
+            system, lo, hi, dataclasses.replace(res, iterations=0),
             candidates, Pseudocost(mip.n_cols), GainAccumulator(), config,
         )
         assert outcome.reason == BUDGET_EXHAUSTED
@@ -1227,7 +1250,7 @@ def test_the_scan_asks_should_continue_through_its_module_global(monkeypatch, mo
     scans, asked = [], []
 
     def opening(*args):
-        candidates, pseudocost, gap = args[7], args[8], args[11]
+        candidates, pseudocost, gap = args[4], args[5], args[8]
         unreliable = sum(not pseudocost.reliable(j) for j in candidates)
         scans.append((unreliable / len(candidates), gap))
         return select(*args)
@@ -1414,8 +1437,9 @@ def api_warm_starts():
     one nonbasic column to its other bound, several, every one, none, a
     basic column, and a basic column with nonbasic ones."""
     for mip in toy_corpus(4):
-        c, a, senses, b, lo, hi = mip.dense()
-        root = solve_bounded_lp(c, a, senses, b, lo, hi)
+        *rows, lo, hi = mip.dense()
+        system = lp_system(*rows)
+        root = solve_bounded_lp(system, lo, hi)
         state = root.basis.state[: mip.n_cols]
         nonbasic = np.flatnonzero(state != _BASIC).tolist()
         basic = np.flatnonzero(state == _BASIC).tolist()
@@ -1432,7 +1456,7 @@ def api_warm_starts():
                     hi2[j] = lo[j]
                 else:
                     hi2[j] = math.floor(root.x[j])
-            yield c, a, senses, b, lo2, hi2, root.basis
+            yield system, lo2, hi2, root.basis
 
 
 class TestWarmLpGolden:
@@ -1471,8 +1495,8 @@ class TestWarmLpGolden:
 
     def test_api_warm_starts_match_pinned_digest(self):
         rows = [
-            lp_row(solve_bounded_lp(c, a, senses, b, lo, hi, warm_start=basis))
-            for c, a, senses, b, lo, hi, basis in api_warm_starts()
+            lp_row(solve_bounded_lp(system, lo, hi, warm_start=basis))
+            for system, lo, hi, basis in api_warm_starts()
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.GOLDEN["api"]
 
