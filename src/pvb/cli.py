@@ -228,8 +228,6 @@ def _pick_series(args):
 def cmd_simulate(args) -> int:
     settings = _settings(args)
     series = _pick_series(args)
-    if all(g <= 0.0 for g in series.geomeans):
-        raise CliError(f"{args.instance}: node {series.node_id!r} has no nonzero gains")
     gaps = _parse_list(args.gaps, float, "gaps")
     strategies = (
         _parse_list(args.strategies, str, "strategies") if args.strategies else STRATEGIES
@@ -249,7 +247,7 @@ def cmd_simulate(args) -> int:
     try:
         table = run_campaign(spec, workers=args.workers, fixed=fixed, prob=prob)
     except (UnclosableError, CapacityError) as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"{args.instance}: node {series.node_id!r}: {exc}") from None
     header = ("gap", "strategy", "mean_total_nodes", "mean_sb_nodes")
     rows = [
         (_num(r.gap), r.strategy, _num(r.mean_total_nodes), _num(r.mean_sb_nodes))

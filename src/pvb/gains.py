@@ -71,7 +71,6 @@ class GainSeries:
 
     node_id: str
     entries: tuple[tuple[str, GainPair], ...]
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         seen = set()
@@ -84,10 +83,10 @@ class GainSeries:
 
     @cached_property
     def geomeans(self) -> tuple[float, ...]:
-        return tuple(shifted_geomean(p.down, p.up, self.epsilon) for _, p in self.entries)
+        return tuple(shifted_geomean(p.down, p.up) for _, p in self.entries)
 
 
-def load_gain_series(path: str, epsilon: float = DEFAULT_EPSILON) -> list[GainSeries]:
+def load_gain_series(path: str) -> list[GainSeries]:
     """Read a gain-file CSV into one GainSeries per distinct node_id.
 
     Entry order within a series follows file order. Each row is collapsed
@@ -128,21 +127,8 @@ def load_gain_series(path: str, epsilon: float = DEFAULT_EPSILON) -> list[GainSe
         seen_keys.add(key)
         try:
             pair = GainPair(down, up)
-            shifted_geomean(down, up, epsilon)
+            shifted_geomean(down, up)
         except ValueError as exc:
             raise GainFileError(f"{path}:{lineno}: {exc}") from None
         by_node.setdefault(node_id, []).append((var_id, pair))
-    return [
-        GainSeries(node_id, tuple(entries), epsilon)
-        for node_id, entries in by_node.items()
-    ]
-
-
-def save_gain_series(path: str, series: list[GainSeries]) -> None:
-    """Write series back to the CSV schema with 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAIN_FILE_HEADER)
-        for s in series:
-            for var_id, pair in s.entries:
-                writer.writerow([s.node_id, var_id, f"{pair.down:.17g}", f"{pair.up:.17g}"])
+    return [GainSeries(node_id, tuple(entries)) for node_id, entries in by_node.items()]

@@ -70,10 +70,6 @@ NO_EXPECTED_IMPROVEMENT = "no_expected_improvement"
 CANDIDATES_EXHAUSTED = "candidates_exhausted"
 
 
-class NoUsableCandidateError(RuntimeError):
-    """Every gain seen so far is zero; no finite tree can be priced yet."""
-
-
 class Decision(NamedTuple):
     stop: bool
     reason: str
@@ -124,9 +120,11 @@ class ProbLookaheadConfig:
 class SbSession:
     """State of one strong-branching scan at one node.
 
-    budget_used and node_cost are in the caller's work units: revealed
-    candidates cost 2 apiece in the abstract model, simplex iterations in
-    the mini solver, which also measures node_cost and uninit_fraction.
+    Only the mini solver opens sessions. It charges each evaluated
+    candidate its SB child LPs' simplex iterations, so budget_used and
+    node_cost are in iterations, and it measures node_cost and
+    uninit_fraction. observe's default cost of 2 is the abstract model's
+    two SB nodes per reveal.
     """
 
     gap: float
@@ -156,15 +154,6 @@ class SbSession:
             return True
         self.no_improvement_streak += 1
         return False
-
-
-def nodes_if_stop(session: SbSession) -> int:
-    """t_i: the best candidate's SVB tree plus 2 nodes per reveal."""
-    if session.d_min == UNBOUNDED:
-        raise NoUsableCandidateError(
-            "no nonzero gain revealed yet; keep sampling"
-        )
-    return svb_tree_size(session.d_min) + 2 * session.iteration
 
 
 def depth_probabilities(gap, top, p0, family: str, theta) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Miniature MIP solver: dense simplex, MPS subset, branching rules."""
 
-from .corpus import multiknapsack, random_binary_mip, sparse_multiknapsack, toy_corpus
+from .corpus import sparse_multiknapsack
 from .mip import SENSES, MiniMip, MpsError, load_mps, save_mps
 from .simplex import (
     INFEASIBLE,
@@ -55,8 +55,5 @@ __all__ = [
     "select_branching_variable",
     "solve",
     "strong_branch_candidate",
-    "multiknapsack",
-    "random_binary_mip",
     "sparse_multiknapsack",
-    "toy_corpus",
 ]

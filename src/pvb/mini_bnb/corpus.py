@@ -1,13 +1,9 @@
-"""Seeded toy instances for exercising the solver.
+"""Seeded sparse knapsack instances for exercising the solver.
 
-Three families. Dense multidimensional knapsacks give a handful of
-fractional candidates per node. Sparse ones spread the tight rows
-across disjoint item subsets, which pushes the root LP to 6-11
-fractional variables and gives the strong-branching scan real choices;
-they make up the fixed-vs-dynamic comparison corpus. Random binary
-MIPs mix senses and signs for correctness sweeps against exhaustive
-enumeration, anchored on a random feasible point most of the time so
-the corpus is not dominated by infeasible instances.
+Each row constrains a random item subset, which pushes the root LP to
+6-11 fractional variables and gives the strong-branching scan real
+choices. sparse_multiknapsack(20, 12, s, density=0.5) for s = 1, 2, ...
+is the fixed-vs-dynamic comparison corpus.
 """
 
 from __future__ import annotations
@@ -15,30 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .mip import MiniMip
-
-
-def multiknapsack(n_items: int, n_rows: int, seed: int, tightness: float = 0.55) -> MiniMip:
-    """Binary maximization knapsack with n_rows dense capacity rows."""
-    if n_items < 1 or n_rows < 1:
-        raise ValueError("n_items and n_rows must be >= 1")
-    if not 0.0 < tightness < 1.0:
-        raise ValueError(f"tightness must be in (0,1), got {tightness!r}")
-    rng = np.random.default_rng(seed)
-    values = rng.integers(10, 100, size=n_items)
-    weights = rng.integers(5, 51, size=(n_rows, n_items))
-    capacity = np.floor(tightness * weights.sum(axis=1))
-    return MiniMip(
-        name=f"mk-{n_items}x{n_rows}-{seed}",
-        col_names=tuple(f"x{j}" for j in range(n_items)),
-        objective=tuple(-float(v) for v in values),
-        row_names=tuple(f"cap{i}" for i in range(n_rows)),
-        senses=("<=",) * n_rows,
-        matrix=tuple(tuple(float(w) for w in row) for row in weights),
-        rhs=tuple(float(v) for v in capacity),
-        lower=(0.0,) * n_items,
-        upper=(1.0,) * n_items,
-        integer=(True,) * n_items,
-    )
 
 
 def sparse_multiknapsack(n_items: int, n_rows: int, seed: int, density: float = 0.5) -> MiniMip:
@@ -74,53 +46,3 @@ def sparse_multiknapsack(n_items: int, n_rows: int, seed: int, density: float = 
         integer=(True,) * n_items,
     )
 
-
-def toy_corpus(n_instances: int = 50) -> tuple[MiniMip, ...]:
-    """The seeded corpus used for paired fixed-vs-dynamic comparisons."""
-    if n_instances < 1:
-        raise ValueError("n_instances must be >= 1")
-    return tuple(
-        sparse_multiknapsack(20, 12, seed, density=0.5)
-        for seed in range(1, n_instances + 1)
-    )
-
-
-def random_binary_mip(seed: int, max_items: int = 14) -> MiniMip:
-    """Small all-binary MIP with mixed senses and signed coefficients.
-
-    Nine in ten instances anchor every row on a hidden binary point so
-    they stay feasible; the rest are left unanchored and often are not.
-    """
-    if max_items < 2:
-        raise ValueError("max_items must be >= 2")
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(6, max_items + 1))
-    m = int(rng.integers(2, 7))
-    matrix = rng.integers(-9, 10, size=(m, n)).astype(float)
-    mask = rng.random((m, n)) < 0.2
-    matrix[mask] = 0.0
-    objective = rng.integers(-50, 51, size=n).astype(float)
-    senses = tuple(rng.choice(["<=", ">=", "="], p=[0.6, 0.3, 0.1]) for _ in range(m))
-    anchor = rng.integers(0, 2, size=n).astype(float)
-    anchored = rng.random() < 0.9
-    rhs = []
-    for i, sense in enumerate(senses):
-        base = float(matrix[i] @ anchor) if anchored else float(rng.integers(-10, 11))
-        if sense == "<=":
-            rhs.append(base + float(rng.integers(0, 9)))
-        elif sense == ">=":
-            rhs.append(base - float(rng.integers(0, 9)))
-        else:
-            rhs.append(base)
-    return MiniMip(
-        name=f"rb-{seed}",
-        col_names=tuple(f"x{j}" for j in range(n)),
-        objective=tuple(objective),
-        row_names=tuple(f"r{i}" for i in range(m)),
-        senses=senses,
-        matrix=tuple(tuple(row) for row in matrix),
-        rhs=tuple(rhs),
-        lower=(0.0,) * n,
-        upper=(1.0,) * n,
-        integer=(True,) * n,
-    )

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 SENSES = ("<=", "=", ">=")
 
 _ROW_TYPES = {"L": "<=", "E": "=", "G": ">="}
@@ -78,17 +76,6 @@ class MiniMip:
     @property
     def n_rows(self) -> int:
         return len(self.row_names)
-
-    def dense(self):
-        """(c, A, senses, b, lo, hi) as numpy arrays for the LP engine."""
-        return (
-            np.array(self.objective, dtype=float),
-            np.array(self.matrix, dtype=float).reshape(self.n_rows, self.n_cols),
-            self.senses,
-            np.array(self.rhs, dtype=float),
-            np.array(self.lower, dtype=float),
-            np.array(self.upper, dtype=float),
-        )
 
 
 def _tokens(line: str):

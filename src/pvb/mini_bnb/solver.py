@@ -390,8 +390,8 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     node (its objective plus the sum, over its fractional candidates, of
     the geometric mean of each one's predicted side gains).
     """
-    *rows, lo0, hi0 = mip.dense()
-    system = lp_system(*rows)
+    system = lp_system(mip.objective, mip.matrix, mip.senses, mip.rhs)
+    lo0, hi0 = np.array(mip.lower, dtype=float), np.array(mip.upper, dtype=float)
     int_cols = np.flatnonzero(mip.integer)
     pseudocost = Pseudocost(mip.n_cols, config.reliability_threshold)
     samples = GainAccumulator()

@@ -47,6 +47,7 @@ from .lookahead import (
     NO_EXPECTED_IMPROVEMENT,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
+    check_int,
     depth_probabilities,
     saving_stops,
 )
@@ -116,7 +117,7 @@ class CampaignSpec:
         for g in self.gaps:
             if not (math.isfinite(g) and g > 0):
                 raise ValueError(f"gaps must be positive and finite, got {g!r}")
-        if self.trials < 1:
+        if check_int("trials", self.trials) < 1:
             raise ValueError("trials must be >= 1")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
@@ -125,7 +126,7 @@ class CampaignSpec:
                 raise ValueError(f"unknown strategy {s!r} (known: {', '.join(STRATEGIES)})")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("duplicate strategies")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= check_int("seed", self.seed) < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
@@ -362,7 +363,7 @@ def run_campaign(
     too deep to price raises the CapacityError of the first such trial in
     the first such cell.
     """
-    if workers < 1:
+    if check_int("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
     n = len(spec.instance.pool)
     per_chunk = spec.trials if workers == 1 else -(-spec.trials // (workers * 4))

@@ -12,8 +12,9 @@ from pvb.abstract_tree import (
     svb_depth,
     svb_tree_size,
 )
-from pvb.lookahead import SbSession, nodes_if_stop
+from pvb.lookahead import SbSession
 
+from helpers import nodes_if_stop
 from oracles import TreeBudgetError, brute_tree_count, build_svb_tree
 
 

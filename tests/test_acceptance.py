@@ -18,6 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from helpers import dense, nodes_if_stop, random_binary_mip, save_gain_series, toy_corpus
 from oracles import (
     brute_tree_count,
     build_svb_tree,
@@ -31,22 +32,14 @@ from oracles import (
 from pvb.abstract_tree import PvbInstance, svb_depth, svb_tree_size
 from pvb.cli import main, shifted_geomean_stat
 from pvb.distributions import GainAccumulator, MixedGainDistribution, ks_test
-from pvb.gains import GainPair, GainSeries, save_gain_series
+from pvb.gains import GainPair, GainSeries
 from pvb.lookahead import (
     ProbLookaheadConfig,
     SbSession,
     expected_nodes_if_continue,
     improvement_probabilities,
-    nodes_if_stop,
 )
-from pvb.mini_bnb import (
-    SolverConfig,
-    random_binary_mip,
-    save_mps,
-    solve,
-    sparse_multiknapsack,
-    toy_corpus,
-)
+from pvb.mini_bnb import SolverConfig, save_mps, solve, sparse_multiknapsack
 from pvb.simulator import CampaignSpec, run_campaign
 
 
@@ -299,7 +292,7 @@ def test_criterion_6_solver_matches_exhaustive_enumeration():
     identical = 0
     for seed in range(1, 201):
         mip = random_binary_mip(seed)
-        c, a, senses, b, _, _ = mip.dense()
+        c, a, senses, b, _, _ = dense(mip)
         best = enumerate_binary_mip(c, a, senses, b)
         res_fixed = solve(mip, SolverConfig(mode="fixed"))
         res_dyn = solve(mip, SolverConfig(mode="dynamic"))

@@ -14,8 +14,10 @@ import pytest
 
 from pvb import cli
 from pvb.cli import main, render_table, shifted_geomean_stat
-from pvb.gains import GainPair, GainSeries, save_gain_series
-from pvb.mini_bnb import load_mps, save_mps, solve, sparse_multiknapsack, toy_corpus
+from pvb.gains import GainPair, GainSeries
+from pvb.mini_bnb import load_mps, save_mps, solve, sparse_multiknapsack
+
+from helpers import save_gain_series, toy_corpus
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -198,10 +200,14 @@ class TestSimulate:
         assert code == 0
 
     def test_all_zero_pool_rejected(self, tmp_path, capsys):
-        path = tmp_path / "zero.csv"
-        save_gain_series(path, [GainSeries("root", (("v0", GainPair(0.0, 0.0)),))])
-        code, _, stderr = self.simulate(capsys, path, tmp_path / "o.csv")
-        assert code == 2 and "no nonzero gains" in stderr
+        # a gain below 1e-9 counts as zero, as everywhere in the engine
+        for gains in ((0.0, 0.0), (1e-10, 0.0)):
+            path = tmp_path / "zero.csv"
+            entries = tuple((f"v{i}", GainPair(g, g)) for i, g in enumerate(gains))
+            save_gain_series(path, [GainSeries("root", entries)])
+            code, _, stderr = self.simulate(capsys, path, tmp_path / "o.csv")
+            assert code == 2
+            assert f"{path}: node 'root': every pool gain is zero" in stderr
 
     def test_tree_too_deep_for_a_float_mean_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.csv"

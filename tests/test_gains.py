@@ -10,10 +10,10 @@ from pvb.gains import (
     GainSeries,
     is_zero_gain,
     load_gain_series,
-    save_gain_series,
     shifted_geomean,
 )
 
+from helpers import save_gain_series
 from oracles import shifted_geomean_mp
 
 

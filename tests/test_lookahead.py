@@ -30,17 +30,16 @@ from pvb.lookahead import (
     LOOKAHEAD_EXHAUSTED,
     NO_EXPECTED_IMPROVEMENT,
     FixedLookaheadConfig,
-    NoUsableCandidateError,
     ProbLookaheadConfig,
     SbSession,
     depth_probabilities,
     expected_nodes_if_continue,
     improvement_probabilities,
-    nodes_if_stop,
     saving_stops,
     should_continue,
 )
 
+from helpers import NoUsableCandidateError, nodes_if_stop
 from oracles import (
     build_svb_tree,
     mc_depth_probabilities,

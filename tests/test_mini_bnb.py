@@ -42,15 +42,12 @@ from pvb.mini_bnb import (
     SolverError,
     load_mps,
     lp_system,
-    multiknapsack,
-    random_binary_mip,
     save_mps,
     select_branching_variable,
     solve,
     solve_bounded_lp,
     sparse_multiknapsack,
     strong_branch_candidate,
-    toy_corpus,
 )
 from pvb.mini_bnb import simplex, solver
 from pvb.mini_bnb.simplex import (
@@ -67,6 +64,7 @@ from pvb.mini_bnb.simplex import (
     _entering_column,
     _leaving_row,
 )
+from helpers import dense, multiknapsack, random_binary_mip, toy_corpus
 from oracles import enumerate_binary_mip, linprog_lp
 
 GEO_SHIFT_NODES = 100.0
@@ -431,7 +429,7 @@ class TestWarmStart:
         # a dive that rounds fractional columns needs several times the
         # refactor interval in dual pivots, all on one carried tableau
         mip = sparse_multiknapsack(20, 12, 22)
-        c, a, senses, b, lo, hi = mip.dense()
+        c, a, senses, b, lo, hi = dense(mip)
         system = lp_system(c, a, senses, b)
         res = solve_bounded_lp(system, lo, hi)
         pivots = 0
@@ -456,7 +454,7 @@ class TestWarmStart:
         # guards the warm start itself: SB children restarted from the
         # root basis against the same children solved from scratch
         mip = sparse_multiknapsack(20, 12, 1)
-        *rows, lo, hi = mip.dense()
+        *rows, lo, hi = dense(mip)
         system = lp_system(*rows)
         root = solve_bounded_lp(system, lo, hi)
         fractional = [
@@ -499,7 +497,7 @@ class TestWarmStart:
 
     def test_capped_dual_phase_falls_back_and_counts_both(self):
         mip = sparse_multiknapsack(20, 12, 1)
-        *rows, lo, hi = mip.dense()
+        *rows, lo, hi = dense(mip)
         system = lp_system(*rows)
         root = solve_bounded_lp(system, lo, hi)
         j = next(
@@ -980,7 +978,7 @@ class TestMps:
 class TestStrongBranching:
     def test_gains_match_child_resolve(self):
         mip = sparse_multiknapsack(20, 12, 1)
-        c, a, senses, b, lo, hi = mip.dense()
+        c, a, senses, b, lo, hi = dense(mip)
         system = lp_system(c, a, senses, b)
         root = solve_bounded_lp(system, lo, hi)
         assert root.status == OPTIMAL
@@ -1030,7 +1028,7 @@ class TestStrongBranching:
     def test_capped_children_certify_no_bound(self, monkeypatch):
         monkeypatch.setattr(solver, "_CHILD_ITERATION_LIMIT", 1)
         mip = multiknapsack(12, 3, 1)
-        *rows, lo, hi = mip.dense()
+        *rows, lo, hi = dense(mip)
         system = lp_system(*rows)
         root = solve_bounded_lp(system, lo, hi)
         j = next(
@@ -1087,7 +1085,7 @@ class TestPseudocost:
 
 
 def run_select(mip, pseudocost=None, config=None, candidates=None, gap=None):
-    *rows, lo, hi = mip.dense()
+    *rows, lo, hi = dense(mip)
     system = lp_system(*rows)
     res = solve_bounded_lp(system, lo, hi)
     assert res.status == OPTIMAL
@@ -1157,7 +1155,7 @@ class TestSelect:
     def test_budget_stop(self):
         mip = sparse_multiknapsack(20, 12, 3)
         config = SolverConfig(fixed=FixedLookaheadConfig(K=0))
-        *rows, lo, hi = mip.dense()
+        *rows, lo, hi = dense(mip)
         system = lp_system(*rows)
         res = solve_bounded_lp(system, lo, hi)
         candidates = [
@@ -1195,7 +1193,7 @@ class TestSelect:
 
 def assert_matches_enumeration(mip, config):
     res = solve(mip, config)
-    c, a, senses, b, _, _ = mip.dense()
+    c, a, senses, b, _, _ = dense(mip)
     best = enumerate_binary_mip(c, a, senses, b)
     if best is None:
         assert res.status == "infeasible"
@@ -1437,7 +1435,7 @@ def api_warm_starts():
     one nonbasic column to its other bound, several, every one, none, a
     basic column, and a basic column with nonbasic ones."""
     for mip in toy_corpus(4):
-        *rows, lo, hi = mip.dense()
+        *rows, lo, hi = dense(mip)
         system = lp_system(*rows)
         root = solve_bounded_lp(system, lo, hi)
         state = root.basis.state[: mip.n_cols]

@@ -379,6 +379,18 @@ def test_campaign_spec_validation():
         run_campaign(CampaignSpec(instance=inst, gaps=(1.0,)), workers=0)
 
 
+@pytest.mark.parametrize(
+    "field, spec_args, workers",
+    [("seed", {"seed": 1.5}, 1), ("trials", {"trials": 2.5}, 1), ("workers", {}, 1.5)],
+    ids=["seed", "trials", "workers"],
+)
+def test_non_integer_counts_are_refused(field, spec_args, workers):
+    """A float count is a ValueError naming it, not a TypeError mid-run."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        spec = CampaignSpec(make_instance([1.0, 2.0]), (4.0,), **{"trials": 5, **spec_args})
+        run_campaign(spec, workers=workers)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_seeds_outside_64_bits_are_refused(seed):
     """seed xor t is one uint64 stream per trial, so a seed past 64 bits
