@@ -21,8 +21,9 @@ import numpy as np
 
 from .gains import is_zero_gain
 
-# Depth reported when a gain is classified zero: no number of branchings
-# on that variable alone can close a positive gap.
+# Depth reported when a gain is classified zero, where no number of
+# branchings on that variable alone can close a positive gap, and when
+# gap/gain overflows the float range.
 UNBOUNDED = math.inf
 
 # Deepest tree svb_tree_size prices: 2**1023 - 1 nodes is the largest size
@@ -62,7 +63,7 @@ def svb_depth(gap: float, gain: float) -> float:
     """Depth ceil(gap/gain) of the single-variable tree, or UNBOUNDED."""
     if not (math.isfinite(gap) and gap > 0):
         raise ValueError(f"gap must be positive, got {gap!r}")
-    if is_zero_gain(gain):
+    if is_zero_gain(gain) or gap / gain == UNBOUNDED:
         return UNBOUNDED
     return math.ceil(gap / gain)
 

@@ -9,9 +9,9 @@ only. Five families are supported; uniform and normal are control cases
 from the stopping criterion, so they are excluded from STOPPING_FAMILIES).
 
 Each family's tail CDF and tail survival is written once, as the array
-functions tail_cdf and tail_survival of (family, theta, g). The methods of
-MixedGainDistribution, cdf, survival, ks_test and the stopping rule's depth
-probabilities (lookahead.depth_probabilities) all call them.
+functions tail_cdf and tail_survival of (family, theta, g). cdf, survival,
+ks_test and the stopping rule's depth probabilities
+(lookahead.depth_probabilities) all call them.
 
 Fits are O(1)-updatable: GainAccumulator keeps the running sums (count,
 sum, sum of logs, min, max, squared sums) from which every family's MLE is
@@ -34,17 +34,19 @@ STOPPING_FAMILIES = ("exponential", "pareto", "lognormal")
 # Minimum nonzero sample size before a fit report is trusted at all.
 MIN_REPORT_NONZERO = 10
 
-_THETA_ARITY = {
-    "exponential": 1,
-    "pareto": 2,
-    "lognormal": 2,
-    "uniform": 1,
-    "normal": 2,
+# Each family's parameters in theta order, True where one must be positive;
+# a row's length is the family's arity.
+_THETA_POSITIVE = {
+    "exponential": (True,),
+    "pareto": (True, True),
+    "lognormal": (False, True),
+    "uniform": (True,),
+    "normal": (False, True),
 }
 
 
 class DegenerateFitError(ValueError):
-    """The MLE is undefined on this sample (too few or collapsed values)."""
+    """A degenerate tail (theta=None) was asked for a value it does not define."""
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -116,17 +118,9 @@ class MixedGainDistribution:
             raise ValueError(f"unknown family {self.family!r}")
         if self.theta is not None:
             object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-            if len(self.theta) != _THETA_ARITY[self.family]:
-                raise ValueError(
-                    f"{self.family} expects {_THETA_ARITY[self.family]} parameters"
-                )
-            positive = {
-                "exponential": (True,),
-                "pareto": (True, True),
-                "lognormal": (False, True),
-                "uniform": (True,),
-                "normal": (False, True),
-            }[self.family]
+            positive = _THETA_POSITIVE[self.family]
+            if len(self.theta) != len(positive):
+                raise ValueError(f"{self.family} expects {len(positive)} parameters")
             for must_be_pos, t in zip(positive, self.theta):
                 if not math.isfinite(t) or (must_be_pos and t <= 0):
                     raise ValueError(f"invalid {self.family} parameter {t!r}")
@@ -134,20 +128,6 @@ class MixedGainDistribution:
     @property
     def degenerate(self) -> bool:
         return self.theta is None
-
-    def _tail(self, formula, g):
-        if self.theta is None:
-            raise DegenerateFitError("tail is degenerate; no CDF available")
-        out = formula(self.family, self.theta, g)
-        return float(out) if out.ndim == 0 else out
-
-    def tail_cdf(self, g):
-        """F_D(g; theta): a float for a scalar g, else an array shaped like g."""
-        return self._tail(tail_cdf, g)
-
-    def tail_survival(self, g):
-        """1 - F_D(g; theta), floored like the module-level tail_survival."""
-        return self._tail(tail_survival, g)
 
 
 def cdf(dist: MixedGainDistribution, g) -> float:
@@ -159,13 +139,13 @@ def cdf(dist: MixedGainDistribution, g) -> float:
     g = float(g)
     if g < 0:
         if dist.family == "normal" and not dist.degenerate:
-            return (1.0 - dist.p0) * dist.tail_cdf(g)
+            return (1.0 - dist.p0) * float(tail_cdf(dist.family, dist.theta, g))
         return 0.0
     if dist.degenerate:
         if g > 0:
             raise DegenerateFitError("degenerate tail queried above zero")
         return dist.p0
-    return dist.p0 + (1.0 - dist.p0) * dist.tail_cdf(g)
+    return dist.p0 + (1.0 - dist.p0) * float(tail_cdf(dist.family, dist.theta, g))
 
 
 def survival(dist: MixedGainDistribution, g) -> float:
@@ -177,7 +157,7 @@ def survival(dist: MixedGainDistribution, g) -> float:
         if g > 0:
             raise DegenerateFitError("degenerate tail queried above zero")
         return 1.0 - dist.p0
-    return (1.0 - dist.p0) * dist.tail_survival(g)
+    return (1.0 - dist.p0) * float(tail_survival(dist.family, dist.theta, g))
 
 
 @dataclass
@@ -222,38 +202,41 @@ class GainAccumulator:
             self.add(v)
 
     def fit(self, family: str) -> MixedGainDistribution:
-        """Closed-form MLE of p0 and the tail from the running sums."""
+        """Closed-form MLE of p0 and the tail from the running sums.
+
+        theta is None wherever the tail's MLE is undefined or leaves the
+        float range: no nonzero gain, fewer than 2 for pareto or
+        lognormal, nonzero gains without spread, or a variance that is not
+        finite. Raises ValueError only for an unknown family or an empty
+        sample.
+        """
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if self.count == 0:
             raise ValueError("cannot fit an empty sample")
         n1 = self.n_nonzero
         p0 = self.zero_count / self.count
-        if n1 == 0:
-            return MixedGainDistribution(1.0, family, None)
-        if family in ("pareto", "lognormal") and n1 < 2:
-            raise DegenerateFitError(f"{family} needs at least 2 nonzero samples")
+        if n1 == 0 or (family in ("pareto", "lognormal") and n1 < 2):
+            return MixedGainDistribution(p0, family, None)
+        theta = None
         if family == "exponential":
             theta = (n1 / self.nonzero_sum,)
         elif family == "pareto":
             log_ratio_sum = self.sum_logs - n1 * math.log(self.nonzero_min)
-            if log_ratio_sum <= 0:
-                raise DegenerateFitError("pareto shape undefined: all nonzeros equal")
-            theta = (self.nonzero_min, n1 / log_ratio_sum)
+            if log_ratio_sum > 0:
+                theta = (self.nonzero_min, n1 / log_ratio_sum)
         elif family == "lognormal":
             mu = self.sum_logs / n1
-            var = max(self.sum_sq_logs / n1 - mu * mu, 0.0)
-            if var <= 0:
-                raise DegenerateFitError("lognormal spread undefined: all nonzeros equal")
-            theta = (mu, math.sqrt(var))
+            var = self.sum_sq_logs / n1 - mu * mu
+            if 0 < var < math.inf:
+                theta = (mu, math.sqrt(var))
         elif family == "uniform":
             theta = (self.nonzero_max,)
         else:  # normal
             mean = self.nonzero_sum / n1
-            var = max(self.nonzero_sum_sq / n1 - mean * mean, 0.0)
-            if var <= 0:
-                raise DegenerateFitError("normal spread undefined: all nonzeros equal")
-            theta = (mean, math.sqrt(var))
+            var = self.nonzero_sum_sq / n1 - mean * mean
+            if 0 < var < math.inf:
+                theta = (mean, math.sqrt(var))
         return MixedGainDistribution(p0, family, theta)
 
 
@@ -287,7 +270,9 @@ def ks_test(nonzero_samples, dist: MixedGainDistribution) -> tuple[float, float]
     n = len(xs)
     if n == 0:
         raise ValueError("ks_test requires at least one sample")
-    f = dist.tail_cdf(xs)
+    if dist.degenerate:
+        raise DegenerateFitError("tail is degenerate; no CDF available")
+    f = tail_cdf(dist.family, dist.theta, xs)
     i = np.arange(1, n + 1, dtype=float)
     d = float(np.maximum(i / n - f, f - (i - 1) / n).max())
     return d, kolmogorov_pvalue(math.sqrt(n) * d)
@@ -315,26 +300,20 @@ def fit_report(
     Series with fewer than MIN_REPORT_NONZERO nonzero gains keep their
     numbers but are flagged `insufficient` rather than judged.
     """
-    values = series.geomeans
-    nonzero = [v for v in values if not is_zero_gain(v)]
-    n_zero = len(values) - len(nonzero)
     acc = GainAccumulator()
-    acc.extend(values)
+    acc.extend(series.geomeans)
+    nonzero = [v for v in series.geomeans if not is_zero_gain(v)]
     reports = []
     for family in families:
-        try:
-            dist = acc.fit(family)
-        except DegenerateFitError:
-            dist = MixedGainDistribution(
-                acc.zero_count / acc.count if acc.count else 1.0, family, None
-            )
+        dist = acc.fit(family)
+        d = p = None
         if dist.degenerate:
-            reports.append(FitReport(dist, n_zero, len(nonzero), None, None, "degenerate"))
-            continue
-        d, p = ks_test(nonzero, dist)
-        if len(nonzero) < MIN_REPORT_NONZERO:
-            verdict = "insufficient"
+            verdict = "degenerate"
         else:
-            verdict = "not-rejected" if p > alpha else "rejected"
-        reports.append(FitReport(dist, n_zero, len(nonzero), d, p, verdict))
+            d, p = ks_test(nonzero, dist)
+            if acc.n_nonzero < MIN_REPORT_NONZERO:
+                verdict = "insufficient"
+            else:
+                verdict = "not-rejected" if p > alpha else "rejected"
+        reports.append(FitReport(dist, acc.zero_count, acc.n_nonzero, d, p, verdict))
     return reports

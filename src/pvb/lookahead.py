@@ -123,8 +123,7 @@ class SbSession:
     Only the mini solver opens sessions. It charges each evaluated
     candidate its SB child LPs' simplex iterations, so budget_used and
     node_cost are in iterations, and it measures node_cost and
-    uninit_fraction. observe's default cost of 2 is the abstract model's
-    two SB nodes per reveal.
+    uninit_fraction.
     """
 
     gap: float
@@ -137,7 +136,7 @@ class SbSession:
     uninit_fraction: float = 0.0
     budget_used: float = 0.0
 
-    def observe(self, gain: float, cost: float = 2.0) -> bool:
+    def observe(self, gain: float, cost: float) -> bool:
         """Record one evaluated candidate; True iff it improved the best.
 
         Improvement is a strictly larger gain (equivalently a depth no

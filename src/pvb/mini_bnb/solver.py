@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..distributions import DegenerateFitError, GainAccumulator
+from ..distributions import GainAccumulator
 from ..gains import DEFAULT_EPSILON, shifted_geomean
 from ..lookahead import (
     CANDIDATES_EXHAUSTED,
@@ -341,10 +341,7 @@ def select_branching_variable(
         session.observe(g, cost=float(ev.iterations))
         dist = None
         if prob is not None and samples.n_nonzero >= prob.min_nonzero_samples:
-            try:
-                dist = samples.fit(prob.family)
-            except DegenerateFitError:
-                dist = None
+            dist = samples.fit(prob.family)
         decision = should_continue(session, config.fixed, prob, dist)
         if decision.stop:
             reason = decision.reason

@@ -175,7 +175,7 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
     # the running statistics of each trial still running; zeros add 0.0 to both sums
     state = np.zeros((6, len(orders)))
     state[3] = np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, orders.shape[1] + 1):  # reveals so far, the accumulator's count
             best, sums, n1, lowest, log_lowest, log_sum = state
             idx = orders[alive, i - 1]
@@ -184,7 +184,7 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
             np.maximum(best, v, out=best)
             sums += v
             n1 += nonzero
-            depth = np.ceil(gap / best)  # inf before the first nonzero gain
+            depth = np.ceil(gap / best)  # inf before the first nonzero gain or on overflow
             p0 = (i - n1) / i if mass_point else np.zeros(alive.size)
             if family == "pareto":
                 lg = logs[idx]

@@ -27,6 +27,12 @@ class TestSvbDepth:
     def test_zero_classified_gain(self):
         assert svb_depth(5, 5e-10) == UNBOUNDED
 
+    def test_ratio_beyond_the_float_range_is_unbounded(self):
+        # 1e300 / 2e-9 overflows to inf, which has no integer ceiling
+        assert svb_depth(1e300, 2e-9) == UNBOUNDED
+        with pytest.raises(CapacityError, match="depth inf exceeds 1022"):
+            svb_tree_size(svb_depth(1e300, 2e-9))
+
     def test_bad_gap(self):
         with pytest.raises(ValueError):
             svb_depth(0, 1)

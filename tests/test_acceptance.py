@@ -69,7 +69,7 @@ def test_criterion_1_tree_formulas_match_brute_force():
             built = build_svb_tree(gap, g, g)
             brute = brute_tree_count(gap, g, g)
             session = SbSession(gap=gap)
-            session.observe(g)
+            session.observe(g, cost=2.0)
             exact = exact and formula == built == brute
             exact = exact and session.d_min == d and session.iteration == 1
             exact = exact and nodes_if_stop(session) == formula + 2
@@ -105,9 +105,9 @@ def test_criterion_2_continue_expectation_matches_monte_carlo():
         session = SbSession(gap=gap)
         # Nudge the best gain below gap/d_min so its depth rounds up to
         # exactly d_min; the zero reveals only advance the iteration count.
-        session.observe(gap / d_min * (1.0 + 1e-9))
+        session.observe(gap / d_min * (1.0 + 1e-9), cost=2.0)
         for _ in range(reveals - 1):
-            session.observe(0.0)
+            session.observe(0.0, cost=2.0)
         assert session.d_min == d_min and session.iteration == reveals
 
         dist = MixedGainDistribution(p0, family, theta)

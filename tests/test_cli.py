@@ -220,6 +220,20 @@ class TestSimulate:
         assert code == 2
         assert "exceeds 1022" in stderr and "internal error" not in stderr
 
+    def test_gap_gain_ratio_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "node_id,variable_id,downgain,upgain\nr,a,2e-9,2e-9\nr,b,3e-9,3e-9\nr,c,0,0\n"
+        )
+        for strategy in ("fixed", "full", "prob-mixed-pareto"):
+            code, _, stderr = run(
+                capsys, "simulate", "--instance", str(path), "--gaps", "1e300",
+                "--trials", "3", "--seed", "1", "--strategies", strategy,
+                "--out", str(tmp_path / "o.csv"),
+            )
+            assert code == 2 and "internal error" not in stderr
+            assert f"{path}: node 'r': gap 1e+300: best depth inf exceeds 1022" in stderr
+
     def test_unknown_strategy(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 5)
         code, _, stderr = self.simulate(
@@ -319,6 +333,72 @@ class TestSimulateGolden:
             hashlib.sha256(stdout.encode()).hexdigest(),
         )
         assert digests == self.GOLDEN[extra]
+
+
+class TestFitGolden:
+    """Pinned bytes of `pvb fit` on one gain file whose nodes reach every verdict.
+
+    `zero` is all zero, `one` has a single nonzero gain and `equal` four
+    equal ones, so their undefined fits are `degenerate`; `small` is
+    `insufficient`; `large` holds 90 gains on Pareto quantiles and 30
+    zeros, where pareto is `not-rejected` and the other families are
+    `rejected`. The digests were taken while an undefined fit still
+    raised inside GainAccumulator.fit.
+    """
+
+    GOLDEN = (
+        "934ba1e8794cbfd9a375518b561c1e98b056f974456e4a5a887313ef0e5e7afc",
+        "2eaf13d6ea006e50f7a7d42631417f1cd8cbd572343f17f89d5661aa13873f31",
+    )
+
+    @staticmethod
+    def write_gains(path):
+        rows = [("zero", 0.0)] * 3
+        rows += [("one", 0.0), ("one", 0.0), ("one", 1.5)]
+        rows += [("equal", 2.0)] * 4
+        rows += [("small", 0.4 + 0.3 * i * i) for i in range(6)]
+        n = 120
+        rows += [
+            ("large", 0.0 if i % 4 == 0 else (1.0 - (i + 0.5) / n) ** -0.5) for i in range(n)
+        ]
+        lines = ["node_id,variable_id,downgain,upgain"]
+        lines += [f"{node},v{i},{g!r},{g!r}" for i, (node, g) in enumerate(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_csv_and_stdout_match_pinned_digests(self, tmp_path, capsys):
+        out = tmp_path / "golden.csv"
+        code, stdout, stderr = run(
+            capsys, "fit", str(self.write_gains(tmp_path / "gains.csv")), "--out", str(out)
+        )
+        assert code == 0, stderr
+        verdicts = {line.split(",")[7] for line in out.read_text().splitlines()[1:]}
+        assert verdicts == {"degenerate", "insufficient", "rejected", "not-rejected"}
+        digests = (
+            hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.encode()).hexdigest(),
+        )
+        assert digests == self.GOLDEN
+
+    def test_variance_beyond_the_float_range_is_degenerate(self, tmp_path, capsys):
+        # the normal fit's sum of squares overflows; the other families fit
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "node_id,variable_id,downgain,upgain\n"
+            "r,a,1e154,1e154\nr,b,1.2e154,1.2e154\nr,c,0.9e154,0.9e154\n"
+        )
+        out = tmp_path / "fit.csv"
+        code, stdout, stderr = run(capsys, "fit", str(path), "--out", str(out))
+        assert code == 0, stderr
+        verdicts = dict(line.split(",")[1::6] for line in out.read_text().splitlines()[1:])
+        assert verdicts == {
+            "exponential": "insufficient",
+            "pareto": "insufficient",
+            "lognormal": "insufficient",
+            "uniform": "insufficient",
+            "normal": "degenerate",
+        }
+        assert re.search(r"^r +normal .* degenerate$", stdout, re.MULTILINE)
 
 
 class TestSweepGolden:

@@ -54,14 +54,31 @@ class TestFit:
         assert d.degenerate
 
     def test_pareto_all_equal_rejected(self):
-        with pytest.raises(DegenerateFitError):
-            fit([3.0, 3.0, 3.0], "pareto")
+        assert fit([3.0, 3.0, 3.0], "pareto") == MixedGainDistribution(0.0, "pareto", None)
 
     def test_too_few_nonzero_for_two_parameter_tails(self):
+        for family in ("pareto", "lognormal"):
+            assert fit([0.0, 5.0], family) == MixedGainDistribution(0.5, family, None)
+
+    @pytest.mark.parametrize(
+        "samples, family",
+        [
+            ([0.0, 0.0, 0.0], "pareto"),
+            ([0.0, 2.0, 2.0, 2.0], "lognormal"),
+            ([0.0, 2.0, 2.0, 2.0], "normal"),
+            ([0.0, 1e154, 1.2e154, 0.9e154], "normal"),  # the sum of squares overflows
+        ],
+    )
+    def test_undefined_fit_is_degenerate_with_the_sample_p0(self, samples, family):
+        d = fit(samples, family)
+        assert d == MixedGainDistribution(samples.count(0.0) / len(samples), family, None)
+        assert cdf(d, 0.0) == d.p0
         with pytest.raises(DegenerateFitError):
-            fit([0.0, 5.0], "pareto")
+            cdf(d, 1.0)
         with pytest.raises(DegenerateFitError):
-            fit([0.0, 5.0], "lognormal")
+            survival(d, 1.0)
+        with pytest.raises(DegenerateFitError):
+            ks_test([1.0], d)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -246,19 +263,26 @@ class TestTailFormulas:
         g = np.concatenate((self.G, rng.uniform(-1.0, 40.0, size=20)))
         batch = formula(family, tuple(np.array(col)[:, None] for col in zip(*thetas)), g)
         assert batch.shape == (len(thetas), len(g))
+        mixed = {tail_cdf: cdf, tail_survival: survival}[formula]
         for theta, row in zip(thetas, batch):
-            d = MixedGainDistribution(0.3, family, theta)
-            method = getattr(d, formula.__name__)
-            scalars = [method(x) for x in g.tolist()]
-            assert all(type(v) is float for v in scalars)
+            scalars = [formula(family, theta, x) for x in g.tolist()]
+            assert all(np.ndim(v) == 0 for v in scalars)
             assert _bits(scalars) == _bits(row)
-            assert _bits(method(g)) == _bits(row)
+            assert _bits(formula(family, theta, g)) == _bits(row)
+            # cdf and survival scale that same element by the mass point
+            d = MixedGainDistribution(0.3, family, theta)
+            for x, f in zip(g.tolist(), row.tolist()):
+                if x >= 0:
+                    v = mixed(d, x)
+                    tail = (1.0 - d.p0) * f
+                    assert type(v) is float
+                    assert _bits([v]) == _bits([d.p0 + tail if formula is tail_cdf else tail])
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_boundary_values(self, family):
-        d = MixedGainDistribution(0.3, family, self.THETAS[family])
-        cdf_at = dict(zip(self.G.tolist(), d.tail_cdf(self.G).tolist()))
-        surv_at = dict(zip(self.G.tolist(), d.tail_survival(self.G).tolist()))
+        theta = self.THETAS[family]
+        cdf_at = dict(zip(self.G.tolist(), tail_cdf(family, theta, self.G).tolist()))
+        surv_at = dict(zip(self.G.tolist(), tail_survival(family, theta, self.G).tolist()))
         if family != "normal":
             for g in (-3.0, 0.0):
                 assert cdf_at[g] == 0.0 and surv_at[g] == 1.0
@@ -305,7 +329,8 @@ class TestKsTest:
             n = int(rng.integers(1, 201))
             xs = sample_tail(rng, family, theta, n)
             stat, _ = ks_test(xs, d)
-            assert stat == pytest.approx(ks_brute(xs, d.tail_cdf), abs=1e-12)
+            brute = ks_brute(xs, lambda x, f=family, t=theta: float(tail_cdf(f, t, x)))
+            assert stat == pytest.approx(brute, abs=1e-12)
 
     def test_calibration_under_true_model(self):
         # 200 seeded repetitions of n=1000 Exp(1) draws tested against

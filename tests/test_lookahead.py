@@ -158,13 +158,13 @@ def test_nodes_if_stop_needs_a_nonzero_gain():
 
 def test_observe_resets_streak_only_on_strict_improvement():
     s = SbSession(gap=10.0)
-    assert s.observe(2.0)
+    assert s.observe(2.0, cost=2.0)
     assert s.no_improvement_streak == 0
-    assert not s.observe(2.0)  # tie is not progress
+    assert not s.observe(2.0, cost=2.0)  # tie is not progress
     assert s.no_improvement_streak == 1
-    assert not s.observe(1.0)
+    assert not s.observe(1.0, cost=2.0)
     assert s.no_improvement_streak == 2
-    assert s.observe(5.0)
+    assert s.observe(5.0, cost=2.0)
     assert (s.best_gain, s.no_improvement_streak) == (5.0, 0)
     assert s.d_min == 2
 
@@ -284,10 +284,7 @@ def _random_fit(rng, family):
         scale = 10.0 ** rng.uniform(-3, 2)
         gains = rng.pareto(rng.uniform(0.5, 4.0), size=n) * scale + scale
         acc.extend(np.where(rng.random(n) < 1 / 3, 0.0, gains))
-        try:
-            dist = acc.fit(family)
-        except DegenerateFitError:
-            continue
+        dist = acc.fit(family)
         if not dist.degenerate:
             return dist
 
@@ -623,7 +620,7 @@ def test_fixed_mode_ignores_any_supplied_distribution():
         s = SbSession(gap=gap)
         for _ in range(30):
             g = 0.0 if rng.random() < 0.3 else float(rng.lognormal(0.0, 1.2))
-            s.observe(g)
+            s.observe(g, cost=2.0)
             bare = should_continue(s, FIXED)
             assert bare == should_continue(s, FIXED, None, dist)
             assert bare == should_continue(s, FIXED, None, None)
@@ -639,7 +636,7 @@ def test_stop_decisions_are_consistent_with_the_raw_costs():
         s = SbSession(gap=gap)
         for _ in range(25):
             g = 0.0 if rng.random() < 0.25 else float(rng.lognormal(-1.0, 1.0))
-            s.observe(g)
+            s.observe(g, cost=2.0)
             if s.samples.n_nonzero < 2:
                 continue
             dist = s.samples.fit("exponential")

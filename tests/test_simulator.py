@@ -146,6 +146,17 @@ def test_tree_beyond_the_float_range_raises_before_it_is_built():
     assert r.final_tree_nodes == 2 ** (MAX_FINAL_DEPTH + 1) - 1
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_gap_gain_ratio_beyond_the_float_range_is_a_capacity_error(strategy):
+    # 1e300 / 2e-9 overflows to inf; the campaign refuses that depth like any
+    # other past MAX_FINAL_DEPTH, and the array engine warns about nothing
+    spec = CampaignSpec(
+        make_instance([2e-9, 3e-9, 0.0]), (1e300,), trials=3, seed=1, strategies=(strategy,)
+    )
+    with pytest.raises(CapacityError, match=r"gap 1e\+300: best depth inf exceeds 1022"):
+        run_campaign(spec)
+
+
 def test_full_sb_is_priced_without_drawing_a_permutation():
     r = run_trial(make_instance([0.0, 2.0, 3.0, 0.5]), 7.0, "full", None)
     assert (r.reveals, r.final_tree_nodes, r.total_nodes) == (4, 15, 23)
