@@ -32,7 +32,7 @@ from .abstract_tree import CapacityError, PvbInstance
 from .distributions import FAMILIES, fit_report
 from .gains import GainFileError, load_gain_series
 from .lookahead import FixedLookaheadConfig, ProbLookaheadConfig
-from .mini_bnb import MpsError, SolverConfig, SolverError, load_mps, solve
+from .mini_bnb import MpsError, SolveCache, SolverConfig, SolverError, load_mps, solve
 from .simulator import STRATEGIES, CampaignSpec, UnclosableError, run_campaign
 
 NODE_GEO_SHIFT = 100.0
@@ -305,17 +305,26 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_solve(job):
-    """One (instance, cell) solve in a worker; a numerical failure of the
-    LP engine counts as a failed instance, and any other exception is a
+    """One instance's solves in a worker, one outcome per config, in order.
+
+    The solves share one SolveCache, so a cell solves only the LPs that
+    the cells before it did not. A numerical failure of the LP engine
+    counts as a failed instance in its cell, and any other exception is a
     fault in pvb that reaches main."""
-    name, mip, config = job
-    try:
-        result = solve(mip, config)
-    except SolverError as exc:
-        return (name, "error", str(exc))
-    if result.status == "node_limit":
-        return (name, "error", "node limit reached")
-    return (name, "ok", (result.nodes, result.sb_lp_solves))
+    name, mip, configs = job
+    cache = SolveCache(mip)
+    outcomes = []
+    for config in configs:
+        try:
+            result = solve(mip, config, cache)
+        except SolverError as exc:
+            outcomes.append((name, "error", str(exc)))
+            continue
+        if result.status == "node_limit":
+            outcomes.append((name, "error", "node limit reached"))
+        else:
+            outcomes.append((name, "ok", (result.nodes, result.sb_lp_solves)))
+    return outcomes
 
 
 def cmd_sweep(args) -> int:
@@ -342,23 +351,24 @@ def cmd_sweep(args) -> int:
             parse_failures.append((path.name, f"cannot read: {exc.strerror or exc}"))
         except MpsError as exc:
             parse_failures.append((path.name, str(exc)))
-    jobs = [(name, mip, config) for config in configs for name, mip in mips]
-    if args.workers == 1 or len(jobs) <= 1:
+    # one job per instance, so its cells share their LPs; outcomes[i][c]
+    # is instance i in cell c
+    jobs = [(name, mip, configs) for name, mip in mips]
+    workers = min(args.workers, len(jobs))
+    if workers <= 1:
         outcomes = [_sweep_solve(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as executor:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             outcomes = list(executor.map(_sweep_solve, jobs))
 
     for name, message in parse_failures:
         print(f"failed {name}: {message}", file=sys.stderr)
     header = ("mode", "L", "K", "solved", "failed", "geo_nodes", "geo_sb_lps")
     rows = []
-    pos = 0
-    for mode, L, K in cells:
+    for c, (mode, L, K) in enumerate(cells):
         nodes, sb_lps, failed = [], [], len(parse_failures)
-        for _ in mips:
-            name, status, payload = outcomes[pos]
-            pos += 1
+        for instance in outcomes:
+            name, status, payload = instance[c]
             if status == "ok":
                 n, s = payload
                 nodes.append(n)

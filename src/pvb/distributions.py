@@ -207,8 +207,9 @@ class GainAccumulator:
         theta is None wherever the tail's MLE is undefined or leaves the
         float range: no nonzero gain, fewer than 2 for pareto or
         lognormal, nonzero gains without spread, or a variance that is not
-        finite. Raises ValueError only for an unknown family or an empty
-        sample.
+        finite. "Without spread" is decided from the exact minimum and
+        maximum, since equal gains leave rounding residue in the sums.
+        Raises ValueError only for an unknown family or an empty sample.
         """
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
@@ -216,7 +217,10 @@ class GainAccumulator:
             raise ValueError("cannot fit an empty sample")
         n1 = self.n_nonzero
         p0 = self.zero_count / self.count
-        if n1 == 0 or (family in ("pareto", "lognormal") and n1 < 2):
+        if n1 == 0 or (
+            family in ("pareto", "lognormal", "normal")
+            and self.nonzero_min == self.nonzero_max
+        ):
             return MixedGainDistribution(p0, family, None)
         theta = None
         if family == "exponential":

@@ -28,6 +28,14 @@ optimal basis over that system. A queued child of the branching column
 whose SB child LP finished optimal within the per-candidate iteration
 limit is not solved again: that LP result serves as the node's LP, since
 the node solve would repeat the same pivots from the same basis.
+
+An LP is therefore fixed by its node's path, the (column, side)
+branchings from the root: the path sets the column bounds, the parent's
+result the warm start, and the LP engine is deterministic. A SolveCache
+keeps one MIP's LpSystem, node LP results by path and SbEvals by path and
+column, so solves of the same MIP under other configurations (a sweep's
+cells) reuse them: each gets the MipResult it gets without the cache and
+solves only the LPs that no earlier solve through the cache has solved.
 """
 
 from __future__ import annotations
@@ -68,6 +76,9 @@ NODE_LIMIT = "node_limit"
 # scan outcomes beyond the shared stopping vocabulary
 CUTOFF_FOUND = "cutoff_found"
 PSEUDOCOST_ONLY = "pseudocost"
+
+# the side of a branching in a node's path
+DOWN, UP = 0, 1
 
 _PRUNE_TOL = 1e-9
 # heap bounds within this relative distance (of max(1, |bound|)) of the
@@ -240,6 +251,24 @@ class MipResult:
         return sum(d.sb_iterations for d in self.decisions)
 
 
+class SolveCache:
+    """LP results shared by the solves of one MiniMip.
+
+    nodes maps a popped node's path (the tuple of (column, side)
+    branchings from the root, side DOWN or UP; the root is ()) to its
+    LpResult, and evals maps a path to the SbEvals measured at that node
+    by column, without their child LPs (a popped child is in nodes). So
+    the cache grows with the explored nodes, not with the SB LPs. Only
+    completed LPs enter it; an exception leaves nothing behind.
+    """
+
+    def __init__(self, mip: MiniMip) -> None:
+        self.mip = mip
+        self.system = lp_system(mip.objective, mip.matrix, mip.senses, mip.rhs)
+        self.nodes: dict[tuple, LpResult] = {}
+        self.evals: dict[tuple, dict[int, SbEval]] = {}
+
+
 def strong_branch_candidate(system: LpSystem, lo, hi, j: int, node: LpResult) -> SbEval:
     """Solve both child LPs for rounding x_j of the node's LP down and up.
 
@@ -284,6 +313,7 @@ def strong_branch_candidate(system: LpSystem, lo, hi, j: int, node: LpResult) ->
 def select_branching_variable(
     system: LpSystem, lo, hi, node: LpResult, candidates, pseudocost: Pseudocost,
     samples: GainAccumulator, config: SolverConfig, gap: float | None = None,
+    known: dict[int, SbEval] | None = None,
 ) -> ScanOutcome:
     """Pick the branching column among the fractional candidates.
 
@@ -297,8 +327,14 @@ def select_branching_variable(
     close; a positive value arms the expected-tree-size stop in dynamic
     mode, None or nonpositive leaves only the hard caps. node is the node's
     optimal LpResult over system; its basis warm-starts every SB child.
+
+    known holds SbEvals measured at this node before, by column; a
+    candidate found there is not solved again, and each new measurement
+    is added to it without its child LPs.
     """
     x = node.x
+    if known is None:
+        known = {}
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no fractional candidates to select from")
@@ -325,7 +361,10 @@ def select_branching_variable(
     reason = CANDIDATES_EXHAUSTED
     best = None
     for j in order:
-        ev = strong_branch_candidate(system, lo, hi, j, node)
+        ev = known.get(j)
+        if ev is None:
+            ev = strong_branch_candidate(system, lo, hi, j, node)
+            known[j] = ev._replace(children=(None, None))
         evaluated[j] = ev
         down = None if math.isinf(ev.down_gain) else ev.down_gain / fracs[j]
         up = None if math.isinf(ev.up_gain) else ev.up_gain / (1.0 - fracs[j])
@@ -373,7 +412,9 @@ def _pop_best(heap: list) -> tuple:
     return first
 
 
-def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
+def solve(
+    mip: MiniMip, config: SolverConfig = SolverConfig(), cache: SolveCache | None = None,
+) -> MipResult:
     """Best-bound branch and bound over a MiniMip.
 
     Returns the proven optimum (status optimal), a proven-empty verdict
@@ -386,8 +427,16 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     before that a best-projection estimate seeded at the first branched
     node (its objective plus the sum, over its fractional candidates, of
     the geometric mean of each one's predicted side gains).
+
+    cache, a SolveCache of this very mip (ValueError otherwise), serves
+    the node LPs and SB measurements it holds and keeps the new ones.
     """
-    system = lp_system(mip.objective, mip.matrix, mip.senses, mip.rhs)
+    if cache is None:
+        system = lp_system(mip.objective, mip.matrix, mip.senses, mip.rhs)
+    elif cache.mip is not mip:
+        raise ValueError("the SolveCache belongs to another MiniMip")
+    else:
+        system = cache.system
     lo0, hi0 = np.array(mip.lower, dtype=float), np.array(mip.upper, dtype=float)
     int_cols = np.flatnonzero(mip.integer)
     pseudocost = Pseudocost(mip.n_cols, config.reliability_threshold)
@@ -396,11 +445,12 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
     incumbent_obj: float | None = None
     incumbent_x: np.ndarray | None = None
     estimate: float | None = None
-    # entries carry the parent's optimal basis (the root starts cold) and
-    # the node's own LP result when its SB child LP already is one
+    # entries carry the parent's optimal basis (the root starts cold), the
+    # node's path and the node's own LP result when its SB child LP
+    # already is one
     heap: list[
-        tuple[float, int, np.ndarray, np.ndarray, Basis | None, LpResult | None]
-    ] = [(-math.inf, 0, lo0, hi0, None, None)]
+        tuple[float, int, np.ndarray, np.ndarray, Basis | None, tuple, LpResult | None]
+    ] = [(-math.inf, 0, lo0, hi0, None, (), None)]
     seq = 0
     nodes = 0
     decisions: list[BranchDecision] = []
@@ -414,12 +464,16 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             # best-bound order: every remaining node is at least as bad
             heap.clear()
             break
-        parent_bound, _, lo, hi, warm_start, res = _pop_best(heap)
+        parent_bound, _, lo, hi, warm_start, path, res = _pop_best(heap)
         if incumbent_obj is not None and parent_bound >= incumbent_obj - _PRUNE_TOL:
             # a tie with the minimum bound can sit at the cutoff
             continue
+        if res is None and cache is not None:
+            res = cache.nodes.get(path)
         if res is None:
             res = solve_bounded_lp(system, lo, hi, warm_start=warm_start)
+        if cache is not None:
+            cache.nodes[path] = res
         nodes += 1
         if res.status == INFEASIBLE:
             continue
@@ -444,8 +498,9 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             continue
         targets = [t for t in (incumbent_obj, estimate) if t is not None]
         gap = min(targets) - obj if targets else None
+        known = cache.evals.setdefault(path, {}) if cache is not None else None
         outcome = select_branching_variable(
-            system, lo, hi, res, fractional, pseudocost, samples, config, gap
+            system, lo, hi, res, fractional, pseudocost, samples, config, gap, known
         )
         if estimate is None:
             # First branched node seeds the bound-to-prove estimate: one
@@ -470,9 +525,9 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
         xj = float(x[j])
         # a column chosen from pseudocosts alone bounds both sides at obj
         ev = outcome.chosen or SbEval(0.0, 0.0, obj, obj, 0, (None, None))
-        for child_bound, new_lo, new_hi, child in (
-            (ev.down_bound, None, math.floor(xj), ev.children[0]),
-            (ev.up_bound, math.ceil(xj), None, ev.children[1]),
+        for side, child_bound, new_lo, new_hi, child in (
+            (DOWN, ev.down_bound, None, math.floor(xj), ev.children[0]),
+            (UP, ev.up_bound, math.ceil(xj), None, ev.children[1]),
         ):
             # an infeasible side (an SB child's cutoff) queues nothing
             if math.isinf(child_bound):
@@ -485,7 +540,9 @@ def solve(mip: MiniMip, config: SolverConfig = SolverConfig()) -> MipResult:
             if new_lo is not None:
                 lo2[j] = new_lo
             seq += 1
-            heapq.heappush(heap, (child_bound, seq, lo2, hi2, res.basis, child))
+            heapq.heappush(
+                heap, (child_bound, seq, lo2, hi2, res.basis, path + ((j, side),), child)
+            )
 
     if status is None:
         status = OPTIMAL if incumbent_obj is not None else INFEASIBLE

@@ -193,7 +193,8 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
                 np.copyto(log_lowest, lg, where=v == lowest)
                 log_ratio_sum = log_sum - n1 * log_lowest
                 theta = (lowest, n1 / log_ratio_sum)
-                fitted = (n1 >= 2) & (log_ratio_sum > 0.0)
+                # spread in the nonzero gains (so at least 2), as GainAccumulator.fit
+                fitted = (best > lowest) & (log_ratio_sum > 0.0)
             else:
                 theta, fitted = ((n1 if mass_point else i) / sums,), True
             test = depth >= 2

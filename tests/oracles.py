@@ -308,7 +308,8 @@ def _ref_fit(s, family, mass_point):
         if n1 == 0:
             return None
         if family == "pareto":
-            if n1 < 2:
+            # nonzero gains without spread, fewer than 2 among them
+            if s.best_gain == s.nonzero_min:
                 return None
             log_ratio_sum = s.sum_logs - n1 * math.log(s.nonzero_min)
             if log_ratio_sum <= 0:

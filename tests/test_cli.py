@@ -680,7 +680,7 @@ class TestSweep:
         directory.mkdir()
         save_mps(sparse_multiknapsack(14, 8, 1), directory / "one.mps")
 
-        def broken(mip, config):
+        def broken(mip, config, cache=None):
             raise ValueError("broken invariant")
 
         monkeypatch.setattr(cli, "solve", broken)
@@ -810,6 +810,74 @@ class TestSweep:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_pool_is_capped_at_the_number_of_instances(self, tmp_path, capsys, monkeypatch):
+        # a fork pool starts every worker at once, so workers past the
+        # instance count would only sit idle
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        for seed in (1, 2):
+            save_mps(sparse_multiknapsack(14, 8, seed), directory / f"i{seed}.mps")
+        asked = []
+        real = cli.ProcessPoolExecutor
+
+        def recording(max_workers):
+            asked.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+        code, _, stderr = run(
+            capsys, "sweep", str(directory), "--seed", "1", "--workers", "8",
+            "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0, stderr
+        assert asked == [2]
+
+    def test_solver_error_in_one_cell_leaves_the_other_cells_alone(
+        self, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        # the cells of an instance share one SolveCache; a cell that fails
+        # midway must neither poison it nor cost the later cells their solves
+        from pvb.mini_bnb import SolverError, solver
+
+        argv = [
+            "sweep", str(corpus_dir), "--modes", "fixed,dynamic", "--L-grid", "7,9",
+            "--seed", "1", "--workers", "1",
+        ]
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "clean.csv"))
+        assert code == 0
+        clean = (tmp_path / "clean.csv").read_text().splitlines()
+
+        real_solve, real_scan = cli.solve, solver.select_branching_variable
+
+        def failing_fixed_l9(mip, config, cache=None):
+            if (config.mode, config.fixed.L) != ("fixed", 9):
+                return real_solve(mip, config, cache)
+            scans = []
+
+            def scan_then_fail(*args, **kwargs):
+                # every corpus instance branches at more than 10 nodes
+                outcome = real_scan(*args, **kwargs)
+                scans.append(outcome)
+                if len(scans) == 10:
+                    raise SolverError("injected")
+                return outcome
+
+            monkeypatch.setattr(solver, "select_branching_variable", scan_then_fail)
+            try:
+                return real_solve(mip, config, cache)
+            finally:
+                monkeypatch.setattr(solver, "select_branching_variable", real_scan)
+
+        monkeypatch.setattr(cli, "solve", failing_fixed_l9)
+        out = tmp_path / "faulty.csv"
+        code, _, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 0, stderr
+        assert stderr.count("failed ") == 10
+        assert stderr.count("[fixed L=9 K=1000000]: injected") == 10
+        faulty = out.read_text().splitlines()
+        assert faulty[2] == "fixed,9,1000000,0,10,,"
+        assert faulty[:2] + faulty[3:] == clean[:2] + clean[3:]
 
     def test_undecodable_or_unreadable_mps_is_a_parse_failure(self, tmp_path, capsys):
         directory = tmp_path / "insts"

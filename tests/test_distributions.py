@@ -80,6 +80,20 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             ks_test([1.0], d)
 
+    @pytest.mark.parametrize(
+        "samples, family",
+        [
+            # equal gains whose running sums keep a rounding-size spread
+            ([0.113] * 6, "pareto"),
+            ([0.813] * 3, "lognormal"),
+            ([0.313] * 3, "normal"),
+        ],
+    )
+    def test_equal_nonzero_gains_have_no_spread(self, samples, family):
+        assert fit([0.0] + samples, family) == MixedGainDistribution(
+            1 / (len(samples) + 1), family, None
+        )
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit([], "exponential")

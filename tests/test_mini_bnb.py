@@ -38,6 +38,7 @@ from pvb.mini_bnb import (
     MiniMip,
     MpsError,
     Pseudocost,
+    SolveCache,
     SolverConfig,
     SolverError,
     load_mps,
@@ -1389,6 +1390,60 @@ class TestSolve:
         mip = dataclasses.replace(mip, objective=tuple(objective.tolist()))
         with pytest.raises(SolverError, match="LP arithmetic overflows"):
             solve(mip, SolverConfig(mode=mode))
+
+
+class TestSolveCache:
+    """Cells of a sweep solve one MIP through one SolveCache: each gets the
+    MipResult it gets alone, and the LPs it shares with the cells before it
+    are not solved again."""
+
+    CELLS = [
+        (mode, FixedLookaheadConfig(L=L)) for mode in ("fixed", "dynamic") for L in (7, 9)
+    ]
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count solve_bounded_lp and strong_branch_candidate calls."""
+        calls = {"lp": 0, "sb": 0}
+        originals = solver.solve_bounded_lp, solver.strong_branch_candidate
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(solver, "solve_bounded_lp", counting("lp", originals[0]))
+        monkeypatch.setattr(solver, "strong_branch_candidate", counting("sb", originals[1]))
+        return calls
+
+    @pytest.mark.parametrize("threshold", [2, 12])
+    def test_cells_through_one_cache_match_their_uncached_solves(self, counted, threshold):
+        configs = [
+            SolverConfig(mode=mode, fixed=fixed, reliability_threshold=threshold)
+            for mode, fixed in self.CELLS
+        ]
+        for mip in toy_corpus(4):
+            cache = SolveCache(mip)
+            for i, config in enumerate(configs):
+                counted.update(lp=0, sb=0)
+                alone = solve(mip, config)
+                uncached = dict(counted)
+                counted.update(lp=0, sb=0)
+                assert solve(mip, config, cache) == alone, (mip.name, config)
+                if i == 0:
+                    # an empty cache serves nothing
+                    assert counted == uncached
+                else:
+                    assert counted["lp"] < uncached["lp"]
+                    assert counted["sb"] < uncached["sb"]
+
+    def test_a_cache_serves_only_its_own_mip(self):
+        mip = sparse_multiknapsack(14, 8, 1)
+        twin = sparse_multiknapsack(14, 8, 1)
+        with pytest.raises(ValueError, match="another MiniMip"):
+            solve(twin, SolverConfig(), SolveCache(mip))
 
 
 class TestSolveGolden:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from pvb import simulator
 from pvb.abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_depth
+from pvb.distributions import GainAccumulator
 from pvb.gains import is_zero_gain
 from pvb.lookahead import (
     CANDIDATES_EXHAUSTED,
@@ -293,6 +294,32 @@ def test_expected_size_test_runs_past_depth_512_up_to_the_one_guard():
         assert (got.reveals, got.stop_reason) == (416, NO_EXPECTED_IMPROVEMENT)
         for name in _TRIAL_FIELDS:
             assert getattr(got, name) == want[name], (strategy, name)
+
+
+def test_the_pareto_stop_tests_exactly_the_prefixes_the_accumulator_fits(monkeypatch):
+    # equal nonzero gains leave rounding residue in the running log sums
+    # (six gains of 0.113 once fitted alpha 3.4e15); neither the campaign
+    # nor GainAccumulator.fit may read that residue as spread
+    pool = [0.113] * 6 + [0.0, 0.25, 0.25, 0.113, 0.0, 0.4]
+    tested = []
+
+    def never_stop(ps, d):
+        tested.append(len(d))
+        return np.zeros(len(d), dtype=bool)
+
+    monkeypatch.setattr(simulator, "saving_stops", never_stop)
+    prob = ProbLookaheadConfig(min_nonzero_samples=1)
+    # at gap 1 every prefix has a best depth of 3 to 9, so the expected-size
+    # test runs after reveal k exactly when the campaign fits the prefix
+    fitted, acc = [], GainAccumulator()
+    for k in range(1, len(pool) + 1):
+        tested.clear()
+        order = PresetPermutation(range(k))
+        run_trial(make_instance(pool[:k]), 1.0, "prob-mixed-pareto", order, prob=prob)
+        fitted.append(len(tested) - sum(fitted))
+        acc.add(pool[k - 1])
+        assert fitted[-1] == (not acc.fit("pareto").degenerate), k
+    assert fitted == [0] * 7 + [1] * 5
 
 
 def test_no_strategy_beats_the_omniscient_tree():
