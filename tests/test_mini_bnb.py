@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pvb import lookahead
 from pvb.distributions import GainAccumulator
 from pvb.lookahead import (
     BUDGET_EXHAUSTED,
@@ -1474,6 +1475,31 @@ class TestSolveGolden:
                     res.sb_lp_solves, res.sb_iterations, res.decisions,
                 ))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.GOLDEN[threshold]
+
+    def test_a_dynamic_solve_that_runs_the_expected_size_test(self, monkeypatch):
+        """No corpus solve above passes the streak gate of the dynamic
+        rule, so none reaches the expected-size test. This one prices six
+        rows with saving_stops and stops two of its scans there."""
+        priced = []
+        verdict = lookahead.saving_stops
+
+        def spy(ps, d_min):
+            stops = verdict(ps, d_min)
+            priced.extend(stops.tolist())
+            return stops
+
+        monkeypatch.setattr(lookahead, "saving_stops", spy)
+        config = SolverConfig(mode="dynamic", reliability_threshold=12, node_limit=100)
+        res = solve(sparse_multiknapsack(60, 30, 1), config)
+        assert (res.status, res.nodes, res.sb_lp_solves) == (NODE_LIMIT, 100, 846)
+        assert (len(priced), sum(priced)) == (6, 2)
+        row = (
+            res.status, repr(res.objective), res.x, res.nodes,
+            res.sb_lp_solves, res.sb_iterations, res.decisions,
+        )
+        assert hashlib.sha256(repr(row).encode()).hexdigest() == (
+            "741008e5dfcb6c68515061812e65384cc37740bc2b6a82fb7284f99caabf6843"
+        )
 
 
 def lp_row(res):
