@@ -10,11 +10,11 @@ across runs and worker counts.
 Settings take one path from the command line to the engines. SETTINGS
 gives each setting's type; a command registers a flag and a --config
 key only for the settings its engine reads (simulate: L, K,
-min_nonzero_samples; solve: all six; sweep: phi, min_nonzero_samples,
-family, epsilon, with L and K from its grids). The CLI builds
-FixedLookaheadConfig, ProbLookaheadConfig, SolverConfig and CampaignSpec
-from them directly, and a ValueError from those types' own checks exits
-with code 2.
+min_nonzero_samples; solve: all four; sweep: min_nonzero_samples and
+family, with L and K from its grids); lookahead.PHI and
+gains.DEFAULT_EPSILON are constants. The CLI builds FixedLookaheadConfig,
+ProbLookaheadConfig, SolverConfig and CampaignSpec from them directly,
+and a ValueError from those types' own checks exits with code 2.
 """
 
 from __future__ import annotations
@@ -95,10 +95,8 @@ def _parse_list(text: str, kind, what: str) -> tuple:
 SETTINGS = {
     "L": (int, "lookahead streak limit"),
     "K": (int, "extra simplex iteration budget"),
-    "phi": (float, "streak fraction gating the expected-size test"),
     "min_nonzero_samples": (int, "nonzero gains required before the test may fire"),
     "family": (str, "tail family fitted by the dynamic mode's expected-size test"),
-    "epsilon": (float, "shift in the gain geometric mean"),
 }
 
 
@@ -479,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="per-cell CSV path")
     _add_solver_flags(p, with_mode=False)
-    _add_setting_flags(p, ("phi", "min_nonzero_samples", "family", "epsilon"))
+    _add_setting_flags(p, ("min_nonzero_samples", "family"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="render a result CSV as an aligned table")
@@ -492,10 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # fit, simulate and sweep refuse a missing --out directory before any work
+        # fit, simulate and sweep refuse an --out they cannot write before any work
         out = getattr(args, "out", None)
-        if out is not None and not Path(out).parent.is_dir():
-            raise CliError(f"cannot write {out}: no directory {Path(out).parent}")
+        if out is not None:
+            if not Path(out).parent.is_dir():
+                raise CliError(f"cannot write {out}: no directory {Path(out).parent}")
+            if Path(out).is_dir():
+                raise CliError(f"cannot write {out}: it is a directory")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,7 @@ yields depth ceil(G/g), so p_1 is the survival at G, interior p_d are
 survival differences at G/d and G/(d-1), and the last bucket absorbs every
 non-improving outcome including zero gains. Survival differences keep the
 far-tail mass that CDF differences round to zero. depth_probabilities
-builds them as array code, one row per fit: the campaign engine prices
-every prefix of a trial in one call, and the solver's rule prices its one
-row for the session's fit.
+builds them as array code, one row per fit.
 
 Because the p_d sum to 1, the i terms cancel and E[t_{i+1}] >= t_i is
 exactly
@@ -30,14 +28,13 @@ exactly
 
 the expected tree saving of one more probe against its cost of 2 nodes.
 saving_stops decides that form, which has no cancellation at any depth, so
-the verdict never depends on i; both the solver's rule and the campaign
-engine stop through it.
+the verdict never depends on i.
 
-At d_min = 1 the best gain already closes the gap: no reveal can shrink
-the tree, so continuing always costs t_i + 2 and the probabilistic rule
-stops as soon as enough nonzero samples exist, without waiting for the
-phi gate or a fit. The expected-size test itself runs only up to
-abstract_tree.MAX_FINAL_DEPTH, the deepest tree that can be priced.
+prob_stops is the one verdict of the solver's rule and the campaign engine,
+over an array of rows: depth 1 stops without a fit (no reveal can shrink the
+tree, so continuing costs t_i + 2), a row its caller marks ready is priced by
+saving_stops up to abstract_tree.MAX_FINAL_DEPTH, the deepest tree that can
+be priced, and every other row continues.
 """
 
 from __future__ import annotations
@@ -69,6 +66,11 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 NO_EXPECTED_IMPROVEMENT = "no_expected_improvement"
 CANDIDATES_EXHAUSTED = "candidates_exhausted"
 
+# share of the streak cap L_max before a solver scan's expected-size test
+PHI = 0.6
+# rows priced per array call, which bounds the (rows, depth) temporaries
+ROW_GROUP = 256
+
 
 class Decision(NamedTuple):
     stop: bool
@@ -99,15 +101,12 @@ class FixedLookaheadConfig:
 
 @dataclass(frozen=True)
 class ProbLookaheadConfig:
-    """Gate and family for the expected-tree-size test."""
+    """Warm-up and family for the expected-tree-size test."""
 
-    phi: float = 0.6
     min_nonzero_samples: int = 5
     family: str = "pareto"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.phi <= 1.0:
-            raise ValueError(f"phi must be in (0,1], got {self.phi!r}")
         if check_int("min_nonzero_samples", self.min_nonzero_samples) < 1:
             raise ValueError("min_nonzero_samples must be >= 1")
         if self.family not in STOPPING_FAMILIES:
@@ -217,6 +216,23 @@ def expected_nodes_if_continue(session: SbSession, dist: MixedGainDistribution) 
     return expected_final + 2.0 * (session.iteration + 1)
 
 
+def prob_stops(gap, depth, ready, p0, family: str, theta) -> np.ndarray:
+    """Verdicts for scans at best depth depth[r] (a float, inf before any
+    nonzero gain) with fits (p0[r], theta[k][r] for each k) of family.
+
+    Depth 1 stops; a ready row at depth 2..MAX_FINAL_DEPTH stops iff
+    saving_stops does, ROW_GROUP rows a call; other rows' fits are unread.
+    """
+    stop = depth == 1
+    tested = np.flatnonzero(ready & (depth >= 2) & (depth <= MAX_FINAL_DEPTH))
+    for g in range(0, tested.size, ROW_GROUP):
+        rows = tested[g : g + ROW_GROUP]
+        d = depth[rows].astype(np.int64)
+        ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
+        stop[rows] = saving_stops(ps, d)
+    return stop
+
+
 def should_continue(
     session: SbSession,
     fixed: FixedLookaheadConfig,
@@ -227,14 +243,13 @@ def should_continue(
 
     Hard caps come first in both modes (they mirror the fixed rule's break
     conditions): the streak cap L_max = (1 + session.uninit_fraction) * L
-    and the budget session.node_cost + K. With prob set, the scan then
-    stops at d_min = 1 once enough nonzero samples exist: one branching on
-    the best candidate finishes the node, so each further reveal buys two
-    SB LPs for a tree that cannot get smaller. The expected-size test fires
-    only once, in addition, the streak reaches phi * L_max and 2 <= d_min
-    <= MAX_FINAL_DEPTH; it then stops iff saving_stops does on the fit's
-    depth_probabilities row. A missing or degenerate distribution silently
-    disables that test but not the d_min = 1 stop.
+    and the budget session.node_cost + K. With prob set and enough nonzero
+    samples, the session is then one row of prob_stops: it stops at
+    d_min = 1, where one branching on the best candidate finishes the node
+    and each further reveal buys two SB LPs for a tree that cannot get
+    smaller, and it is ready for the expected-size test once dist is a
+    usable fit and the streak reaches PHI * L_max. A missing or degenerate
+    distribution silently disables that test but not the d_min = 1 stop.
     """
     lmax = (1.0 + session.uninit_fraction) * fixed.L
     if session.no_improvement_streak >= lmax:
@@ -243,17 +258,11 @@ def should_continue(
         return Decision(True, BUDGET_EXHAUSTED)
     if prob is None or session.samples.n_nonzero < prob.min_nonzero_samples:
         return Decision(False, CONTINUE)
-    if session.d_min == 1:
-        return Decision(True, NO_EXPECTED_IMPROVEMENT)
-    if (
-        dist is not None
-        and not dist.degenerate
-        and session.no_improvement_streak >= prob.phi * lmax
-        and 2 <= session.d_min <= MAX_FINAL_DEPTH
-        and saving_stops(depth_probabilities(
-            session.gap, session.d_min, np.array([dist.p0]), dist.family,
-            [np.array([t]) for t in dist.theta],
-        ), [session.d_min])[0]
-    ):
-        return Decision(True, NO_EXPECTED_IMPROVEMENT)
-    return Decision(False, CONTINUE)
+    ready = dist is not None and not dist.degenerate
+    ready &= session.no_improvement_streak >= PHI * lmax
+    p0, family, theta = (dist.p0, dist.family, dist.theta) if ready else (0.0, prob.family, ())
+    stop = prob_stops(
+        session.gap, np.array([float(session.d_min)]), np.array([ready]),
+        np.array([p0]), family, [np.array([t]) for t in theta],
+    )[0]
+    return Decision(True, NO_EXPECTED_IMPROVEMENT) if stop else Decision(False, CONTINUE)

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..distributions import GainAccumulator
-from ..gains import DEFAULT_EPSILON, shifted_geomean
+from ..gains import shifted_geomean
 from ..lookahead import (
     CANDIDATES_EXHAUSTED,
     FixedLookaheadConfig,
@@ -155,34 +155,32 @@ class Pseudocost:
         up = self._mean(j, self.up_sum, self.up_count) * (1.0 - frac)
         return down, up
 
-    def predicted_score(self, j: int, frac: float, epsilon: float = DEFAULT_EPSILON) -> float:
-        return _score(*self.predicted_gains(j, frac), epsilon)
+    def predicted_score(self, j: int, frac: float) -> float:
+        return _score(*self.predicted_gains(j, frac))
 
 
-def _score(down: float, up: float, epsilon: float) -> float:
+def _score(down: float, up: float) -> float:
     """shifted_geomean of a gain pair; SolverError past the float range."""
     try:
-        return shifted_geomean(down, up, epsilon)
+        return shifted_geomean(down, up)
     except ValueError as exc:
         raise SolverError(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Borrowed lookahead settings plus the solver's own knobs."""
+    """Borrowed lookahead settings plus the solver's own knobs. SB gains
+    collapse at gains.DEFAULT_EPSILON, the shift gain files are read with."""
 
     mode: str = "fixed"
     fixed: FixedLookaheadConfig = FixedLookaheadConfig()
     prob: ProbLookaheadConfig = ProbLookaheadConfig()
-    epsilon: float = DEFAULT_EPSILON
     reliability_threshold: int = 2
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.node_limit is not None and check_int("node_limit", self.node_limit) < 1:
             raise ValueError("node_limit must be >= 1 when set")
         if check_int("reliability_threshold", self.reliability_threshold) < 0:
@@ -340,7 +338,7 @@ def select_branching_variable(
         raise ValueError("no fractional candidates to select from")
     fracs = {j: float(x[j]) - math.floor(float(x[j])) for j in candidates}
     scores = {
-        j: pseudocost.predicted_score(j, fracs[j], config.epsilon) for j in candidates
+        j: pseudocost.predicted_score(j, fracs[j]) for j in candidates
     }
     unreliable = [j for j in candidates if not pseudocost.reliable(j)]
 
@@ -375,7 +373,7 @@ def select_branching_variable(
         if down is None or up is None:
             best, reason = j, CUTOFF_FOUND
             break
-        g = _score(ev.down_gain, ev.up_gain, config.epsilon)
+        g = _score(ev.down_gain, ev.up_gain)
         final[j] = g
         session.observe(g, cost=float(ev.iterations))
         dist = None

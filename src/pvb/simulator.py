@@ -11,10 +11,10 @@ whole row for the few rows that need it. The probabilistic strategies
 advance one reveal at a time across the trials still running, each
 keeping a GainAccumulator's running sums, made by the same float
 operations in the same order, and fitting as GainAccumulator.fit does.
-One depth_probabilities and one saving_stops call decide all test rows of
-a step, each row on its own, and the trials that stopped leave. `prob-exp`
-fits without a mass point: p0 = 0 and an exponential rate over every
-reveal, zeros included.
+One lookahead.prob_stops call decides all rows of a step, each row on
+its own, and the trials that stopped leave. `prob-exp` fits without a
+mass point: p0 = 0 and an exponential rate over every reveal, zeros
+included.
 
 Campaigns cut the trials, not the cells, into chunks: every trial in one
 chunk with one worker and four chunks per worker with more, each capped
@@ -25,7 +25,7 @@ chunk. The chunk seeds its streams as arrays: numpy's SeedSequence hash of
 every seed in uint32 arithmetic, then PCG64's seeding step per trial on one
 reused generator, checked against default_rng on the chunk's first trial.
 `fixed` rows and the test rows of a probabilistic step are priced in
-groups of _ROW_GROUP, which bounds the temporaries of a large block.
+groups of lookahead.ROW_GROUP, bounding a large block's temporaries.
 Chunk sums are exact ints, so the means do not depend on execution order
 or worker count.
 """
@@ -39,17 +39,17 @@ from itertools import product
 
 import numpy as np
 
-from .abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_depth, svb_tree_size
+from .abstract_tree import CapacityError, PvbInstance, svb_depth, svb_tree_size
 from .lookahead import (
     BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
     LOOKAHEAD_EXHAUSTED,
     NO_EXPECTED_IMPROVEMENT,
+    ROW_GROUP,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     check_int,
-    depth_probabilities,
-    saving_stops,
+    prob_stops,
 )
 
 # perfbench's tracer wraps these two names on this module
@@ -67,8 +67,6 @@ _PROB_FITS = {
 _FIRST_WINDOW = 64
 # bytes of a chunk's permutation block, at its dtype
 _BLOCK_BYTES = 1 << 20
-# rows priced per array call, which bounds a block's (rows, n) temporaries
-_ROW_GROUP = 256
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -162,13 +160,11 @@ def _fixed_stops(gains, orders, fixed, reveals, best_out, reasons):
 def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, reasons):
     """Write a probabilistic strategy's stops into the outputs.
 
-    After every reveal: no nonzero gain yet continues, depth 1 stops; too
-    few nonzero samples, a depth past MAX_FINAL_DEPTH or a degenerate fit
-    continue; otherwise the trial stops once the expected saving of one
-    more probe is at most its 2 nodes. No streak cap applies: the model may
-    scan longer than the fixed rule whenever that is expected to pay, which
-    is how it escapes the fixed rule's blowup at large gaps. The solver's
-    phi-gated variant with hard caps is lookahead.should_continue.
+    After every reveal each running trial is a row of prob_stops, ready
+    with min_nonzero_samples nonzero gains and a usable fit. No streak cap
+    applies: the model may scan longer than the fixed rule whenever that
+    is expected to pay, which is how it escapes the fixed rule's blowup at
+    large gaps. The solver's variant with hard caps is should_continue.
     """
     family, mass_point = _PROB_FITS[strategy]
     alive = np.arange(len(orders))
@@ -197,15 +193,8 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
                 fitted = (best > lowest) & (log_ratio_sum > 0.0)
             else:
                 theta, fitted = ((n1 if mass_point else i) / sums,), True
-            test = depth >= 2
-            test &= (depth <= MAX_FINAL_DEPTH) & (n1 >= prob.min_nonzero_samples) & fitted
-            stop = depth == 1
-            tested = np.flatnonzero(test)
-            for g in range(0, tested.size, _ROW_GROUP):
-                rows = tested[g : g + _ROW_GROUP]
-                d = depth[rows].astype(np.int64)
-                ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
-                stop[rows] = saving_stops(ps, d)
+            ready = (n1 >= prob.min_nonzero_samples) & fitted
+            stop = prob_stops(gap, depth, ready, p0, family, theta)
             if stop.any():
                 hit = alive[stop]
                 reveals[hit], best_out[hit], reasons[hit] = i, best[stop], NO_EXPECTED_IMPROVEMENT
@@ -224,8 +213,8 @@ def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
     out = np.full(len(orders), orders.shape[1]), np.full(len(orders), gains.max()), reasons
     if strategy == "fixed":
         fixed = fixed or FixedLookaheadConfig()
-        for g in range(0, len(orders), _ROW_GROUP):
-            rows = slice(g, g + _ROW_GROUP)
+        for g in range(0, len(orders), ROW_GROUP):
+            rows = slice(g, g + ROW_GROUP)
             _fixed_stops(gains, orders[rows], fixed, *(x[rows] for x in out))
     elif strategy in _PROB_FITS:
         _prob_stops(gains, logs, orders, gap, strategy, prob or ProbLookaheadConfig(), *out)
@@ -374,7 +363,7 @@ def run_campaign(
     if workers == 1:
         sums = list(map(_chunk_sums, chunks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as executor:
             sums = list(executor.map(_chunk_sums, chunks))
     rows = []
     for (gap, strategy), cell in zip(product(spec.gaps, spec.strategies), zip(*sums)):

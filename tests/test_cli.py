@@ -126,9 +126,10 @@ class TestFit:
         code, stdout, stderr = run(capsys, "fit", str(pool), "--out", str(out))
         assert_refused_before_work(code, stdout, stderr, out)
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
         # the directory exists, but --out names a directory, not a file
         pool = write_pool(tmp_path / "pool.csv", 3)
+        monkeypatch.setattr(cli, "fit_report", no_work)
         code, stdout, stderr = run(capsys, "fit", str(pool), "--out", str(tmp_path))
         assert_refused_before_work(code, stdout, stderr, tmp_path)
 
@@ -488,7 +489,7 @@ class TestConfigFile:
         directory.mkdir()
         save_mps(sparse_multiknapsack(14, 8, 1), directory / "one.mps")
         cfg = tmp_path / "cfg"
-        cfg.write_text(f"phi = 0.5\n{line}\n")
+        cfg.write_text(f"family = pareto\n{line}\n")
         out = tmp_path / "sweep.csv"
         code, stdout, stderr = run(
             capsys, "sweep", str(directory), "--seed", "1", "--out", str(out),
@@ -562,6 +563,26 @@ class TestSolve:
         )
         assert code == 2 and stdout == ""
         assert "family must be one of" in stderr and family in stderr
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("flag", ["--phi", "--epsilon"])
+    def test_phi_and_epsilon_are_constants_not_settings(self, tmp_path, capsys, command, flag):
+        # the streak gate is lookahead.PHI and the gain shift is
+        # gains.DEFAULT_EPSILON, the shift gain files are read with
+        out = tmp_path / "sweep.csv"
+        target = {
+            "solve": ("solve", str(EXAMPLES / "tiny-knapsack.mps")),
+            "sweep": ("sweep", str(EXAMPLES), "--seed", "1", "--out", str(out)),
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *target, flag, "0.5")
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err and not out.exists()
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"family = pareto\n{flag[2:]} = 0.5\n")
+        code, stdout, stderr = run(capsys, *target, "--config", str(cfg))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert f"{cfg}:2: unknown key {flag[2:]!r}" in stderr
 
     def test_instance_without_rows_is_solved(self, tmp_path, capsys):
         # once an internal error (exit 1) from the LP engine
@@ -913,6 +934,24 @@ class TestSweep:
         assert len(cells) == 6
         assert cells[("dynamic", "9")][0] <= cells[("fixed", "9")][0]
         assert cells[("dynamic", "9")][1] < cells[("fixed", "9")][1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_an_out_that_is_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a sweep once ran every solve and only then failed to open --out;
+    # TestFit.test_unwritable_out_exits_2 covers fit
+    pool = write_pool(tmp_path / "pool.csv", 3)
+    for name in ("run_campaign", "load_mps", "solve"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = {
+        "simulate": ("simulate", "--instance", str(pool), "--gaps", "8", "--seed", "1"),
+        "sweep": ("sweep", str(EXAMPLES), "--seed", "1"),
+    }[command]
+    code, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path))
+    assert_refused_before_work(code, stdout, stderr, tmp_path)
+    assert "it is a directory" in stderr
 
 
 class TestReport:

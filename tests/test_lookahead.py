@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pvb import lookahead
 from pvb.abstract_tree import MAX_FINAL_DEPTH, UNBOUNDED, svb_depth
 from pvb.distributions import (
     FAMILIES,
@@ -29,12 +30,15 @@ from pvb.lookahead import (
     CONTINUE,
     LOOKAHEAD_EXHAUSTED,
     NO_EXPECTED_IMPROVEMENT,
+    PHI,
+    ROW_GROUP,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     SbSession,
     depth_probabilities,
     expected_nodes_if_continue,
     improvement_probabilities,
+    prob_stops,
     saving_stops,
     should_continue,
 )
@@ -75,8 +79,8 @@ def test_config_validation():
         FixedLookaheadConfig(K=-1)
     with pytest.raises(TypeError):  # measured per node: SbSession's field
         FixedLookaheadConfig(uninit_fraction=0.5)
-    with pytest.raises(ValueError):
-        ProbLookaheadConfig(phi=0.0)
+    with pytest.raises(TypeError):  # the streak gate is the constant PHI
+        ProbLookaheadConfig(phi=0.6)
     with pytest.raises(ValueError):
         ProbLookaheadConfig(min_nonzero_samples=0)
 
@@ -498,6 +502,73 @@ def test_expected_size_verdict_does_not_depend_on_the_iteration(scan, early, lat
     assert verdicts == [want, want]
 
 
+# ------------------------------------------------------------ the verdict
+
+
+def test_the_verdict_of_several_row_groups_is_the_per_row_verdicts(monkeypatch):
+    """Rows at every kind of depth, ready or not, over more than two row
+    groups: the array's verdicts are each row's verdict alone, and those
+    are the rule spelled out row by row."""
+    rng = np.random.default_rng(419)
+    n, gap = 3 * ROW_GROUP + 57, 30.0
+    depth = rng.integers(1, 60, size=n).astype(float)
+    depth[rng.random(n) < 0.1] = math.inf
+    depth[rng.random(n) < 0.05] = MAX_FINAL_DEPTH + 1
+    ready = rng.random(n) < 0.9
+    # a survival of about 2**-d at the improving gain G/(d-1), where both
+    # verdicts are common (see deep_scans)
+    x = gap / np.maximum(depth - 1, 1.0)
+    spread = rng.uniform(1.0, 30.0, size=n)
+    theta = (x * 2.0**-spread, depth * rng.uniform(0.5, 1.5, size=n) / spread)
+    p0 = rng.choice([0.0, 0.3, 0.9], size=n)
+    groups = []
+    verdict = saving_stops
+
+    def counted(ps, d_min):
+        groups.append(len(d_min))
+        return verdict(ps, d_min)
+
+    monkeypatch.setattr(lookahead, "saving_stops", counted)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        stops = prob_stops(gap, depth, ready, p0, "pareto", theta)
+    assert len(groups) > 2 and max(groups) == ROW_GROUP
+    want = []
+    for r in range(n):
+        row = slice(r, r + 1)
+        alone = prob_stops(gap, depth[row], ready[row], p0[row], "pareto", [t[row] for t in theta])
+        assert alone.tolist() == [stops[r]], r
+        d = depth[r]
+        if d == 1:
+            want.append(True)
+        elif ready[r] and 2 <= d <= MAX_FINAL_DEPTH:
+            ps = depth_probabilities(gap, int(d), p0[row], "pareto", [t[row] for t in theta])
+            want.append(bool(verdict(ps, [int(d)])[0]))
+        else:
+            want.append(False)
+    assert stops.tolist() == want
+    assert 0 < sum(want) < n
+
+
+def test_the_verdict_masks_depths_and_readiness():
+    """Every row has a fit that stops a tested row, yet only a ready row at
+    depth 2..MAX_FINAL_DEPTH is tested: depth 1 stops without being ready,
+    and an unready depth 3, a ready depth past MAX_FINAL_DEPTH and an
+    infinite depth continue. Untested rows' fits are not read, so NaN
+    fits there give the same verdicts, and no row past MAX_FINAL_DEPTH is
+    priced into an overflow."""
+    depth = np.array([1.0, 3.0, 3.0, MAX_FINAL_DEPTH + 1.0, math.inf, 1.0])
+    ready = np.array([False, False, True, True, True, True])
+    want = [True, False, True, False, False, True]
+    nan = math.nan
+    for p0, rate in (
+        ([0.0] * 6, [50.0] * 6),
+        ([nan, nan, 0.0, nan, nan, nan], [nan, nan, 50.0, nan, nan, nan]),
+    ):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            stops = prob_stops(20.0, depth, ready, np.array(p0), "exponential", (np.array(rate),))
+        assert stops.tolist() == want
+
+
 # ----------------------------------------------------------- the decision
 
 
@@ -573,7 +644,7 @@ def test_depth_one_stops_without_the_phi_gate_or_a_fit():
         True, NO_EXPECTED_IMPROVEMENT,
     )
     s = walk(4.0, [0.5] * 4 + [5.0])
-    assert s.d_min == 1 and s.no_improvement_streak < PROB.phi * FIXED.L
+    assert s.d_min == 1 and s.no_improvement_streak < PHI * FIXED.L
     assert s.samples.n_nonzero == PROB.min_nonzero_samples
     assert should_continue(s, FIXED, PROB, None) == (True, NO_EXPECTED_IMPROVEMENT)
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb import simulator
+from pvb import lookahead, simulator
 from pvb.abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_depth
 from pvb.distributions import GainAccumulator
 from pvb.gains import is_zero_gain
@@ -307,7 +307,7 @@ def test_the_pareto_stop_tests_exactly_the_prefixes_the_accumulator_fits(monkeyp
         tested.append(len(d))
         return np.zeros(len(d), dtype=bool)
 
-    monkeypatch.setattr(simulator, "saving_stops", never_stop)
+    monkeypatch.setattr(lookahead, "saving_stops", never_stop)
     prob = ProbLookaheadConfig(min_nonzero_samples=1)
     # at gap 1 every prefix has a best depth of 3 to 9, so the expected-size
     # test runs after reveal k exactly when the campaign fits the prefix
@@ -369,6 +369,30 @@ def test_campaign_means_do_not_depend_on_worker_count():
         strategies=("fixed", "prob-exp", "full"),
     )
     assert run_campaign(spec, workers=1) == run_campaign(spec, workers=2)
+
+
+def test_the_pool_is_capped_at_the_number_of_chunks(monkeypatch):
+    # a fork pool starts every worker it is asked for, so workers past the
+    # chunk count would only sit idle; the stand-in starts no process
+    asked = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", Recording)
+    spec = CampaignSpec(_pareto_pool(73, 8, 22), (6.0, 14.0), trials=3, seed=5151)
+    assert run_campaign(spec, workers=8) == run_campaign(spec, workers=1)
+    assert asked == [3]
 
 
 def test_strategy_ordering_on_a_synthetic_pareto_pool():
