@@ -258,8 +258,7 @@ def should_continue(
         return Decision(True, BUDGET_EXHAUSTED)
     if prob is None or session.samples.n_nonzero < prob.min_nonzero_samples:
         return Decision(False, CONTINUE)
-    ready = dist is not None and not dist.degenerate
-    ready &= session.no_improvement_streak >= PHI * lmax
+    ready = dist is not None and not dist.degenerate and session.no_improvement_streak >= PHI * lmax
     p0, family, theta = (dist.p0, dist.family, dist.theta) if ready else (0.0, prob.family, ())
     stop = prob_stops(
         session.gap, np.array([float(session.d_min)]), np.array([ready]),
