@@ -68,8 +68,9 @@ CANDIDATES_EXHAUSTED = "candidates_exhausted"
 
 # share of the streak cap L_max before a solver scan's expected-size test
 PHI = 0.6
-# rows priced per array call, which bounds the (rows, depth) temporaries
-ROW_GROUP = 256
+# (row, depth) entries priced per array call, which bounds the temporaries
+# of prob_stops' groups and of the campaign engine's windows of reveals
+ENTRY_BUDGET = 1 << 13
 
 
 class Decision(NamedTuple):
@@ -221,15 +222,29 @@ def prob_stops(gap, depth, ready, p0, family: str, theta) -> np.ndarray:
     nonzero gain) with fits (p0[r], theta[k][r] for each k) of family.
 
     Depth 1 stops; a ready row at depth 2..MAX_FINAL_DEPTH stops iff
-    saving_stops does, ROW_GROUP rows a call; other rows' fits are unread.
+    saving_stops does; other rows' fits are unread. The tested rows are
+    stable-sorted by depth and priced in groups of at most ENTRY_BUDGET
+    (row, depth) entries, so rows of like depth share a call; a row's
+    verdict does not depend on its group, since saving_stops sums each
+    row in order.
     """
     stop = depth == 1
+    if not ready.any():  # nothing to price, as in most of a solver scan's calls
+        return stop
     tested = np.flatnonzero(ready & (depth >= 2) & (depth <= MAX_FINAL_DEPTH))
-    for g in range(0, tested.size, ROW_GROUP):
-        rows = tested[g : g + ROW_GROUP]
-        d = depth[rows].astype(np.int64)
+    # depths up to MAX_FINAL_DEPTH fit int16, which numpy sorts stably by radix
+    depths = depth[tested].astype(np.int16)
+    by_depth = np.argsort(depths, kind="stable")
+    tested, depths = tested[by_depth], depths[by_depth]
+    start = 0
+    while start < tested.size:
+        # k rows from start span k * depths[start + k - 1] entries, rising in k
+        head = depths[start : start + ENTRY_BUDGET // 2]
+        k = max(1, int(np.searchsorted(np.arange(1, head.size + 1) * head, ENTRY_BUDGET, "right")))
+        rows, d = tested[start : start + k], depths[start : start + k]
         ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
         stop[rows] = saving_stops(ps, d)
+        start += k
     return stop
 
 

@@ -8,13 +8,15 @@ one-row case. `full` reveals every gain, in any order. `fixed` finds the
 improvements from running maxima along the rows and the first streak or
 budget stop from prefix counts, over the first 64 reveals and then the
 whole row for the few rows that need it. The probabilistic strategies
-advance one reveal at a time across the trials still running, each
-keeping a GainAccumulator's running sums, made by the same float
-operations in the same order, and fitting as GainAccumulator.fit does.
-One lookahead.prob_stops call decides all rows of a step, each row on
-its own, and the trials that stopped leave. `prob-exp` fits without a
-mass point: p0 = 0 and an exponential rate over every reveal, zeros
-included.
+advance a window of reveals at a time across the trials still running,
+the window as wide as lookahead.ENTRY_BUDGET allows for their number.
+Each trial keeps a GainAccumulator's running sums, made by the same float
+operations in the same order (an accumulate over the carried value and
+the window), and fits as GainAccumulator.fit does. One
+lookahead.prob_stops call decides every (trial, reveal) entry of a
+window, each entry on its own; a trial stops at its first stopping entry
+and leaves. `prob-exp` fits without a mass point: p0 = 0 and an
+exponential rate over every reveal, zeros included.
 
 Campaigns cut the trials, not the cells, into chunks: every trial in one
 chunk with one worker and four chunks per worker with more, each capped
@@ -24,8 +26,9 @@ strategy) cell on that block; one run_trial call prices a `full` cell's
 chunk. The chunk seeds its streams as arrays: numpy's SeedSequence hash of
 every seed in uint32 arithmetic, then PCG64's seeding step per trial on one
 reused generator, checked against default_rng on the chunk's first trial.
-`fixed` rows and the test rows of a probabilistic step are priced in
-groups of lookahead.ROW_GROUP, bounding a large block's temporaries.
+`fixed` rows are priced in groups of _FIXED_ROWS, bounding a large
+block's temporaries. Each distinct best gain of a cell is priced into
+its tree once.
 Chunk sums are exact ints, so the means do not depend on execution order
 or worker count.
 """
@@ -33,6 +36,7 @@ or worker count.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -43,9 +47,9 @@ from .abstract_tree import CapacityError, PvbInstance, svb_depth, svb_tree_size
 from .lookahead import (
     BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
+    ENTRY_BUDGET,
     LOOKAHEAD_EXHAUSTED,
     NO_EXPECTED_IMPROVEMENT,
-    ROW_GROUP,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     check_int,
@@ -65,6 +69,8 @@ _PROB_FITS = {
 }
 
 _FIRST_WINDOW = 64
+# rows priced per _fixed_stops call
+_FIXED_ROWS = 256
 # bytes of a chunk's permutation block, at its dtype
 _BLOCK_BYTES = 1 << 20
 
@@ -157,6 +163,11 @@ def _fixed_stops(gains, orders, fixed, reveals, best_out, reasons):
         rows = rows[~done]
 
 
+def _running(ufunc, carried, window):
+    """ufunc's running value along each row of the window, from the carried column."""
+    return ufunc.accumulate(np.hstack((carried, window)), axis=1)[:, 1:]
+
+
 def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, reasons):
     """Write a probabilistic strategy's stops into the outputs.
 
@@ -165,28 +176,39 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
     applies: the model may scan longer than the fixed rule whenever that
     is expected to pay, which is how it escapes the fixed rule's blowup at
     large gaps. The solver's variant with hard caps is should_continue.
+
+    The running trials advance a window of reveals at a time, as wide as
+    ENTRY_BUDGET allows for their number. Each statistic of a window is an
+    accumulate over [carried value | window], the per-reveal update's float
+    operations in its order, and every (trial, reveal) entry is one row of
+    a single prob_stops call. A trial stops at its first stopping entry;
+    the others carry the window's last column into the next.
     """
     family, mass_point = _PROB_FITS[strategy]
     alive = np.arange(len(orders))
-    # the running statistics of each trial still running; zeros add 0.0 to both sums
-    state = np.zeros((6, len(orders)))
-    state[3] = np.inf
+    # the running statistics after the reveals so far, one column per trial;
+    # zeros add 0.0 to both sums
+    best, sums, n1, log_sum = np.zeros((4, len(orders), 1))
+    lowest, log_lowest = np.full((len(orders), 1), np.inf), np.zeros((len(orders), 1))
+    done, n = 0, orders.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, orders.shape[1] + 1):  # reveals so far, the accumulator's count
-            best, sums, n1, lowest, log_lowest, log_sum = state
-            idx = orders[alive, i - 1]
+        while alive.size and done < n:
+            width = min(n - done, max(1, ENTRY_BUDGET // alive.size))
+            idx = orders[alive, done : done + width]
             v = gains[idx]
             nonzero = v > 0.0
-            np.maximum(best, v, out=best)
-            sums += v
-            n1 += nonzero
+            i = np.arange(done + 1, done + width + 1)  # reveals so far, the accumulator's count
+            best, sums = _running(np.maximum, best, v), _running(np.add, sums, v)
+            n1 = _running(np.add, n1, nonzero)
             depth = np.ceil(gap / best)  # inf before the first nonzero gain or on overflow
-            p0 = (i - n1) / i if mass_point else np.zeros(alive.size)
+            p0 = (i - n1) / i if mass_point else np.zeros(v.shape)
             if family == "pareto":
                 lg = logs[idx]
-                log_sum += lg
-                np.minimum(lowest, v, out=lowest, where=nonzero)
-                np.copyto(log_lowest, lg, where=v == lowest)
+                log_sum = _running(np.add, log_sum, lg)
+                lowest = _running(np.minimum, lowest, np.where(nonzero, v, np.inf))
+                # the log of the running lowest, from its latest reveal (0: carried)
+                latest = np.maximum.accumulate(np.where(v == lowest, i - done, 0), axis=1)
+                log_lowest = np.take_along_axis(np.hstack((log_lowest, lg)), latest, axis=1)
                 log_ratio_sum = log_sum - n1 * log_lowest
                 theta = (lowest, n1 / log_ratio_sum)
                 # spread in the nonzero gains (so at least 2), as GainAccumulator.fit
@@ -194,13 +216,18 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
             else:
                 theta, fitted = ((n1 if mass_point else i) / sums,), True
             ready = (n1 >= prob.min_nonzero_samples) & fitted
-            stop = prob_stops(gap, depth, ready, p0, family, theta)
-            if stop.any():
-                hit = alive[stop]
-                reveals[hit], best_out[hit], reasons[hit] = i, best[stop], NO_EXPECTED_IMPROVEMENT
-                alive, state = alive[~stop], state[:, ~stop]
-                if not alive.size:
-                    return
+            stop = prob_stops(
+                gap, depth.ravel(), ready.ravel(), p0.ravel(), family,
+                tuple(t.ravel() for t in theta),
+            ).reshape(v.shape)
+            first, hit = stop.argmax(axis=1), stop.any(axis=1)
+            at, keep = alive[hit], ~hit
+            reveals[at], best_out[at] = done + first[hit] + 1, best[hit, first[hit]]
+            reasons[at] = NO_EXPECTED_IMPROVEMENT
+            alive, done = alive[keep], done + width
+            best, sums, n1, lowest, log_lowest, log_sum = (
+                x[keep, -1:] for x in (best, sums, n1, lowest, log_lowest, log_sum)
+            )
 
 
 def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
@@ -213,8 +240,8 @@ def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
     out = np.full(len(orders), orders.shape[1]), np.full(len(orders), gains.max()), reasons
     if strategy == "fixed":
         fixed = fixed or FixedLookaheadConfig()
-        for g in range(0, len(orders), ROW_GROUP):
-            rows = slice(g, g + ROW_GROUP)
+        for g in range(0, len(orders), _FIXED_ROWS):
+            rows = slice(g, g + _FIXED_ROWS)
             _fixed_stops(gains, orders[rows], fixed, *(x[rows] for x in out))
     elif strategy in _PROB_FITS:
         _prob_stops(gains, logs, orders, gap, strategy, prob or ProbLookaheadConfig(), *out)
@@ -222,9 +249,17 @@ def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
 
 
 def _tree_nodes(gap, best) -> int:
-    """Summed final trees of trials with these best gains, or the first CapacityError."""
+    """Summed final trees of trials with these best gains, or the first CapacityError.
+
+    Each distinct best is priced once. A Counter keeps its keys in the
+    order of their first trials, so the error raised is the first failing
+    trial's.
+    """
     try:
-        return sum(svb_tree_size(svb_depth(gap, b)) for b in best.tolist())
+        return sum(
+            svb_tree_size(svb_depth(gap, b)) * count
+            for b, count in Counter(best.tolist()).items()
+        )
     except CapacityError as exc:
         raise CapacityError(f"gap {gap!r}: best {exc}") from None
 

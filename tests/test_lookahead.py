@@ -28,10 +28,10 @@ from pvb.lookahead import (
     BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
     CONTINUE,
+    ENTRY_BUDGET,
     LOOKAHEAD_EXHAUSTED,
     NO_EXPECTED_IMPROVEMENT,
     PHI,
-    ROW_GROUP,
     FixedLookaheadConfig,
     ProbLookaheadConfig,
     SbSession,
@@ -505,33 +505,40 @@ def test_expected_size_verdict_does_not_depend_on_the_iteration(scan, early, lat
 # ------------------------------------------------------------ the verdict
 
 
-def test_the_verdict_of_several_row_groups_is_the_per_row_verdicts(monkeypatch):
-    """Rows at every kind of depth, ready or not, over more than two row
-    groups: the array's verdicts are each row's verdict alone, and those
-    are the rule spelled out row by row."""
-    rng = np.random.default_rng(419)
-    n, gap = 3 * ROW_GROUP + 57, 30.0
+def _verdict_rows(seed, n, gap):
+    """Rows at every kind of depth, ready or not, with fits where both
+    verdicts are common: a survival of about 2**-d at the improving gain
+    G/(d-1) (see deep_scans)."""
+    rng = np.random.default_rng(seed)
     depth = rng.integers(1, 60, size=n).astype(float)
     depth[rng.random(n) < 0.1] = math.inf
     depth[rng.random(n) < 0.05] = MAX_FINAL_DEPTH + 1
     ready = rng.random(n) < 0.9
-    # a survival of about 2**-d at the improving gain G/(d-1), where both
-    # verdicts are common (see deep_scans)
     x = gap / np.maximum(depth - 1, 1.0)
     spread = rng.uniform(1.0, 30.0, size=n)
     theta = (x * 2.0**-spread, depth * rng.uniform(0.5, 1.5, size=n) / spread)
     p0 = rng.choice([0.0, 0.3, 0.9], size=n)
+    return depth, ready, p0, theta
+
+
+def test_the_verdict_of_several_row_groups_is_the_per_row_verdicts(monkeypatch):
+    """Rows over more than two groups of the entry budget: the array's
+    verdicts are each row's verdict alone, and those are the rule spelled
+    out row by row."""
+    n, gap = 2000, 30.0
+    depth, ready, p0, theta = _verdict_rows(419, n, gap)
     groups = []
     verdict = saving_stops
 
     def counted(ps, d_min):
-        groups.append(len(d_min))
+        groups.append(ps.shape)
         return verdict(ps, d_min)
 
     monkeypatch.setattr(lookahead, "saving_stops", counted)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         stops = prob_stops(gap, depth, ready, p0, "pareto", theta)
-    assert len(groups) > 2 and max(groups) == ROW_GROUP
+    assert len(groups) > 2
+    assert all(rows * width <= ENTRY_BUDGET for rows, width in groups)
     want = []
     for r in range(n):
         row = slice(r, r + 1)
@@ -547,6 +554,21 @@ def test_the_verdict_of_several_row_groups_is_the_per_row_verdicts(monkeypatch):
             want.append(False)
     assert stops.tolist() == want
     assert 0 < sum(want) < n
+
+
+def test_shuffled_rows_get_their_verdicts_shuffled():
+    """A row's verdict does not depend on where it sits among the rows
+    that share its group."""
+    gap = 30.0
+    depth, ready, p0, theta = _verdict_rows(5, 3000, gap)
+    stops = prob_stops(gap, depth, ready, p0, "pareto", theta)
+    assert 0 < stops.sum() < stops.size
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(depth.size)
+        shuffled = prob_stops(
+            gap, depth[perm], ready[perm], p0[perm], "pareto", [t[perm] for t in theta]
+        )
+        assert np.array_equal(shuffled, stops[perm])
 
 
 def test_the_verdict_masks_depths_and_readiness():
@@ -567,6 +589,11 @@ def test_the_verdict_masks_depths_and_readiness():
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             stops = prob_stops(20.0, depth, ready, np.array(p0), "exponential", (np.array(rate),))
         assert stops.tolist() == want
+    # with no row ready nothing is priced, and depth 1 still stops
+    none_ready = np.zeros(depth.size, dtype=bool)
+    unread = (np.full(depth.size, nan),)
+    stops = prob_stops(20.0, depth, none_ready, unread[0], "exponential", unread)
+    assert stops.tolist() == (depth == 1).tolist()
 
 
 # ----------------------------------------------------------- the decision

@@ -24,6 +24,7 @@ from pvb.distributions import GainAccumulator
 from pvb.gains import is_zero_gain
 from pvb.lookahead import (
     CANDIDATES_EXHAUSTED,
+    ENTRY_BUDGET,
     LOOKAHEAD_EXHAUSTED,
     NO_EXPECTED_IMPROVEMENT,
     Decision,
@@ -281,6 +282,34 @@ def test_a_trial_does_not_depend_on_the_trials_in_its_block(case):
             assert alone.final_tree_nodes == 2 ** (svb_depth(gap, best) + 1) - 1
 
 
+def test_a_straggler_is_priced_across_windows_as_it_is_alone():
+    """A block of 250 trials in which 249 stop inside the first window of
+    reveals and one reveals the five smallest gains, every zero and then
+    the other gains in ascending order, so each reveal improves its best
+    and the expected-size test lets it run for 200 reveals and more:
+    priced with its block and alone, the straggler carries its running
+    statistics across the windows, and every trial is the reference walk's."""
+    rng = np.random.default_rng(3)
+    pool = np.concatenate([np.zeros(60), np.exp(rng.normal(0.0, 1.5, 240))])
+    rng.shuffle(pool)
+    inst, gap, late = make_instance(pool), 8.0, 137
+    orders = np.array([rng.permutation(len(pool)) for _ in range(250)])
+    nonzero = np.flatnonzero(pool)[np.argsort(pool[pool > 0.0])]
+    orders[late] = np.concatenate([nonzero[:5], np.flatnonzero(pool == 0.0), nonzero[5:]])
+    for strategy in ("prob-exp", "prob-mixed-exp", "prob-mixed-pareto"):
+        whole = simulator._price(inst, gap, strategy, orders, None, None)
+        reveals = whole[0]
+        assert np.delete(reveals, late).max() <= ENTRY_BUDGET // len(orders)
+        assert reveals[late] >= 200
+        alone = simulator._price(inst, gap, strategy, orders[late : late + 1], None, None)
+        assert [x[0] for x in alone] == [x[late] for x in whole]
+        for t, (n, best, reason) in enumerate(zip(*whole)):
+            want = reference_trial(pool.tolist(), gap, strategy, PresetPermutation(orders[t]))
+            assert (n, svb_depth(gap, best), reason) == (
+                want["reveals"], want["depth"], want["stop_reason"]
+            ), (strategy, t)
+
+
 def test_expected_size_test_runs_past_depth_512_up_to_the_one_guard():
     # best depth 600 from the first gain; every later gain is tiny, so the
     # fitted tail's mass past G/599 falls like exp(-k) after k reveals and
@@ -310,13 +339,14 @@ def test_the_pareto_stop_tests_exactly_the_prefixes_the_accumulator_fits(monkeyp
     monkeypatch.setattr(lookahead, "saving_stops", never_stop)
     prob = ProbLookaheadConfig(min_nonzero_samples=1)
     # at gap 1 every prefix has a best depth of 3 to 9, so the expected-size
-    # test runs after reveal k exactly when the campaign fits the prefix
+    # test runs after reveal k exactly when the campaign fits the prefix;
+    # one call may price several prefixes, so the tested rows are counted
     fitted, acc = [], GainAccumulator()
     for k in range(1, len(pool) + 1):
         tested.clear()
         order = PresetPermutation(range(k))
         run_trial(make_instance(pool[:k]), 1.0, "prob-mixed-pareto", order, prob=prob)
-        fitted.append(len(tested) - sum(fitted))
+        fitted.append(sum(tested) - sum(fitted))
         acc.add(pool[k - 1])
         assert fitted[-1] == (not acc.fit("pareto").degenerate), k
     assert fitted == [0] * 7 + [1] * 5
