@@ -30,11 +30,19 @@ the expected tree saving of one more probe against its cost of 2 nodes.
 saving_stops decides that form, which has no cancellation at any depth, so
 the verdict never depends on i.
 
+One survival value bounds the saving. The p_d are non-negative and
+telescope to S = (1 - p0) * tail survival at G/(d_min-1), and every factor
+2**(d_min+1) - 2**(d+1) with 1 <= d < d_min lies in [2**d_min,
+2**(d_min+1) - 4], so
+
+    2**d_min * S <= saving <= (2**(d_min+1) - 4) * S.
+
 prob_stops is the one verdict of the solver's rule and the campaign engine,
 over an array of rows: depth 1 stops without a fit (no reveal can shrink the
-tree, so continuing costs t_i + 2), a row its caller marks ready is priced by
-saving_stops up to abstract_tree.MAX_FINAL_DEPTH, the deepest tree that can
-be priced, and every other row continues.
+tree, so continuing costs t_i + 2), a row its caller marks ready gets
+saving_stops' verdict up to abstract_tree.MAX_FINAL_DEPTH, the deepest tree
+that can be priced, and every other row continues. The bounds settle most
+ready rows; only the rows between them are priced over every depth.
 """
 
 from __future__ import annotations
@@ -71,6 +79,9 @@ PHI = 0.6
 # (row, depth) entries priced per array call, which bounds the temporaries
 # of prob_stops' groups and of the campaign engine's windows of reveals
 ENTRY_BUDGET = 1 << 13
+# relative margin by which a row's bounds must clear the probe's 2 nodes
+# before they decide it; see _tested_stops
+_BOUND_MARGIN = 1e-9
 
 
 class Decision(NamedTuple):
@@ -217,34 +228,70 @@ def expected_nodes_if_continue(session: SbSession, dist: MixedGainDistribution) 
     return expected_final + 2.0 * (session.iteration + 1)
 
 
+def _tested_stops(gap, depth, p0, family: str, theta) -> np.ndarray:
+    """Verdicts of tested rows: ready rows at integer depth 2..MAX_FINAL_DEPTH.
+
+    A row continues when its least saving, 2**D * S, exceeds 2 * (1 +
+    _BOUND_MARGIN), and stops when its greatest, (2**(D+1) - 4) * S, times
+    (1 + _BOUND_MARGIN) is below 2. S is the expression and the division of
+    depth_probabilities' column D - 1. The rows between the bounds, rows
+    whose bounds are not finite and rows with a NaN in their fit are
+    stable-sorted by depth and priced by saving_stops in groups of at most
+    ENTRY_BUDGET (row, depth) entries, so rows of like depth share a call.
+
+    For a fit of the family (p0 in [0, 1], a survival that does not rise
+    with the gain), infinite parameters included, the bounds give
+    saving_stops' verdicts bit for bit. Its computed sum (clamped
+    differences, products, an in-order cumsum) is within (D + 2) * 2**-53
+    <= 1.2e-13 relative of the exact sum of its p_d for D <= 1022; the
+    clamps add only last-ulp dips of a survival that rises with d, and
+    entries below the normal range add under 2**-41 in all. The two
+    evaluations of S differ by a few ulps at most (say, between SIMD and
+    scalar pow). Both errors lie far inside the margin. A row's verdict
+    does not depend on the other rows: the bounds are per row, and
+    saving_stops sums each row in order.
+    """
+    s = (1.0 - p0) * tail_survival(family, theta, gap / (depth - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are priced
+        least = np.ldexp(s, depth)
+        most = (2.0 * least - 4.0 * s) * (1.0 + _BOUND_MARGIN)
+    stop = most < 2.0
+    band = ~(stop | (least > 2.0 * (1.0 + _BOUND_MARGIN))) | ~np.isfinite(most)
+    for v in (p0, *theta):  # a NaN parameter can leave S finite: pow(1, nan) is 1
+        band |= np.isnan(v)
+    priced = np.flatnonzero(band)
+    depths = depth[priced]
+    by_depth = np.argsort(depths, kind="stable")
+    priced, depths = priced[by_depth], depths[by_depth]
+    start = 0
+    while start < priced.size:
+        # k rows from start span k * depths[start + k - 1] entries, rising in k
+        head = depths[start : start + ENTRY_BUDGET // 2]
+        k = max(1, int(np.searchsorted(np.arange(1, head.size + 1) * head, ENTRY_BUDGET, "right")))
+        rows, d = priced[start : start + k], depths[start : start + k]
+        ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
+        stop[rows] = saving_stops(ps, d)
+        start += k
+    return stop
+
+
 def prob_stops(gap, depth, ready, p0, family: str, theta) -> np.ndarray:
     """Verdicts for scans at best depth depth[r] (a float, inf before any
     nonzero gain) with fits (p0[r], theta[k][r] for each k) of family.
 
-    Depth 1 stops; a ready row at depth 2..MAX_FINAL_DEPTH stops iff
-    saving_stops does; other rows' fits are unread. The tested rows are
-    stable-sorted by depth and priced in groups of at most ENTRY_BUDGET
-    (row, depth) entries, so rows of like depth share a call; a row's
-    verdict does not depend on its group, since saving_stops sums each
-    row in order.
+    Depth 1 stops; a ready row at depth 2..MAX_FINAL_DEPTH, a tested row,
+    stops iff saving_stops does, which _tested_stops decides from two
+    bounds on one survival value wherever they settle it; other rows' fits
+    are unread.
     """
     stop = depth == 1
     if not ready.any():  # nothing to price, as in most of a solver scan's calls
         return stop
     tested = np.flatnonzero(ready & (depth >= 2) & (depth <= MAX_FINAL_DEPTH))
     # depths up to MAX_FINAL_DEPTH fit int16, which numpy sorts stably by radix
-    depths = depth[tested].astype(np.int16)
-    by_depth = np.argsort(depths, kind="stable")
-    tested, depths = tested[by_depth], depths[by_depth]
-    start = 0
-    while start < tested.size:
-        # k rows from start span k * depths[start + k - 1] entries, rising in k
-        head = depths[start : start + ENTRY_BUDGET // 2]
-        k = max(1, int(np.searchsorted(np.arange(1, head.size + 1) * head, ENTRY_BUDGET, "right")))
-        rows, d = tested[start : start + k], depths[start : start + k]
-        ps = depth_probabilities(gap, d, p0[rows], family, tuple(t[rows] for t in theta))
-        stop[rows] = saving_stops(ps, d)
-        start += k
+    stop[tested] = _tested_stops(
+        gap, depth[tested].astype(np.int16), p0[tested], family, tuple(t[tested] for t in theta)
+    )
     return stop
 
 

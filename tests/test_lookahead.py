@@ -23,6 +23,7 @@ from pvb.distributions import (
     GainAccumulator,
     MixedGainDistribution,
     survival,
+    tail_survival,
 )
 from pvb.lookahead import (
     BUDGET_EXHAUSTED,
@@ -521,12 +522,34 @@ def _verdict_rows(seed, n, gap):
     return depth, ready, p0, theta
 
 
+def _band_rows(seed, n, gap):
+    """Rows at every kind of depth, ready or not, whose fits at depth d =
+    3..59 put 2**d * S strictly between the bounds that settle a row,
+    1 / (1 - 2**(1-d)) and 2 (see lookahead._tested_stops), so saving_stops
+    prices every tested row. S = (1 - p0) * 2**-bits with a Pareto tail of
+    2**-bits at the improving gain G/(d-1)."""
+    rng = np.random.default_rng(seed)
+    depth = rng.integers(3, 60, size=n).astype(float)
+    depth[rng.random(n) < 0.05] = 1.0
+    depth[rng.random(n) < 0.1] = math.inf
+    depth[rng.random(n) < 0.05] = MAX_FINAL_DEPTH + 1
+    ready = rng.random(n) < 0.9
+    d = np.where(np.isfinite(depth) & (depth >= 3), depth, 3.0)
+    lower = 1.0 / (1.0 - 2.0 ** (1.0 - d))
+    ratio = lower + (2.0 - lower) * rng.uniform(0.05, 0.95, size=n)
+    p0 = rng.choice([0.0, 0.3], size=n)
+    bits = d - np.log2(ratio) + np.log2(1.0 - p0)
+    spread = rng.uniform(1.0, 30.0, size=n)
+    theta = (gap / (d - 1.0) * 2.0**-spread, bits / spread)
+    return depth, ready, p0, theta
+
+
 def test_the_verdict_of_several_row_groups_is_the_per_row_verdicts(monkeypatch):
     """Rows over more than two groups of the entry budget: the array's
     verdicts are each row's verdict alone, and those are the rule spelled
     out row by row."""
     n, gap = 2000, 30.0
-    depth, ready, p0, theta = _verdict_rows(419, n, gap)
+    depth, ready, p0, theta = _band_rows(419, n, gap)
     groups = []
     verdict = saving_stops
 
@@ -537,6 +560,8 @@ def test_the_verdict_of_several_row_groups_is_the_per_row_verdicts(monkeypatch):
     monkeypatch.setattr(lookahead, "saving_stops", counted)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         stops = prob_stops(gap, depth, ready, p0, "pareto", theta)
+    tested = ready & (depth >= 2) & (depth <= MAX_FINAL_DEPTH)
+    assert sum(rows for rows, _ in groups) == tested.sum()
     assert len(groups) > 2
     assert all(rows * width <= ENTRY_BUDGET for rows, width in groups)
     want = []
@@ -554,6 +579,7 @@ def test_the_verdict_of_several_row_groups_is_the_per_row_verdicts(monkeypatch):
             want.append(False)
     assert stops.tolist() == want
     assert 0 < sum(want) < n
+    assert 0 < stops[tested].sum() < tested.sum()
 
 
 def test_shuffled_rows_get_their_verdicts_shuffled():
@@ -594,6 +620,90 @@ def test_the_verdict_masks_depths_and_readiness():
     unread = (np.full(depth.size, nan),)
     stops = prob_stops(20.0, depth, none_ready, unread[0], "exponential", unread)
     assert stops.tolist() == (depth == 1).tolist()
+
+
+def _edge_fits(family, gap, depth, p0, target, shape):
+    """theta of family, one row per depth, whose S = (1 - p0) * tail
+    survival at G/(d-1) is the float nearest target that one parameter
+    reaches: a bisection over the rate (exponential), xm (pareto, at the
+    exponent shape sets) or mu (lognormal, at the sigma shape sets)."""
+    x = gap / (depth - 1.0)
+    if family == "exponential":
+        make, lo, hi = (lambda rate: (rate,)), 2.0**-60 / x, 800.0 / x
+    elif family == "pareto":
+        # xm / x stays above 2**-1000 at the deepest target
+        alpha = np.maximum(2.0 ** (4.0 * shape - 3.0), -np.log2(target) / 1000.0)
+        make, lo, hi = (lambda xm: (xm, alpha)), x * 2.0**-1010, x
+    else:
+        sigma = 10.0 ** (4.0 * shape - 4.0)
+        make, lo, hi = (lambda mu: (mu, sigma)), np.log(x) - 40.0 * sigma, np.log(x) + 40.0 * sigma
+    rises = family != "exponential"
+    for _ in range(200):
+        # geometric midpoints for the positive parameters, which span decades
+        mid = 0.5 * (lo + hi) if family == "lognormal" else lo * np.sqrt(hi / lo)
+        low = ((1.0 - p0) * tail_survival(family, make(mid), x) < target) == rises
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+    s_lo, s_hi = ((1.0 - p0) * tail_survival(family, make(k), x) for k in (lo, hi))
+    return make(np.where(abs(s_lo - target) <= abs(s_hi - target), lo, hi))
+
+
+@st.composite
+def rows_at_the_bounds(draw):
+    """One family and rows whose survival S lies a few ulps off an edge
+    of the band that _tested_stops prices: 2**d * S at 2 * (1 + 1e-9),
+    where a row starts to continue unpriced, or at 1 / ((1 - 2**(1-d)) *
+    (1 + 1e-9)), where it starts to stop, or at either edge without the
+    margin. S lands within 2 ulps of that target for pareto, and within
+    the step of the fitted parameter for the others (hundreds of ulps for
+    exponential, up to about 1e5 for a steep lognormal). Some rows get a
+    NaN or infinite parameter."""
+    family = draw(st.sampled_from(["exponential", "pareto", "lognormal"]))
+    n = draw(st.integers(1, 6))
+    depth = np.array(draw(st.lists(
+        st.one_of(st.integers(2, MAX_FINAL_DEPTH), st.sampled_from([2, 3, MAX_FINAL_DEPTH])),
+        min_size=n, max_size=n,
+    )), dtype=float)
+    p0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=n, max_size=n)))
+    margin = np.array(draw(st.lists(st.sampled_from([1.0, 1.0 + 1e-9]), min_size=n, max_size=n)))
+    upper = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ulps = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    shape = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    gap = draw(st.floats(0.5, 1e3))
+    ratio = np.where(upper, 2.0 * margin, 1.0 / ((1.0 - 2.0 ** (1.0 - depth)) * margin))
+    target = np.ldexp(ratio, -depth.astype(int)) * (1.0 + ulps * 2.0**-52)
+    theta = _edge_fits(family, gap, depth, p0, target, shape)
+    bad = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, len(theta) - 1),
+                  st.sampled_from([math.nan, math.inf]), st.booleans()),
+        max_size=2,
+    ))
+    theta = [t.copy() for t in theta]
+    for row, k, value, top in bad:
+        # an infinite xm or sigma meets another infinity in the tail formula
+        theta[k][row] = math.nan if (family, k) in (("pareto", 0), ("lognormal", 1)) else value
+        if family == "pareto" and k == 1 and top:
+            # xm at G/(d-1) makes S's power pow(1, alpha), which is 1 at a NaN alpha
+            theta[0][row] = gap / (depth[row] - 1.0)
+    return family, gap, depth, p0, tuple(theta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows_at_the_bounds())
+@example(("pareto", 1.0, np.array([3.0]), np.array([1.0]), (np.array([0.5]), np.array([math.nan]))))
+def test_the_bounds_give_the_verdicts_of_the_priced_rule(rows):
+    """Rows whose survival sits at the edges of the bounds' band get the
+    verdicts of the rule without the bounds: depth_probabilities and
+    saving_stops on every tested row."""
+    family, gap, depth, p0, theta = rows
+    ready = np.ones(depth.size, dtype=bool)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        stops = prob_stops(gap, depth, ready, p0, family, theta)
+        want = []
+        for r, d in enumerate(depth.astype(int)):
+            row = slice(r, r + 1)
+            ps = depth_probabilities(gap, d, p0[row], family, [t[row] for t in theta])
+            want.append(bool(saving_stops(ps, [d])[0]))
+    assert stops.tolist() == want
 
 
 # ----------------------------------------------------------- the decision

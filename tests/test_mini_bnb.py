@@ -1480,21 +1480,21 @@ class TestSolveGolden:
 
     def test_a_dynamic_solve_that_runs_the_expected_size_test(self, monkeypatch):
         """No corpus solve above passes the streak gate of the dynamic
-        rule, so none reaches the expected-size test. This one prices six
-        rows with saving_stops and stops two of its scans there."""
-        priced = []
-        verdict = lookahead.saving_stops
+        rule, so none reaches the expected-size test. This one tests six
+        rows and stops two of its scans there."""
+        tested = []
+        verdict = lookahead._tested_stops
 
-        def spy(ps, d_min):
-            stops = verdict(ps, d_min)
-            priced.extend(stops.tolist())
+        def spy(gap, depth, p0, family, theta):
+            stops = verdict(gap, depth, p0, family, theta)
+            tested.extend(stops.tolist())
             return stops
 
-        monkeypatch.setattr(lookahead, "saving_stops", spy)
+        monkeypatch.setattr(lookahead, "_tested_stops", spy)
         config = SolverConfig(mode="dynamic", reliability_threshold=12, node_limit=100)
         res = solve(sparse_multiknapsack(60, 30, 1), config)
         assert (res.status, res.nodes, res.sb_lp_solves) == (NODE_LIMIT, 100, 846)
-        assert (len(priced), sum(priced)) == (6, 2)
+        assert (len(tested), sum(tested)) == (6, 2)
         row = (
             res.status, repr(res.objective), res.x, res.nodes,
             res.sb_lp_solves, res.sb_iterations, res.decisions,
