@@ -265,7 +265,6 @@ def _solver_config(mode: str, settings: dict, args) -> SolverConfig:
             mode=mode,
             fixed=FixedLookaheadConfig(**_fields(FixedLookaheadConfig, settings)),
             prob=ProbLookaheadConfig(**_fields(ProbLookaheadConfig, settings)),
-            **_fields(SolverConfig, settings),
             reliability_threshold=args.reliability_threshold,
             node_limit=args.node_limit,
         )

@@ -206,9 +206,10 @@ class GainAccumulator:
 
         theta is None wherever the tail's MLE is undefined or leaves the
         float range: no nonzero gain, fewer than 2 for pareto or
-        lognormal, nonzero gains without spread, or a variance that is not
-        finite. "Without spread" is decided from the exact minimum and
-        maximum, since equal gains leave rounding residue in the sums.
+        lognormal, nonzero gains without spread, or a sum or a variance
+        that is not finite. "Without spread" is decided from the exact
+        minimum and maximum, since equal gains leave rounding residue in
+        the sums.
         Raises ValueError only for an unknown family or an empty sample.
         """
         if family not in FAMILIES:
@@ -224,7 +225,8 @@ class GainAccumulator:
             return MixedGainDistribution(p0, family, None)
         theta = None
         if family == "exponential":
-            theta = (n1 / self.nonzero_sum,)
+            if self.nonzero_sum < math.inf:
+                theta = (n1 / self.nonzero_sum,)
         elif family == "pareto":
             log_ratio_sum = self.sum_logs - n1 * math.log(self.nonzero_min)
             if log_ratio_sum > 0:

@@ -50,22 +50,21 @@ needs from it is derived once, on the first child, from the parent's
 own arrays (Basis.start): the tableau stacked over the reduced costs,
 which each child copies, and as lists the parent's nonbasic and basic
 values and each column's direction, plus one finiteness test. A child
-takes its nonbasic values from its own bounds and moves its basic values
-by the product of the parent's tableau with the nonbasic values' shift.
-The solver branches on fractional columns, which are basic in the
-parent, so no nonbasic value moves: the shift is zero, the product of a
-finite tableau with it is exactly zero, and the child takes the parent's
-basic values as they are, the same doubles the product would give,
-without forming it. The child's basis stays dual feasible, so a bounded
-dual simplex restores primal feasibility (or proves the child infeasible
-when a dual ratio test finds no entering column) and ends with the primal
-loop's first optimality test, run on Python floats; it normally holds
-from the carried reduced costs, and the primal loop runs only when it
-does not. A warm start that cannot be used (a singular refactor, a
-nonbasic column at an infinite bound or free, a dual phase that reaches
-the iteration cap, or a violation too small to certify infeasibility,
-or NaN, that no column can fix) falls back to the cold two-phase solve,
-and the pivots of both attempts are counted.
+starts warm only from the parent's vertex: the solver branches on
+fractional columns, which are basic in the parent, so a child's bounds
+leave every nonbasic value where it was and the child takes the parent's
+basic values as they are. The child's basis stays dual feasible, so a
+bounded dual simplex restores primal feasibility (or proves the child
+infeasible when a dual ratio test finds no entering column) and ends
+with the primal loop's first optimality test, run on Python floats; it
+normally holds from the carried reduced costs, and the primal loop runs
+only when it does not. Any other start solves cold with the two-phase
+method: a child whose bounds move a nonbasic value, a parent with a free
+column or a value, tableau entry or reduced cost that is not finite. So
+does a warm start that fails on the way (a singular refactor, a dual
+phase that reaches the iteration cap, or a violation too small to
+certify infeasibility, or NaN, that no column can fix), and the pivots
+of both attempts are counted.
 
 Replaying the 5,640 LPs of one pass of the solve-sb benchmark workload
 with each phase timed (2-core Xeon at 2.1 GHz, Python 3.11, numpy 2.4),
@@ -608,31 +607,20 @@ def lp_system(objective, matrix, senses, rhs) -> LpSystem:
 
 
 def _warm_tableau(warm: Basis, lo, hi) -> _Tableau:
-    """A tableau on warm's basis with the nonbasic columns at the new bounds.
-
-    Only nonbasic values move, so the basic values follow from the
-    parent's by one product with its tableau. When no nonbasic value
-    moves and the parent is finite, that product is exactly zero and
-    the basic values are the parent's."""
+    """A tableau on warm's basis at the parent's vertex, for a child whose
+    nonbasic values are the parent's. Raises _ColdRestart when a nonbasic
+    value moves, when the parent has a free column, and when a value, a
+    tableau entry or a reduced cost of the parent is not finite."""
     start = warm.start
     bounds = lo + hi
     bounds.append(0.0)
     z = list(start.pick(bounds))
-    if start.free:
+    if start.free or not start.finite or z != start.nonbasic:
         raise _ColdRestart
-    if start.finite and z == start.nonbasic:
-        # z is finite, as the parent's values are
-        xb = start.basic.copy()
-    else:
-        if not all(map(math.isfinite, z)):
-            raise _ColdRestart
-        shift = np.array(z) - warm.values
-        shift[warm.columns] = 0.0
-        xb = (warm.values[warm.columns] - warm.tableau @ shift).tolist()
     system = warm.system
     return _Tableau(
-        system.M, system.rhs, lo, hi, warm.columns.copy(), warm.state.copy(), z, xb,
-        system.c, start.stack.copy(), warm.updates,
+        system.M, system.rhs, lo, hi, warm.columns.copy(), warm.state.copy(), z,
+        start.basic.copy(), system.c, start.stack.copy(), warm.updates,
     )
 
 
@@ -709,8 +697,9 @@ def solve_bounded_lp(
     during phase 1 is a SolverError since nothing is certified yet.
 
     warm_start is the basis of an optimal result over the same system
-    under other column bounds; the solve then starts from it with the
-    dual simplex. An optimal result carries its basis.
+    under other column bounds. When those bounds leave each of its
+    nonbasic columns at its value, the solve starts from it with the dual
+    simplex; otherwise it solves cold. An optimal result carries its basis.
 
     Raises ValueError for a warm start whose basis belongs to another
     system, for bounds that are not one per column, for a NaN bound, and

@@ -67,6 +67,7 @@ class TestFit:
             ([0.0, 2.0, 2.0, 2.0], "lognormal"),
             ([0.0, 2.0, 2.0, 2.0], "normal"),
             ([0.0, 1e154, 1.2e154, 0.9e154], "normal"),  # the sum of squares overflows
+            ([0.0, 1e308, 1e308], "exponential"),  # the sum overflows
         ],
     )
     def test_undefined_fit_is_degenerate_with_the_sample_p0(self, samples, family):

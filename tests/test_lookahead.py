@@ -706,6 +706,33 @@ def test_the_bounds_give_the_verdicts_of_the_priced_rule(rows):
     assert stops.tolist() == want
 
 
+def test_the_margin_covers_a_few_ulps_between_two_evaluations_of_s(monkeypatch):
+    """At depth 2 the saving is 4 * S exactly, with S = xm = 0.5 + 2**-53,
+    so the priced rule continues by 2**-51. When the bounds' evaluation
+    of S comes out 2 ulps lower (a SIMD against a scalar pow can differ
+    so), both bounds read 2 - 2**-52: without the margin they would stop
+    the row, with it the row is priced and continues."""
+    s = 0.5 + 2.0**-53
+    low = np.nextafter(np.nextafter(s, 0.0), 0.0)
+    assert 4.0 * s == 2.0 + 2.0**-51 and 4.0 * low == 2.0 - 2.0**-52
+    theta = (np.array([s]), np.array([1.0]))
+    survival_of = lookahead.tail_survival
+
+    def lowered(family, theta, g):
+        got = survival_of(family, theta, g)
+        # the bounds pass theta as rows, depth_probabilities as columns
+        return np.nextafter(np.nextafter(got, 0.0), 0.0) if np.ndim(theta[0]) == 1 else got
+
+    monkeypatch.setattr(lookahead, "tail_survival", lowered)
+    assert lowered("pareto", theta, np.array([1.0])).tolist() == [low]
+    ps = depth_probabilities(1.0, np.array([2]), np.zeros(1), "pareto", theta)
+    assert ps.tolist() == [[s]]
+    priced = saving_stops(ps, [2]).tolist()
+    assert priced == [False]
+    stops = prob_stops(1.0, np.array([2.0]), np.array([True]), np.zeros(1), "pareto", theta)
+    assert stops.tolist() == priced
+
+
 # ----------------------------------------------------------- the decision
 
 

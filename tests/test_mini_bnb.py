@@ -299,8 +299,10 @@ class TestSimplex:
         assert res.status == UNBOUNDED
 
     def test_lp_without_rows_puts_each_column_at_its_cheaper_bound(self):
-        # once a matmul shape error in warm_basis; a child of the optimum
-        # starts warm from a basis with no rows
+        # once a matmul shape error in warm_basis, which gives the optimum
+        # a basis with no rows. Every column is nonbasic there, so the
+        # child that moves x1's value solves cold, and the one that only
+        # tightens x0's upper bound, with x0 at its lower, starts warm
         system = lp_system([2.0, -3.0, 0.0], np.zeros((0, 3)), [], [])
         res = solve_bounded_lp(system, [-1.0, -2.0, -5.0], [4.0, 6.0, 5.0])
         assert res.status == OPTIMAL
@@ -310,6 +312,11 @@ class TestSimplex:
         )
         assert child.status == OPTIMAL
         assert child.x.tolist() == [-1.0, 2.5, -5.0] and child.objective == -9.5
+        child = solve_bounded_lp(
+            system, [-1.0, -2.0, -5.0], [3.0, 6.0, 5.0], warm_start=res.basis
+        )
+        assert child.status == OPTIMAL and child.iterations == 0
+        assert child.x.tolist() == [-1.0, 6.0, -5.0] and child.objective == -20.0
         for cost, lower, upper in (([-1.0], [0.0], [math.inf]), ([1.0], [-math.inf], [3.0])):
             res = solve_bounded_lp(lp_system(cost, np.zeros((0, 1)), [], []), lower, upper)
             assert res.status == UNBOUNDED
@@ -477,11 +484,13 @@ class TestWarmStart:
         assert warm_iters <= cold_iters / 2
 
     def test_infeasible_child_is_certified_by_the_dual(self):
-        # x0 + x1 >= 3 with both capped at 2; fixing x0 at 0 leaves x1 short
+        # x0 + x1 >= 3 with both capped at 2: the parent puts x0 at 2 and
+        # x1 basic at 1; fixing the basic x1 at 0 leaves x0 short
         system = lp_system([1.0, 1.0], [[1.0, 1.0]], [">="], [3.0])
         parent = solve_bounded_lp(system, [0.0, 0.0], [2.0, 2.0])
         assert parent.status == OPTIMAL
-        child = solve_bounded_lp(system, [0.0, 0.0], [0.0, 2.0], warm_start=parent.basis)
+        assert parent.x.tolist() == [2.0, 1.0] and parent.basis.columns.tolist() == [1]
+        child = solve_bounded_lp(system, [0.0, 0.0], [2.0, 0.0], warm_start=parent.basis)
         assert child.status == INFEASIBLE
         assert child.iterations == 0
 
@@ -1516,7 +1525,8 @@ def lp_row(res):
 def api_warm_starts():
     """Warm starts from the root of each of toy_corpus(4): bounds that move
     one nonbasic column to its other bound, several, every one, none, a
-    basic column, and a basic column with nonbasic ones."""
+    basic column, and a basic column with nonbasic ones. A start that
+    moves a nonbasic value solves cold."""
     for mip in toy_corpus(4):
         *rows, lo, hi = dense(mip)
         system = lp_system(*rows)
@@ -1544,16 +1554,15 @@ class TestWarmLpGolden:
     """Pinned results of single LPs, bit for bit: every solve_bounded_lp
     call that solve() makes on the first eight corpus instances, both
     modes, and warm starts through the API whose bound changes move
-    nonbasic columns (the child's basic values then come from a product
-    with the parent's tableau) or only basic ones (they are the parent's).
-    Like TestSolveGolden, the digests depend on the BLAS rounding of the
-    products the engine forms.
+    nonbasic columns (the child then solves cold) or only basic ones (it
+    starts from the parent's vertex). Like TestSolveGolden, the digests
+    depend on the BLAS rounding of the products the engine forms.
     """
 
     GOLDEN = {
         2: "a1865cafa5c17b49fcea106b30f9908094e8e3a91fbec1f60b0e15931f832a97",
         12: "e790bee2661f3ffe41f2bfd6ccf205103ab8187c910b84ce99b29f9662636996",
-        "api": "03f2f3e6e558a2b914f388f427f6a3363b4fdcf702e1a6cedd5b5bfce02e0fec",
+        "api": "9d16cef52903659efb4d006b22ff2b5cec198479cd628de18d211a50504fae58",
     }
 
     @pytest.mark.parametrize("threshold", [2, 12])
@@ -1575,10 +1584,19 @@ class TestWarmLpGolden:
         assert digest.hexdigest() == self.GOLDEN[threshold]
 
     def test_api_warm_starts_match_pinned_digest(self):
-        rows = [
-            lp_row(solve_bounded_lp(system, lo, hi, warm_start=basis))
-            for system, lo, hi, basis in api_warm_starts()
-        ]
+        rows = []
+        moved = 0
+        for system, lo, hi, basis in api_warm_starts():
+            row = lp_row(solve_bounded_lp(system, lo, hi, warm_start=basis))
+            n = len(lo)
+            state, values = basis.state[:n], basis.values[:n]
+            nonbasic = state != _BASIC
+            at = np.where(state == _AT_UPPER, hi, lo)
+            if (at[nonbasic] != values[nonbasic]).any():
+                moved += 1
+                assert row == lp_row(solve_bounded_lp(system, lo, hi))
+            rows.append(row)
+        assert 0 < moved < len(rows)
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.GOLDEN["api"]
 
 
