@@ -10,13 +10,15 @@ budget stop from prefix counts, over the first 64 reveals and then the
 whole row for the few rows that need it. The probabilistic strategies
 advance a window of reveals at a time across the trials still running,
 the window as wide as lookahead.ENTRY_BUDGET allows for their number.
-Each trial keeps a GainAccumulator's running sums, made by the same float
-operations in the same order (an accumulate over the carried value and
-the window), and fits as GainAccumulator.fit does. One
-lookahead.prob_stops call decides every (trial, reveal) entry of a
-window, each entry on its own; a trial stops at its first stopping entry
-and leaves. `prob-exp` fits without a mass point: p0 = 0 and an
-exponential rate over every reveal, zeros included.
+Each trial keeps the running sums of a GainAccumulator that its family's
+fit reads, made by the same float operations in the same order (an
+accumulate over the carried value and the window), and fits as
+GainAccumulator.fit does. One lookahead.prob_stops call decides every
+(trial, reveal) entry of a window, each entry on its own; a trial stops
+at its first stopping entry and leaves. `prob-exp` fits without a mass
+point: p0 = 0 and an exponential rate over every reveal, zeros included.
+An exponential rate over a sum that overflows is unusable, as in
+GainAccumulator.fit.
 
 Campaigns cut the trials, not the cells, into chunks: every trial in one
 chunk with one worker and four chunks per worker with more, each capped
@@ -25,7 +27,8 @@ from the rng stream seeded by seed xor t once and prices every (gap,
 strategy) cell on that block; one run_trial call prices a `full` cell's
 chunk. The chunk seeds its streams as arrays: numpy's SeedSequence hash of
 every seed in uint32 arithmetic, then PCG64's seeding step per trial on one
-reused generator, checked against default_rng on the chunk's first trial.
+reused generator, which shuffles one reused arange buffer into the trial's
+row; the chunk's first row is checked against default_rng.
 `fixed` rows are priced in groups of _FIXED_ROWS, bounding a large
 block's temporaries. Each distinct best gain of a cell is priced into
 its tree once.
@@ -185,11 +188,13 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
     the others carry the window's last column into the next.
     """
     family, mass_point = _PROB_FITS[strategy]
-    alive = np.arange(len(orders))
-    # the running statistics after the reveals so far, one column per trial;
-    # zeros add 0.0 to both sums
-    best, sums, n1, log_sum = np.zeros((4, len(orders), 1))
-    lowest, log_lowest = np.full((len(orders), 1), np.inf), np.zeros((len(orders), 1))
+    pareto = family == "pareto"
+    alive, zeros = np.arange(len(orders)), np.zeros((len(orders), 1))
+    # the running statistics the fit reads, one column per trial: best,
+    # nonzero count and the tail's (log sum, lowest and its log for pareto;
+    # gain sum, to which a zero adds 0.0, for exponential)
+    best, n1 = zeros, zeros
+    tail = (zeros, np.full((len(orders), 1), np.inf), zeros) if pareto else (zeros,)
     done, n = 0, orders.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while alive.size and done < n:
@@ -198,23 +203,28 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
             v = gains[idx]
             nonzero = v > 0.0
             i = np.arange(done + 1, done + width + 1)  # reveals so far, the accumulator's count
-            best, sums = _running(np.maximum, best, v), _running(np.add, sums, v)
-            n1 = _running(np.add, n1, nonzero)
+            best, n1 = _running(np.maximum, best, v), _running(np.add, n1, nonzero)
             depth = np.ceil(gap / best)  # inf before the first nonzero gain or on overflow
             p0 = (i - n1) / i if mass_point else np.zeros(v.shape)
-            if family == "pareto":
+            if pareto:
+                log_sum, lowest, log_lowest = tail
                 lg = logs[idx]
                 log_sum = _running(np.add, log_sum, lg)
                 lowest = _running(np.minimum, lowest, np.where(nonzero, v, np.inf))
                 # the log of the running lowest, from its latest reveal (0: carried)
                 latest = np.maximum.accumulate(np.where(v == lowest, i - done, 0), axis=1)
                 log_lowest = np.take_along_axis(np.hstack((log_lowest, lg)), latest, axis=1)
+                tail = log_sum, lowest, log_lowest
                 log_ratio_sum = log_sum - n1 * log_lowest
                 theta = (lowest, n1 / log_ratio_sum)
                 # spread in the nonzero gains (so at least 2), as GainAccumulator.fit
                 fitted = (best > lowest) & (log_ratio_sum > 0.0)
             else:
-                theta, fitted = ((n1 if mass_point else i) / sums,), True
+                sums = _running(np.add, tail[0], v)
+                tail = (sums,)
+                theta = ((n1 if mass_point else i) / sums,)
+                # an overflowing sum leaves no rate, as GainAccumulator.fit
+                fitted = np.isfinite(sums)
             ready = (n1 >= prob.min_nonzero_samples) & fitted
             stop = prob_stops(
                 gap, depth.ravel(), ready.ravel(), p0.ravel(), family,
@@ -225,16 +235,21 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
             reveals[at], best_out[at] = done + first[hit] + 1, best[hit, first[hit]]
             reasons[at] = NO_EXPECTED_IMPROVEMENT
             alive, done = alive[keep], done + width
-            best, sums, n1, lowest, log_lowest, log_sum = (
-                x[keep, -1:] for x in (best, sums, n1, lowest, log_lowest, log_sum)
-            )
+            best, n1 = best[keep, -1:], n1[keep, -1:]
+            tail = tuple(x[keep, -1:] for x in tail)
+
+
+def _closable_arrays(instance: PvbInstance):
+    """The instance's reveal_arrays, or UnclosableError if no gain is nonzero."""
+    gains, logs = instance.reveal_arrays
+    if not gains.any():
+        raise UnclosableError("every pool gain is zero; the gap cannot be closed")
+    return gains, logs
 
 
 def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
     """Reveals, best gains and stop reasons of trials revealing in the orders' rows."""
-    gains, logs = instance.reveal_arrays
-    if not gains.any():
-        raise UnclosableError("every pool gain is zero; the gap cannot be closed")
+    gains, logs = _closable_arrays(instance)
     # a trial that never stops reveals every gain and ends with the largest
     reasons = np.full(len(orders), CANDIDATES_EXHAUSTED, dtype=object)
     out = np.full(len(orders), orders.shape[1]), np.full(len(orders), gains.max()), reasons
@@ -328,22 +343,29 @@ def _seed_words(seeds):
 
 
 def _draw_orders(seed, start, stop, n):
-    """Rows t - start of default_rng(seed ^ t).permutation(n) for t in start..stop-1."""
+    """Rows t - start of default_rng(seed ^ t).permutation(n) for t in start..stop-1.
+
+    permutation(n) is shuffle(arange(n)), so each row is drawn by one reused
+    generator shuffling one reused buffer reset from arange(n). Shuffling
+    the narrower row in place draws the same order, but numpy swaps
+    elements of any width but its index type's more slowly.
+    """
     orders = np.empty((stop - start, n), dtype=np.min_scalar_type(n))
     bits = np.random.PCG64()
-    rng = np.random.Generator(bits)
+    shuffle = np.random.Generator(bits).shuffle
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    identity, perm = np.arange(n), np.arange(n)
     words = _seed_words(np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed))
     for row, (s_hi, s_lo, i_hi, i_lo) in zip(orders, words.tolist()):
         # pcg64_set_seed: one step from 0, add the initial state, one more step
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        row[:] = rng.permutation(n)
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bits.state = state
+        perm[:] = identity
+        shuffle(perm)
+        row[:] = perm
     if not np.array_equal(orders[0], np.random.default_rng(seed ^ start).permutation(n)):
         raise RuntimeError("numpy's default_rng no longer seeds as this module derives it")
     return orders
@@ -384,13 +406,14 @@ def run_campaign(
     [0, 2**64), so every strategy and gap sees the same permutation in
     trial t. With one worker a chunk holds every trial, and with more
     ceil(trials / (4 * workers)), which balances the load; either way
-    fewer if the chunk's permutation block would pass _BLOCK_BYTES. A tree
-    too deep to price raises the CapacityError of the first such trial in
-    the first such cell.
+    fewer if the chunk's permutation block would pass _BLOCK_BYTES. A pool
+    with no nonzero gain, an empty one included, raises UnclosableError
+    before any chunk is cut. A tree too deep to price raises the
+    CapacityError of the first such trial in the first such cell.
     """
     if check_int("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
-    n = len(spec.instance.pool)
+    n = len(_closable_arrays(spec.instance)[0])
     per_chunk = spec.trials if workers == 1 else -(-spec.trials // (workers * 4))
     step = max(1, min(per_chunk, _BLOCK_BYTES // (n * np.min_scalar_type(n).itemsize)))
     starts = range(0, spec.trials, step)

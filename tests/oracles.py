@@ -298,6 +298,9 @@ class _RefSession:
 def _ref_fit(s, family, mass_point):
     """(p0, theta) by closed-form MLE, or None where the fit is degenerate."""
     n1 = s.iteration - s.zero_count
+    if family == "exponential" and not math.isfinite(s.nonzero_sum):
+        # an overflowing sum leaves no rate
+        return None
     if not mass_point:
         if s.nonzero_sum <= 0:
             return None

@@ -74,6 +74,14 @@ def test_all_zero_pool_is_unclosable():
         run_trial(inst, 5.0, "fixed", np.random.default_rng(2))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("strategy", ["fixed", "full"])
+def test_an_empty_pool_is_unclosable_before_any_chunk(strategy, workers):
+    spec = CampaignSpec(make_instance([]), (5.0,), trials=3, strategies=(strategy,))
+    with pytest.raises(UnclosableError):
+        run_campaign(spec, workers=workers)
+
+
 def test_full_sb_always_reveals_the_entire_pool():
     rng = np.random.default_rng(61)
     for _ in range(25):
@@ -102,6 +110,24 @@ def test_a_stop_with_no_usable_candidate_defers_until_one_appears():
     assert r.reveals == 4
     assert r.final_tree_nodes == 7  # depth 2 from the gain of 5
     assert r.total_nodes == 15
+
+
+def test_an_overflowing_gain_sum_leaves_the_exponential_fit_unusable():
+    """Two gains of 1e308 overflow the sum, so the exponential rate is
+    GainAccumulator.fit's None, not n1 / inf = 0, and no later reveal
+    is ready: the trial reveals all 10 gains, as the reference does."""
+    pool = [0.0] * 8 + [1e308, 1e308]
+    order = [8, 9, *range(8)]
+    prob = ProbLookaheadConfig(min_nonzero_samples=2)
+    acc = GainAccumulator()
+    for g in pool[8:]:
+        acc.add(g)
+    assert acc.fit("exponential").theta is None
+    for strategy in ("prob-exp", "prob-mixed-exp"):
+        r = run_trial(make_instance(pool), 1.5e308, strategy, PresetPermutation(order), prob=prob)
+        assert (r.reveals, r.stop_reason) == (10, CANDIDATES_EXHAUSTED), strategy
+        want = reference_trial(pool, 1.5e308, strategy, PresetPermutation(order), prob=prob)
+        assert (want["reveals"], want["stop_reason"]) == (10, CANDIDATES_EXHAUSTED)
 
 
 def test_stop_after_first_reveal_matches_permutation_enumeration():
