@@ -97,7 +97,7 @@ def load_gain_series(path: str) -> list[GainSeries]:
     by_node: dict[str, list[tuple[str, GainPair]]] = {}
     seen_keys: set[tuple[str, str]] = set()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise GainFileError(f"{path}: not UTF-8 text: {exc}") from None

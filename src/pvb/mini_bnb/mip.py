@@ -101,7 +101,7 @@ def load_mps(path) -> MiniMip:
         raise MpsError(f"{path}:{lineno}: {msg}")
 
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise MpsError(f"{path}: not UTF-8 text: {exc}") from None

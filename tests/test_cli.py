@@ -6,6 +6,7 @@ raw output bytes; statistical cases reuse the seeded corpus and pools.
 """
 
 import hashlib
+import os
 import re
 from pathlib import Path
 
@@ -954,6 +955,66 @@ def test_an_out_that_is_a_directory_exits_2_before_any_work(
     assert "it is a directory" in stderr
 
 
+def out_argv(command, tmp_path):
+    """A quick run of command without its --out."""
+    if command == "sweep":
+        return ("sweep", str(EXAMPLES), "--seed", "1")
+    pool = write_pool(tmp_path / "pool.csv", 3)
+    if command == "fit":
+        return ("fit", str(pool))
+    return (
+        "simulate", "--instance", str(pool), "--gaps", "8", "--trials", "5", "--seed", "1",
+    )
+
+
+class TestOutRewrittenInPlace:
+    """--out is rewritten in place, never through a truncating open, which
+    blocks for tens of milliseconds on ext4 mounted with `discard`."""
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "sweep"])
+    def test_a_longer_old_file_ends_as_a_fresh_run_and_keeps_its_inode(
+        self, tmp_path, capsys, command
+    ):
+        argv = out_argv(command, tmp_path)
+        fresh = tmp_path / "fresh.csv"
+        code, fresh_stdout, stderr = run(capsys, *argv, "--out", str(fresh))
+        assert code == 0, stderr
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"stale,row\n" * (3 * len(fresh.read_bytes())))
+        inode = old.stat().st_ino
+        code, stdout, stderr = run(capsys, *argv, "--out", str(old))
+        assert code == 0, stderr
+        assert old.read_bytes() == fresh.read_bytes()
+        assert stdout == fresh_stdout
+        assert old.stat().st_ino == inode
+
+    def test_the_writer_opens_without_o_trunc(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "fit.csv"
+        out.write_text("old\n")
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            if str(path) == str(out):
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        code, _, stderr = run(capsys, *out_argv("fit", tmp_path), "--out", str(out))
+        assert code == 0, stderr
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null_exits_0_and_still_prints_the_table(self, tmp_path, capsys):
+        # /dev/null cannot be truncated, so the writer only writes to it
+        argv = out_argv("sweep", tmp_path)
+        code, fresh_stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / "s.csv"))
+        assert code == 0, stderr
+        code, stdout, stderr = run(capsys, *argv, "--out", "/dev/null")
+        assert code == 0, stderr
+        assert stdout == fresh_stdout and stdout.startswith("mode")
+
+
 class TestReport:
     def test_renders_csv(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
@@ -1013,3 +1074,35 @@ def test_non_utf8_config_file_exits_2_and_names_the_file(tmp_path, capsys):
     assert code == 2, stderr
     assert f"{cfg}: not UTF-8 text" in stderr and "internal error" not in stderr
     assert stdout == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "fit", "config", "report"])
+def test_a_leading_utf8_bom_is_accepted(tmp_path, capsys, command):
+    # editors on some platforms save UTF-8 with a byte-order mark; a 0xff
+    # byte is still not UTF-8 (test_non_utf8_input_exits_2_and_names_the_file)
+    if command == "solve":
+        source = EXAMPLES / "tiny-knapsack.mps"
+    elif command == "fit":
+        source = write_pool(tmp_path / "pool.csv", 5)
+    elif command == "config":
+        source = tmp_path / "cfg"
+        source.write_text("L = 3\nmin_nonzero_samples = 2\n")
+    else:
+        source = tmp_path / "t.csv"
+        source.write_text("gap,strategy,nodes\n8,fixed,112\n")
+
+    def argv(path):
+        return {
+            "solve": ("solve", str(path)),
+            "fit": ("fit", str(path), "--out", str(tmp_path / "o.csv")),
+            "config": ("solve", str(EXAMPLES / "tiny-knapsack.mps"), "--config", str(path)),
+            "report": ("report", str(path)),
+        }[command]
+
+    code, plain_stdout, stderr = run(capsys, *argv(source))
+    assert code == 0, stderr
+    marked = tmp_path / "marked"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    code, stdout, stderr = run(capsys, *argv(marked))
+    assert code == 0, stderr
+    assert stdout == plain_stdout
