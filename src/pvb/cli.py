@@ -441,7 +441,10 @@ def _add_solver_flags(parser, with_mode: bool = True) -> None:
         "--reliability-threshold", dest="reliability_threshold", type=int, default=2,
         help="branchings per direction before pseudocosts are trusted",
     )
-    parser.add_argument("--node-limit", dest="node_limit", type=int, default=None)
+    parser.add_argument(
+        "--node-limit", dest="node_limit", type=int, default=1_000_000,
+        help="stop with status node_limit after this many nodes; a tree may never close",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,17 +48,17 @@ class GainPair:
                 raise ValueError(f"negative {side}gain: {v!r}")
 
 
-def shifted_geomean(down: float, up: float, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Collapse a gain pair to g = sqrt((down+eps)(up+eps)) - eps.
+def shifted_geomean(down: float, up: float) -> float:
+    """Collapse a gain pair to g = sqrt((down+eps)(up+eps)) - eps at
+    eps = DEFAULT_EPSILON.
 
     down and up are gains >= 0 (GainPair checks a gain file's rows).
     Symmetric in (down, up), monotone in each argument, and exact for
     down == up (sqrt of a perfect square rounds back to its root).
     Raises ValueError when the product overflows to inf.
     """
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    value = math.sqrt((down + epsilon) * (up + epsilon)) - epsilon
+    eps = DEFAULT_EPSILON
+    value = math.sqrt((down + eps) * (up + eps)) - eps
     if not math.isfinite(value):
         raise ValueError(f"geometric-mean gain overflows: {value!r}")
     # Guard the subtraction against a last-ulp dip below zero.

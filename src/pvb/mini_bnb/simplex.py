@@ -44,21 +44,20 @@ would want the numpy scans back.
 
 A solve may instead start warm from the optimal basis of a parent LP
 over the same LpSystem that differs only in its column bounds; a basis
-over another system is refused. The basis carries its tableau,
-reduced costs, values and update count. What every child of one parent
-needs from it is derived once, on the first child, from the parent's
-own arrays (Basis.start): the tableau stacked over the reduced costs,
-which each child copies, and as lists the parent's nonbasic and basic
-values and each column's direction, plus one finiteness test. A child
-starts warm only from the parent's vertex: the solver branches on
-fractional columns, which are basic in the parent, so a child's bounds
-leave every nonbasic value where it was and the child takes the parent's
-basic values as they are. The child's basis stays dual feasible, so a
-bounded dual simplex restores primal feasibility (or proves the child
-infeasible when a dual ratio test finds no entering column) and ends
-with the primal loop's first optimality test, run on Python floats; it
-normally holds from the carried reduced costs, and the primal loop runs
-only when it does not. Any other start solves cold with the two-phase
+over another system is refused. The basis carries the stacked tableau
+its solve finished with, which each child copies, its values and update
+count. What every child of one parent needs besides is derived once, on
+the first child, from the parent's own arrays (Basis.start): as lists
+the parent's nonbasic and basic values and each column's direction,
+plus one finiteness test. A child starts warm only from the parent's
+vertex: the solver branches on fractional columns, which are basic in
+the parent, so a child's bounds leave every nonbasic value where it was
+and the child takes the parent's basic values as they are. The child's
+basis stays dual feasible, so a bounded dual simplex restores primal
+feasibility (or proves the child infeasible when a dual ratio test finds
+no entering column) and ends with the primal loop's first optimality
+test, run on Python floats; it normally holds from the carried reduced
+costs, and the primal loop runs only when it does not. Any other start solves cold with the two-phase
 method: a child whose bounds move a nonbasic value, a parent with a free
 column or a value, tableau entry or reduced cost that is not finite. So
 does a warm start that fails on the way (a singular refactor, a dual
@@ -131,17 +130,15 @@ class _ChildStart(NamedTuple):
     pick maps a child's bound list lo + hi + [0.0] to its nonbasic values:
     the upper bound at _AT_UPPER, 0 at a basic column, else the lower
     bound. nonbasic holds the basis's values with 0 at the basic columns
-    and basic the basic values row by row, both as lists. stack is the
-    tableau stacked over the reduced costs, for each child to copy. side
-    is every column's direction, _DIRECTION[state], as a list and movers
-    the columns where it is not 0. free tells whether a column is free,
-    and finite whether the values and the stack are all finite.
+    and basic the basic values row by row, both as lists. side is every
+    column's direction, _DIRECTION[state], as a list and movers the
+    columns where it is not 0. free tells whether a column is free, and
+    finite whether the values and the basis's stack are all finite.
     """
 
     pick: object
     nonbasic: list
     basic: list
-    stack: np.ndarray
     side: list
     movers: list
     free: bool
@@ -162,8 +159,7 @@ class _BasisArrays(NamedTuple):
     system: LpSystem
     columns: np.ndarray
     state: np.ndarray
-    tableau: np.ndarray
-    reduced_costs: np.ndarray
+    stack: np.ndarray
     values: np.ndarray
     updates: int
 
@@ -173,30 +169,30 @@ class Basis(_BasisArrays):
 
     columns holds the basic column of each row and state the status of
     every structural and slack column (basic, at lower, at upper, free).
-    tableau is B^-1 M for B = M[:, columns], reached by updates pivots
-    since it was last rebuilt from M; reduced_costs is c - c_B tableau
-    for the system's costs, and values holds every column's value at the
-    optimum. None of the arrays is ever mutated.
+    stack is the tableau its solve finished with: B^-1 M for
+    B = M[:, columns], reached by updates pivots since it was last rebuilt
+    from M, over one last row of reduced costs c - c_B B^-1 M for the
+    system's costs. values holds every column's value at the optimum.
+    None of the arrays is ever mutated; each child copies stack.
 
     start is what every child started from this basis shares: the lists
-    and the stacked tableau of _ChildStart, derived once, on the first
-    child, from this basis's own arrays. A basis made by _replace starts
-    with none and derives its own.
+    of _ChildStart, derived once, on the first child, from this basis's
+    own arrays. A basis made by _replace starts with none and derives its
+    own.
     """
 
     @property
     def inverse(self) -> np.ndarray:
         """B^-1, the tableau's slack block (the slacks' columns of M are I)."""
         # counted from the left: with no rows, [:, -0:] would be every column
-        return self.tableau[:, self.tableau.shape[1] - len(self.columns):]
+        return self.stack[:-1, self.stack.shape[1] - len(self.columns):]
 
     @cached_property
     def start(self) -> _ChildStart:
-        stack = np.concatenate((self.tableau, self.reduced_costs[None]))
         states = self.state.tolist()
         width = len(states)
         nonbasic = self.values.tolist()
-        finite = all(map(math.isfinite, nonbasic)) and bool(np.isfinite(stack).all())
+        finite = all(map(math.isfinite, nonbasic)) and bool(np.isfinite(self.stack).all())
         basic = []
         for k in self.columns.tolist():
             basic.append(nonbasic[k])
@@ -209,7 +205,6 @@ class Basis(_BasisArrays):
             ]),
             nonbasic,
             basic,
-            stack,
             side,
             list(compress(count(), side)),
             _FREE in states,
@@ -230,20 +225,13 @@ class _ColdRestart(Exception):
     """The warm start cannot be used; solve from scratch instead."""
 
 
-def _start_value(lo: float, hi: float) -> float:
+def _cold_start(lo: float, hi: float) -> tuple[float, int]:
+    """A column's value and state at the cold start."""
     if math.isfinite(lo):
-        return lo
+        return lo, _AT_LOWER
     if math.isfinite(hi):
-        return hi
-    return 0.0
-
-
-def _start_state(lo: float, hi: float) -> int:
-    if math.isfinite(lo):
-        return _AT_LOWER
-    if math.isfinite(hi):
-        return _AT_UPPER
-    return _FREE
+        return hi, _AT_UPPER
+    return 0.0, _FREE
 
 
 def _leaving_row(xb, lb, ub) -> tuple[int, float]:
@@ -566,7 +554,7 @@ class _Tableau:
                 state[columns[i]] = _BASIC
         # z is 0 at the basic columns
         values = np.array(z)
-        basis = Basis(system, columns, state, T[:-1], T[-1], values, self.updates)
+        basis = Basis(system, columns, state, T, values, self.updates)
         # B xb = b - N z_N, solved with B^-1 and refined once
         inverse = basis.inverse
         rest = self.b - system.M.dot(values)
@@ -620,7 +608,7 @@ def _warm_tableau(warm: Basis, lo, hi) -> _Tableau:
     system = warm.system
     return _Tableau(
         system.M, system.rhs, lo, hi, warm.columns.copy(), warm.state.copy(), z,
-        start.basic.copy(), system.c, start.stack.copy(), warm.updates,
+        start.basic.copy(), system.c, warm.stack.copy(), warm.updates,
     )
 
 
@@ -631,9 +619,10 @@ def _cold_tableau(system: LpSystem, lo, hi, cap) -> tuple[_Tableau, bool]:
     M, c, rhs = system.M, system.c, system.rhs
     m = M.shape[0]
     n = M.shape[1] - m
-    z = [_start_value(lo[j], hi[j]) for j in range(n + m)]
+    starts = list(map(_cold_start, lo, hi))
+    z = [value for value, _ in starts]
     zn = np.array(z[:n])
-    state = np.array([_start_state(lo[j], hi[j]) for j in range(n + m)], dtype=np.int8)
+    state = np.array([state for _, state in starts], dtype=np.int8)
 
     # seat the slacks; rows whose slack cannot hold the residual get a
     # signed artificial column instead

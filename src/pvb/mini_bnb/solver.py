@@ -252,19 +252,34 @@ class MipResult:
 class SolveCache:
     """LP results shared by the solves of one MiniMip.
 
-    nodes maps a popped node's path (the tuple of (column, side)
-    branchings from the root, side DOWN or UP; the root is ()) to its
-    LpResult, and evals maps a path to the SbEvals measured at that node
-    by column, without their child LPs (a popped child is in nodes). So
-    the cache grows with the explored nodes, not with the SB LPs. Only
-    completed LPs enter it; an exception leaves nothing behind.
+    A node is known by its path, the (column, side) branchings from the
+    root, side DOWN or UP. ids numbers the paths: it maps a queued node's
+    (parent number, column, side) to its number, the root's being 0, so
+    a path costs one entry however deep the tree. nodes maps a popped
+    node's number to its LpResult, and evals maps a number to the SbEvals
+    measured at that node by column, without their child LPs (a popped
+    child is in nodes). So the cache grows with the explored nodes, not
+    with the SB LPs. Only completed LPs enter nodes and evals; an
+    exception leaves no result behind.
     """
 
     def __init__(self, mip: MiniMip) -> None:
         self.mip = mip
         self.system = lp_system(mip.objective, mip.matrix, mip.senses, mip.rhs)
-        self.nodes: dict[tuple, LpResult] = {}
-        self.evals: dict[tuple, dict[int, SbEval]] = {}
+        self.ids: dict[tuple[int, int, int], int] = {}
+        self.nodes: dict[int, LpResult] = {}
+        self.evals: dict[int, dict[int, SbEval]] = {}
+
+
+def _children(lo, hi, j: int, xj: float) -> tuple[tuple, tuple]:
+    """The (side, lo, hi) bounds of the down and up child of branching
+    x_j at the value xj: x_j <= floor(xj), then x_j >= ceil(xj). The
+    bound a side keeps is the node's own array, which nothing mutates."""
+    down_hi = np.array(hi, dtype=float)
+    down_hi[j] = math.floor(xj)
+    up_lo = np.array(lo, dtype=float)
+    up_lo[j] = math.ceil(xj)
+    return (DOWN, lo, down_hi), (UP, up_lo, hi)
 
 
 def strong_branch_candidate(system: LpSystem, lo, hi, j: int, node: LpResult) -> SbEval:
@@ -278,7 +293,8 @@ def strong_branch_candidate(system: LpSystem, lo, hi, j: int, node: LpResult) ->
     node's own. node is the node's LpResult over system; its basis, when
     it has one, restarts both children from the node's vertex. A child
     that is optimal in fewer pivots than the limit hit no cap, so its
-    result is the one a node solve would compute and is kept in children.
+    result is the one a node solve would compute and is kept in children:
+    its bounds are the ones solve queues the child with (_children).
     """
     xj, node_objective = float(node.x[j]), node.objective
     frac = xj - math.floor(xj)
@@ -286,11 +302,7 @@ def strong_branch_candidate(system: LpSystem, lo, hi, j: int, node: LpResult) ->
         raise ValueError(f"candidate {j} is integral at {xj!r}")
     gains, bounds, kept, iters = [], [], [], 0
     limit = _CHILD_ITERATION_LIMIT
-    down_hi = np.array(hi, dtype=float)
-    down_hi[j] = math.floor(xj)
-    up_lo = np.array(lo, dtype=float)
-    up_lo[j] = math.ceil(xj)
-    for lo2, hi2 in ((lo, down_hi), (up_lo, hi)):
+    for _, lo2, hi2 in _children(lo, hi, j, xj):
         res = solve_bounded_lp(system, lo2, hi2, iteration_limit=limit, warm_start=node.basis)
         iters += res.iterations
         kept.append(res if res.status == OPTIMAL and res.iterations < limit else None)
@@ -444,11 +456,11 @@ def solve(
     incumbent_x: np.ndarray | None = None
     estimate: float | None = None
     # entries carry the parent's optimal basis (the root starts cold), the
-    # node's path and the node's own LP result when its SB child LP
-    # already is one
+    # node's path number in the cache (None without one) and the node's
+    # own LP result when its SB child LP already is one
     heap: list[
-        tuple[float, int, np.ndarray, np.ndarray, Basis | None, tuple, LpResult | None]
-    ] = [(-math.inf, 0, lo0, hi0, None, (), None)]
+        tuple[float, int, np.ndarray, np.ndarray, Basis | None, int | None, LpResult | None]
+    ] = [(-math.inf, 0, lo0, hi0, None, 0, None)]
     seq = 0
     nodes = 0
     decisions: list[BranchDecision] = []
@@ -462,16 +474,16 @@ def solve(
             # best-bound order: every remaining node is at least as bad
             heap.clear()
             break
-        parent_bound, _, lo, hi, warm_start, path, res = _pop_best(heap)
+        parent_bound, _, lo, hi, warm_start, node_id, res = _pop_best(heap)
         if incumbent_obj is not None and parent_bound >= incumbent_obj - _PRUNE_TOL:
             # a tie with the minimum bound can sit at the cutoff
             continue
         if res is None and cache is not None:
-            res = cache.nodes.get(path)
+            res = cache.nodes.get(node_id)
         if res is None:
             res = solve_bounded_lp(system, lo, hi, warm_start=warm_start)
         if cache is not None:
-            cache.nodes[path] = res
+            cache.nodes[node_id] = res
         nodes += 1
         if res.status == INFEASIBLE:
             continue
@@ -496,7 +508,7 @@ def solve(
             continue
         targets = [t for t in (incumbent_obj, estimate) if t is not None]
         gap = min(targets) - obj if targets else None
-        known = cache.evals.setdefault(path, {}) if cache is not None else None
+        known = cache.evals.setdefault(node_id, {}) if cache is not None else None
         outcome = select_branching_variable(
             system, lo, hi, res, fractional, pseudocost, samples, config, gap, known
         )
@@ -520,27 +532,21 @@ def solve(
             )
         )
         j = outcome.column
-        xj = float(x[j])
         # a column chosen from pseudocosts alone bounds both sides at obj
         ev = outcome.chosen or SbEval(0.0, 0.0, obj, obj, 0, (None, None))
-        for side, child_bound, new_lo, new_hi, child in (
-            (DOWN, ev.down_bound, None, math.floor(xj), ev.children[0]),
-            (UP, ev.up_bound, math.ceil(xj), None, ev.children[1]),
+        for (side, lo2, hi2), child_bound, child in zip(
+            _children(lo, hi, j, float(x[j])), (ev.down_bound, ev.up_bound), ev.children
         ):
             # an infeasible side (an SB child's cutoff) queues nothing
             if math.isinf(child_bound):
                 continue
             if incumbent_obj is not None and child_bound >= incumbent_obj - _PRUNE_TOL:
                 continue
-            lo2, hi2 = lo.copy(), hi.copy()
-            if new_hi is not None:
-                hi2[j] = new_hi
-            if new_lo is not None:
-                lo2[j] = new_lo
             seq += 1
-            heapq.heappush(
-                heap, (child_bound, seq, lo2, hi2, res.basis, path + ((j, side),), child)
-            )
+            child_id = None
+            if cache is not None:
+                child_id = cache.ids.setdefault((node_id, j, side), len(cache.ids) + 1)
+            heapq.heappush(heap, (child_bound, seq, lo2, hi2, res.basis, child_id, child))
 
     if status is None:
         status = OPTIMAL if incumbent_obj is not None else INFEASIBLE

@@ -202,6 +202,62 @@ def linprog_lp(c, a, senses, rhs, lower, upper):
     raise RuntimeError(f"linprog status {res.status}: {res.message}")
 
 
+def milp_mip(c, a, senses, rhs, lower, upper, integer):
+    """MIP reference via scipy.optimize.milp (HiGHS), solved to a zero
+    gap. Returns (status, objective).
+
+    HiGHS presolve can call a feasible MIP infeasible, and can leave it
+    "infeasible or unbounded" (status 4), so either answer is re-solved
+    without presolve and called infeasible only if that solve agrees, as
+    linprog_lp does for LPs.
+    """
+    import scipy.optimize
+
+    constraints = []
+    if len(senses):
+        constraints.append(scipy.optimize.LinearConstraint(
+            np.asarray(a, dtype=float),
+            [-np.inf if s == "<=" else b for s, b in zip(senses, rhs)],
+            [np.inf if s == ">=" else b for s, b in zip(senses, rhs)],
+        ))
+
+    def highs(presolve):
+        return scipy.optimize.milp(
+            c,
+            integrality=np.asarray(integer, dtype=int),
+            bounds=scipy.optimize.Bounds(lower, upper),
+            constraints=constraints,
+            options={"presolve": presolve, "mip_rel_gap": 0.0},
+        )
+
+    res = highs(True)
+    if res.status in (2, 4):
+        res = highs(False)
+    if res.status == 0:
+        return "optimal", float(res.fun)
+    if res.status == 2:
+        return "infeasible", None
+    if res.status == 3:
+        return "unbounded", None
+    raise RuntimeError(f"milp status {res.status}: {res.message}")
+
+
+def mip_point_violation(x, a, senses, rhs, lower, upper, integer, tol=1e-6):
+    """How x fails a MIP's bounds, integrality or rows by more than tol,
+    as a message naming the first failure; None when x is feasible."""
+    x = [float(v) for v in x]
+    for j, (v, lo, hi, is_int) in enumerate(zip(x, lower, upper, integer)):
+        if not lo - tol <= v <= hi + tol:
+            return f"column {j} = {v!r} outside [{lo!r}, {hi!r}]"
+        if is_int and abs(v - round(v)) > tol:
+            return f"integer column {j} = {v!r} is fractional"
+    for i, (row, s, b) in enumerate(zip(a, senses, rhs)):
+        lhs = math.fsum(coef * v for coef, v in zip(row, x))
+        if (s != ">=" and lhs - b > tol) or (s != "<=" and b - lhs > tol):
+            return f"row {i}: {lhs!r} {s} {b!r} fails by more than {tol}"
+    return None
+
+
 def enumerate_binary_mip(c, a, senses, rhs):
     """Brute-force optimum of a pure binary MIP by trying every 0/1 vector.
 

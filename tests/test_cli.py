@@ -6,6 +6,7 @@ raw output bytes; statistical cases reuse the seeded corpus and pools.
 """
 
 import hashlib
+import math
 import os
 import re
 from pathlib import Path
@@ -584,6 +585,30 @@ class TestSolve:
         code, stdout, stderr = run(capsys, *target, "--config", str(cfg))
         assert code == 2 and stdout == "" and not out.exists()
         assert f"{cfg}:2: unknown key {flag[2:]!r}" in stderr
+
+    def test_a_tree_that_cannot_close_ends_at_the_node_limit(self, tmp_path, capsys):
+        # min 0 s.t. 2x - 2y = 1 over free integers: the LP is feasible
+        # but no integer point exists, so without a limit the tree grows
+        # forever
+        from test_mini_bnb import build
+
+        mip = build(
+            [0.0, 0.0], [([2.0, -2.0], "=", 1.0)], lower=-math.inf, upper=math.inf,
+            integer=True, name="HALF",
+        )
+        path = tmp_path / "half.mps"
+        save_mps(mip, path)
+        code, stdout, stderr = run(capsys, "solve", str(path), "--node-limit", "2000")
+        assert code == 0, stderr
+        assert "node_limit" in stdout and "2000" in stdout
+
+    @pytest.mark.parametrize(
+        "command", [["solve", "x.mps"], ["sweep", "d", "--seed", "1", "--out", "o.csv"]]
+    )
+    def test_the_node_limit_defaults_to_a_million(self, command):
+        # 57x the largest tree a shipped instance or test builds:
+        # 17,479 nodes for sparse_multiknapsack(60, 30, 1)
+        assert cli.build_parser().parse_args(command).node_limit == 1_000_000
 
     def test_instance_without_rows_is_solved(self, tmp_path, capsys):
         # once an internal error (exit 1) from the LP engine

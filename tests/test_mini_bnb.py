@@ -205,10 +205,9 @@ def assert_basis_is_current(res, b):
     n = len(res.x)
     assert basis.updates <= _REFACTOR_INTERVAL
     np.testing.assert_allclose(basis.inverse @ B, np.eye(len(basis.columns)), atol=1e-9)
-    np.testing.assert_allclose(basis.tableau, np.linalg.solve(B, M), rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(
-        basis.reduced_costs, c - c[basis.columns] @ basis.tableau, atol=1e-9
-    )
+    tableau, reduced_costs = basis.stack[:-1], basis.stack[-1]
+    np.testing.assert_allclose(tableau, np.linalg.solve(B, M), rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(reduced_costs, c - c[basis.columns] @ tableau, atol=1e-9)
     np.testing.assert_array_equal(basis.values[:n], res.x)
     np.testing.assert_allclose(
         basis.values[n:], b - M[:, :n] @ res.x, atol=1e-9 * max(1.0, np.abs(b).max())
@@ -602,9 +601,9 @@ class TestWarmStart:
             values[parent.basis.columns[0]] = math.nan
             broken = parent.basis._replace(values=values)
         else:
-            tableau = parent.basis.tableau.copy()
-            tableau[0, 0] = math.nan
-            broken = parent.basis._replace(tableau=tableau)
+            stack = parent.basis.stack.copy()
+            stack[0, 0] = math.nan
+            broken = parent.basis._replace(stack=stack)
         cold_starts = []
         original = simplex._cold_tableau
 
@@ -705,9 +704,9 @@ class TestWarmStart:
             values[parent.basis.columns[0]] = math.nan
             broken = parent.basis._replace(values=values)
         else:
-            tableau = parent.basis.tableau.copy()
-            tableau[0, 0] = math.nan
-            broken = parent.basis._replace(tableau=tableau)
+            stack = parent.basis.stack.copy()
+            stack[0, 0] = math.nan
+            broken = parent.basis._replace(stack=stack)
         assert not broken.start.finite and parent.basis.start.finite
         cold_starts = []
         original = simplex._cold_tableau
