@@ -134,10 +134,11 @@ class SbSession:
     Only the mini solver opens sessions. It charges each evaluated
     candidate its SB child LPs' simplex iterations, so budget_used and
     node_cost are in iterations, and it measures node_cost and
-    uninit_fraction.
+    uninit_fraction. gap is None for a scan that no expected-size test
+    reads; d_min then stays UNBOUNDED.
     """
 
-    gap: float
+    gap: float | None
     iteration: int = 0
     d_min: float = UNBOUNDED
     best_gain: float = 0.0
@@ -159,7 +160,8 @@ class SbSession:
         self.budget_used += cost
         if not is_zero_gain(gain) and gain > self.best_gain:
             self.best_gain = gain
-            self.d_min = svb_depth(self.gap, gain)
+            if self.gap is not None:
+                self.d_min = svb_depth(self.gap, gain)
             self.no_improvement_streak = 0
             return True
         self.no_improvement_streak += 1

@@ -69,8 +69,8 @@ Replaying the 5,640 LPs of one pass of the solve-sb benchmark workload
 with each phase timed (2-core Xeon at 2.1 GHz, Python 3.11, numpy 2.4),
 a warm LP spends about a third of its time outside the dual loop: in
 the child's start, the optimality test, the refined optimum and the
-argument and row checks. Before the derived start it spent about two
-fifths there. The dual loop takes the rest, at about 3.5 pivots per LP.
+argument and row checks. The dual loop takes the rest, at about 3.5
+pivots per LP.
 """
 
 from __future__ import annotations

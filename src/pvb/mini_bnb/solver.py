@@ -32,10 +32,11 @@ the node solve would repeat the same pivots from the same basis.
 An LP is therefore fixed by its node's path, the (column, side)
 branchings from the root: the path sets the column bounds, the parent's
 result the warm start, and the LP engine is deterministic. A SolveCache
-keeps one MIP's LpSystem, node LP results by path and SbEvals by path and
-column, so solves of the same MIP under other configurations (a sweep's
-cells) reuse them: each gets the MipResult it gets without the cache and
-solves only the LPs that no earlier solve through the cache has solved.
+keeps one MIP's LpSystem, up to CACHE_NODES node LP results by path and
+SbEvals by path and column, so solves of the same MIP under other
+configurations (a sweep's cells) reuse them: each gets the MipResult it
+gets without the cache and solves only the LPs that no earlier solve
+through the cache has solved.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ _CHILD_ITERATION_LIMIT = 500
 # unreliable candidates strong branched per node at most; a vertex has at
 # most one fractional basic column per row, so no corpus node reaches it
 MAX_SB_CANDIDATES = 100
+# node LP results a SolveCache holds at most: about 6.3 KB each on a 20x12
+# corpus instance (tracemalloc), so about 100 MB
+CACHE_NODES = 16_000
 _MODES = ("fixed", "dynamic")
 
 
@@ -259,8 +263,10 @@ class SolveCache:
     node's number to its LpResult, and evals maps a number to the SbEvals
     measured at that node by column, without their child LPs (a popped
     child is in nodes). So the cache grows with the explored nodes, not
-    with the SB LPs. Only completed LPs enter nodes and evals; an
-    exception leaves no result behind.
+    with the SB LPs, and only up to CACHE_NODES nodes: once nodes holds
+    that many, no new path is numbered and no new node stored, and later
+    solves solve such nodes' LPs themselves. Only completed LPs enter
+    nodes and evals; an exception leaves no result behind.
     """
 
     def __init__(self, mip: MiniMip) -> None:
@@ -362,7 +368,7 @@ def select_branching_variable(
     armed = config.mode == "dynamic" and gap is not None and gap > 0.0
     prob = config.prob if armed else None
     session = SbSession(
-        gap=gap if armed else 1.0, node_cost=float(node.iterations),
+        gap=gap if armed else None, node_cost=float(node.iterations),
         uninit_fraction=len(unreliable) / len(candidates), samples=samples,
     )
 
@@ -460,7 +466,7 @@ def solve(
     # own LP result when its SB child LP already is one
     heap: list[
         tuple[float, int, np.ndarray, np.ndarray, Basis | None, int | None, LpResult | None]
-    ] = [(-math.inf, 0, lo0, hi0, None, 0, None)]
+    ] = [(-math.inf, 0, lo0, hi0, None, None if cache is None else 0, None)]
     seq = 0
     nodes = 0
     decisions: list[BranchDecision] = []
@@ -478,11 +484,11 @@ def solve(
         if incumbent_obj is not None and parent_bound >= incumbent_obj - _PRUNE_TOL:
             # a tie with the minimum bound can sit at the cutoff
             continue
-        if res is None and cache is not None:
+        if res is None and node_id is not None:
             res = cache.nodes.get(node_id)
         if res is None:
             res = solve_bounded_lp(system, lo, hi, warm_start=warm_start)
-        if cache is not None:
+        if node_id is not None and len(cache.nodes) < CACHE_NODES:
             cache.nodes[node_id] = res
         nodes += 1
         if res.status == INFEASIBLE:
@@ -508,7 +514,7 @@ def solve(
             continue
         targets = [t for t in (incumbent_obj, estimate) if t is not None]
         gap = min(targets) - obj if targets else None
-        known = cache.evals.setdefault(node_id, {}) if cache is not None else None
+        known = cache.evals.setdefault(node_id, {}) if node_id is not None else None
         outcome = select_branching_variable(
             system, lo, hi, res, fractional, pseudocost, samples, config, gap, known
         )
@@ -543,9 +549,10 @@ def solve(
             if incumbent_obj is not None and child_bound >= incumbent_obj - _PRUNE_TOL:
                 continue
             seq += 1
-            child_id = None
-            if cache is not None:
-                child_id = cache.ids.setdefault((node_id, j, side), len(cache.ids) + 1)
+            # a child of an unnumbered node, or a new path in a full cache, has no number
+            key, child_id = (node_id, j, side), None
+            if node_id is not None and (key in cache.ids or len(cache.nodes) < CACHE_NODES):
+                child_id = cache.ids.setdefault(key, len(cache.ids) + 1)
             heapq.heappush(heap, (child_bound, seq, lo2, hi2, res.basis, child_id, child))
 
     if status is None:

@@ -4,21 +4,22 @@ A trial reveals pool gains in a uniform random permutation until the
 strategy stops; its cost is the perfect tree (abstract_tree.svb_tree_size)
 of the best depth found plus two nodes per reveal. The engine prices a
 block of trials as arrays, one permutation per row; run_trial is its
-one-row case. `full` reveals every gain, in any order. `fixed` finds the
-improvements from running maxima along the rows and the first streak or
-budget stop from prefix counts, over the first 64 reveals and then the
-whole row for the few rows that need it. The probabilistic strategies
-advance a window of reveals at a time across the trials still running,
-the window as wide as lookahead.ENTRY_BUDGET allows for their number.
-Each trial keeps the running sums of a GainAccumulator that its family's
-fit reads, made by the same float operations in the same order (an
-accumulate over the carried value and the window), and fits as
-GainAccumulator.fit does. One lookahead.prob_stops call decides every
-(trial, reveal) entry of a window, each entry on its own; a trial stops
-at its first stopping entry and leaves. `prob-exp` fits without a mass
-point: p0 = 0 and an exponential rate over every reveal, zeros included.
-An exponential rate over a sum that overflows is unusable, as in
-GainAccumulator.fit.
+one-row case. `full` reveals every gain, in any order, in closed form.
+Every other strategy is a step function of one driver, which advances the
+trials still running a window of reveals at a time, as wide as
+lookahead.ENTRY_BUDGET allows for their number, so no strategy's
+temporaries pass that many entries. A step carries its rule's state as
+one column per trial, takes each running value as an accumulate over the
+carried column and the window (the per-reveal update's float operations
+in its order), and marks the (trial, reveal) entries that stop; a trial
+stops at its first stopping entry and leaves.
+`fixed` carries the running best, the reveal of the last improvement and
+whether, and why, a streak or budget cap was first hit; a hit before any
+nonzero gain waits for the first one. A probabilistic step carries the
+running sums of a GainAccumulator that its family's fit reads, fits as
+GainAccumulator.fit does, and decides a window in one lookahead.prob_stops
+call. `prob-exp` fits without a mass point: p0 = 0 and an exponential rate
+over every reveal, zeros included.
 
 Campaigns cut the trials, not the cells, into chunks: every trial in one
 chunk with one worker and four chunks per worker with more, each capped
@@ -28,10 +29,8 @@ strategy) cell on that block; one run_trial call prices a `full` cell's
 chunk. The chunk seeds its streams as arrays: numpy's SeedSequence hash of
 every seed in uint32 arithmetic, then PCG64's seeding step per trial on one
 reused generator, which shuffles one reused arange buffer into the trial's
-row; the chunk's first row is checked against default_rng.
-`fixed` rows are priced in groups of _FIXED_ROWS, bounding a large
-block's temporaries. Each distinct best gain of a cell is priced into
-its tree once.
+row; the chunk's first row is checked against default_rng. Each distinct
+best gain of a cell is priced into its tree once.
 Chunk sums are exact ints, so the means do not depend on execution order
 or worker count.
 """
@@ -71,9 +70,6 @@ _PROB_FITS = {
     "prob-mixed-pareto": ("pareto", True),
 }
 
-_FIRST_WINDOW = 64
-# rows priced per _fixed_stops call
-_FIXED_ROWS = 256
 # bytes of a chunk's permutation block, at its dtype
 _BLOCK_BYTES = 1 << 20
 
@@ -145,34 +141,61 @@ class CampaignRow:
     mean_sb_nodes: float
 
 
-def _fixed_stops(gains, orders, fixed, reveals, best_out, reasons):
-    """Write the fixed rule's stops into the outputs: L_max = L, gamma_max = K."""
-    rows = np.arange(len(orders))
-    for width in sorted({min(_FIRST_WINDOW, orders.shape[1]), orders.shape[1]}):
-        v = gains[orders[rows, :width]]
-        best = np.maximum.accumulate(v, axis=1)
-        i = np.arange(1, width + 1)
-        improved = v > np.concatenate((np.zeros((len(rows), 1)), best[:, :-1]), axis=1)
-        streak = i - np.maximum.accumulate(np.where(improved, i, 0), axis=1)
-        capped = streak >= fixed.L
-        hits = capped | (2.0 * i >= fixed.K)
-        at, stop = np.arange(len(rows)), hits.argmax(axis=1)
-        # a stop with no nonzero gain yet waits for the first one
-        k = np.maximum(stop, (best > 0.0).argmax(axis=1))
-        done = hits[at, stop] & (best[at, k] > 0.0)
-        hit = rows[done]
-        reveals[hit], best_out[hit] = k[done] + 1, best[at, k][done]
-        reasons[hit] = np.where(capped[at, stop], LOOKAHEAD_EXHAUSTED, BUDGET_EXHAUSTED)[done]
-        rows = rows[~done]
-
-
 def _running(ufunc, carried, window):
     """ufunc's running value along each row of the window, from the carried column."""
     return ufunc.accumulate(np.hstack((carried, window)), axis=1)[:, 1:]
 
 
-def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, reasons):
-    """Write a probabilistic strategy's stops into the outputs.
+def _advance(orders, step, state, reveals, best_out, reasons):
+    """Write each trial's first stopping entry into the outputs.
+
+    The running trials advance a window of reveals at a time, as wide as
+    ENTRY_BUDGET allows for their number. step(idx, i, state) reads the
+    window's pool indices, its reveal counts i and state, one column per
+    trial; it returns the stopping entries, every entry's running best,
+    the stop reason (one, or one per trial) and the new state, whose last
+    column the trials that go on carry into the next window.
+    """
+    alive, done, n = np.arange(len(orders)), 0, orders.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while alive.size and done < n:
+            width = min(n - done, max(1, ENTRY_BUDGET // alive.size))
+            i = np.arange(done + 1, done + width + 1)
+            stop, best, reason, state = step(orders[alive, done : done + width], i, state)
+            first, hit = stop.argmax(axis=1), stop.any(axis=1)
+            at, keep = alive[hit], ~hit
+            reveals[at], best_out[at] = done + first[hit] + 1, best[hit, first[hit]]
+            reasons[at] = np.broadcast_to(reason, hit.shape)[hit]
+            alive, done = alive[keep], done + width
+            state = tuple(x[keep, -1:] for x in state)
+
+
+def _fixed_step(gains, fixed, rows):
+    """The fixed rule's step and start state: L_max = L, gamma_max = K.
+
+    A trial carries its running best, the reveal of its last improvement,
+    whether a streak or budget cap has been hit and whether that first
+    hit was the streak cap. A hit stops the trial at its first nonzero
+    gain, with the first hit's reason.
+    """
+
+    def step(idx, i, state):
+        top, last, hit, capped = state
+        v = gains[idx]
+        best = _running(np.maximum, top, v)
+        last = _running(np.maximum, last, np.where(v > np.hstack((top, best[:, :-1])), i, 0))
+        streak = i - last >= fixed.L
+        hits = streak | (2.0 * i >= fixed.K)
+        capped = np.where(hit, capped, np.take_along_axis(streak, hits.argmax(axis=1)[:, None], 1))
+        hit = _running(np.logical_or, hit, hits)
+        reason = np.where(capped[:, 0], LOOKAHEAD_EXHAUSTED, BUDGET_EXHAUSTED)
+        return hit & (best > 0.0), best, reason, (best, last, hit, capped)
+
+    return step, (np.zeros((rows, 1)), np.zeros((rows, 1), int), *np.zeros((2, rows, 1), bool))
+
+
+def _prob_step(gains, logs, gap, strategy, prob, rows):
+    """A probabilistic strategy's step and start state.
 
     After every reveal each running trial is a row of prob_stops, ready
     with min_nonzero_samples nonzero gains and a usable fit. No streak cap
@@ -180,63 +203,42 @@ def _prob_stops(gains, logs, orders, gap, strategy, prob, reveals, best_out, rea
     is expected to pay, which is how it escapes the fixed rule's blowup at
     large gaps. The solver's variant with hard caps is should_continue.
 
-    The running trials advance a window of reveals at a time, as wide as
-    ENTRY_BUDGET allows for their number. Each statistic of a window is an
-    accumulate over [carried value | window], the per-reveal update's float
-    operations in its order, and every (trial, reveal) entry is one row of
-    a single prob_stops call. A trial stops at its first stopping entry;
-    the others carry the window's last column into the next.
+    A trial carries its best, nonzero count and tail statistics: the log
+    sum, the lowest and the lowest log (the log of the lowest, as math.log
+    is monotone) for pareto, the gain sum (a zero adds 0.0) for exponential.
     """
     family, mass_point = _PROB_FITS[strategy]
     pareto = family == "pareto"
-    alive, zeros = np.arange(len(orders)), np.zeros((len(orders), 1))
-    # the running statistics the fit reads, one column per trial: best,
-    # nonzero count and the tail's (log sum, lowest and its log for pareto;
-    # gain sum, to which a zero adds 0.0, for exponential)
-    best, n1 = zeros, zeros
-    tail = (zeros, np.full((len(orders), 1), np.inf), zeros) if pareto else (zeros,)
-    done, n = 0, orders.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while alive.size and done < n:
-            width = min(n - done, max(1, ENTRY_BUDGET // alive.size))
-            idx = orders[alive, done : done + width]
-            v = gains[idx]
-            nonzero = v > 0.0
-            i = np.arange(done + 1, done + width + 1)  # reveals so far, the accumulator's count
-            best, n1 = _running(np.maximum, best, v), _running(np.add, n1, nonzero)
-            depth = np.ceil(gap / best)  # inf before the first nonzero gain or on overflow
-            p0 = (i - n1) / i if mass_point else np.zeros(v.shape)
-            if pareto:
-                log_sum, lowest, log_lowest = tail
-                lg = logs[idx]
-                log_sum = _running(np.add, log_sum, lg)
-                lowest = _running(np.minimum, lowest, np.where(nonzero, v, np.inf))
-                # the log of the running lowest, from its latest reveal (0: carried)
-                latest = np.maximum.accumulate(np.where(v == lowest, i - done, 0), axis=1)
-                log_lowest = np.take_along_axis(np.hstack((log_lowest, lg)), latest, axis=1)
-                tail = log_sum, lowest, log_lowest
-                log_ratio_sum = log_sum - n1 * log_lowest
-                theta = (lowest, n1 / log_ratio_sum)
-                # spread in the nonzero gains (so at least 2), as GainAccumulator.fit
-                fitted = (best > lowest) & (log_ratio_sum > 0.0)
-            else:
-                sums = _running(np.add, tail[0], v)
-                tail = (sums,)
-                theta = ((n1 if mass_point else i) / sums,)
-                # an overflowing sum leaves no rate, as GainAccumulator.fit
-                fitted = np.isfinite(sums)
-            ready = (n1 >= prob.min_nonzero_samples) & fitted
-            stop = prob_stops(
-                gap, depth.ravel(), ready.ravel(), p0.ravel(), family,
-                tuple(t.ravel() for t in theta),
-            ).reshape(v.shape)
-            first, hit = stop.argmax(axis=1), stop.any(axis=1)
-            at, keep = alive[hit], ~hit
-            reveals[at], best_out[at] = done + first[hit] + 1, best[hit, first[hit]]
-            reasons[at] = NO_EXPECTED_IMPROVEMENT
-            alive, done = alive[keep], done + width
-            best, n1 = best[keep, -1:], n1[keep, -1:]
-            tail = tuple(x[keep, -1:] for x in tail)
+
+    def step(idx, i, state):
+        best, n1, *tail = state
+        v = gains[idx]
+        nonzero = v > 0.0
+        best, n1 = _running(np.maximum, best, v), _running(np.add, n1, nonzero)
+        depth = np.ceil(gap / best)  # inf before the first nonzero gain or on overflow
+        p0 = (i - n1) / i if mass_point else np.zeros(v.shape)
+        if pareto:
+            lg, (log_sum, lowest, log_lowest) = logs[idx], tail
+            log_sum = _running(np.add, log_sum, lg)
+            lowest = _running(np.minimum, lowest, np.where(nonzero, v, np.inf))
+            log_lowest = _running(np.minimum, log_lowest, np.where(nonzero, lg, np.inf))
+            tail = log_sum, lowest, log_lowest
+            log_ratio_sum = log_sum - n1 * log_lowest
+            theta = (lowest, n1 / log_ratio_sum)
+            # spread in the nonzero gains (so at least 2), as GainAccumulator.fit
+            fitted = (best > lowest) & (log_ratio_sum > 0.0)
+        else:
+            tail = (_running(np.add, tail[0], v),)
+            theta = ((n1 if mass_point else i) / tail[0],)
+            # an overflowing sum leaves no rate, as GainAccumulator.fit
+            fitted = np.isfinite(tail[0])
+        ready = (n1 >= prob.min_nonzero_samples) & fitted
+        theta = tuple(t.ravel() for t in theta)
+        stop = prob_stops(gap, depth.ravel(), ready.ravel(), p0.ravel(), family, theta)
+        return stop.reshape(v.shape), best, NO_EXPECTED_IMPROVEMENT, (best, n1, *tail)
+
+    zeros, inf = np.zeros((rows, 1)), np.full((rows, 1), np.inf)
+    return step, (zeros, zeros, *((zeros, inf, inf) if pareto else (zeros,)))
 
 
 def _closable_arrays(instance: PvbInstance):
@@ -254,12 +256,10 @@ def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
     reasons = np.full(len(orders), CANDIDATES_EXHAUSTED, dtype=object)
     out = np.full(len(orders), orders.shape[1]), np.full(len(orders), gains.max()), reasons
     if strategy == "fixed":
-        fixed = fixed or FixedLookaheadConfig()
-        for g in range(0, len(orders), _FIXED_ROWS):
-            rows = slice(g, g + _FIXED_ROWS)
-            _fixed_stops(gains, orders[rows], fixed, *(x[rows] for x in out))
+        _advance(orders, *_fixed_step(gains, fixed or FixedLookaheadConfig(), len(orders)), *out)
     elif strategy in _PROB_FITS:
-        _prob_stops(gains, logs, orders, gap, strategy, prob or ProbLookaheadConfig(), *out)
+        prob = prob or ProbLookaheadConfig()
+        _advance(orders, *_prob_step(gains, logs, gap, strategy, prob, len(orders)), *out)
     return out
 
 

@@ -1162,6 +1162,26 @@ class TestSelect:
         assert res.status == INFEASIBLE and res.nodes == 1 and pushed == []
         assert [d.reason for d in res.decisions] == [CUTOFF_FOUND]
 
+    def test_only_an_armed_scan_gives_its_session_a_gap(self, monkeypatch):
+        """A fixed-mode scan, and a dynamic one before any target bound
+        exists, opens its SbSession with gap None, so d_min stays
+        unbounded; an armed scan tracks d_min from its positive gap."""
+        sessions = []
+
+        def recording(**kwargs):
+            sessions.append(lookahead.SbSession(**kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(solver, "SbSession", recording)
+        mip = sparse_multiknapsack(20, 12, 3)
+        for mode in ("fixed", "dynamic"):
+            sessions.clear()
+            solve(mip, SolverConfig(mode=mode))
+            armed = [s for s in sessions if s.gap is not None]
+            assert sessions and all(math.isinf(s.d_min) for s in sessions if s.gap is None)
+            assert all(s.gap > 0 for s in armed)
+            assert (mode == "dynamic") == any(math.isfinite(s.d_min) for s in armed)
+
     def test_budget_stop(self):
         mip = sparse_multiknapsack(20, 12, 3)
         config = SolverConfig(fixed=FixedLookaheadConfig(K=0))
@@ -1449,6 +1469,29 @@ class TestSolveCache:
                 else:
                     assert counted["lp"] < uncached["lp"]
                     assert counted["sb"] < uncached["sb"]
+
+    @pytest.mark.parametrize("bound", [1, 6])
+    def test_a_full_cache_holds_no_more_nodes_and_changes_no_result(self, monkeypatch, bound):
+        """With the bound at a handful of nodes, a fixed and a dynamic cell
+        through one cache return their uncached MipResults; the cache stops
+        storing nodes at the bound and numbering new paths there, and a
+        node without a number keeps its measurements to itself."""
+        monkeypatch.setattr(solver, "CACHE_NODES", bound)
+
+        class Bounded(dict):
+            def __setitem__(self, key, value):
+                assert key in self or len(self) < bound
+                super().__setitem__(key, value)
+
+        configs = [SolverConfig(mode=mode) for mode in ("fixed", "dynamic")]
+        for mip in toy_corpus(3):
+            cache = SolveCache(mip)
+            cache.nodes = Bounded()
+            for config in configs:
+                assert solve(mip, config, cache) == solve(mip, config), (mip.name, config)
+            assert len(cache.nodes) == bound
+            assert len(cache.ids) <= 2 * bound
+            assert None not in cache.evals
 
     def test_a_cache_serves_only_its_own_mip(self):
         mip = sparse_multiknapsack(14, 8, 1)

@@ -121,6 +121,48 @@ def test_a_tree_that_cannot_close_reports_a_valid_bound(mode):
     check_result(result, ("optimal", 1.0), case)
 
 
+@pytest.mark.parametrize(
+    "case, objective",
+    [
+        (
+            (
+                [2.0, -2.0, 2.0],
+                [
+                    [400.0, -400.0, 200.0], [0.04, -0.01, 0.04], [4.0, 2.0, -3.0],
+                    [-300.0, -200.0, -400.0], [400.0, 100.0, -400.0],
+                ],
+                ["=", "<=", ">=", "<=", "<="], [200.0, 0.02, 7.0, 100.0, 1000.0],
+                [1.0, 0.0, -2.0], [math.inf, 2.0, math.inf], [True, True, False],
+            ),
+            0.0,
+        ),
+        (
+            (
+                [4.0, 0.0, 1.0, -5.0, 2.0, 2.0], [[4.0, 3.0, -4.0, 3.0, -3.0, 0.0]], ["="], [-20.0],
+                [-3.0, -math.inf, 0.0, -math.inf, -3.0, -3.0],
+                [-2.0, math.inf, 5.0, -1.0, math.inf, math.inf],
+                [False, True, True, False, False, False],
+            ),
+            -18.0,
+        ),
+    ],
+    ids=["presolve-infeasible", "presolve-infeasible-or-unbounded"],
+)
+def test_a_presolve_verdict_is_checked_without_presolve(case, objective):
+    """Two feasible small_mips draws (random.Random seeds 7433 and 2082 of
+    0..9999 fed to its draws) that HiGHS presolve in scipy 1.17 calls
+    infeasible (milp status 2) and infeasible or unbounded (status 4).
+    oracles.milp_mip re-solves both without presolve and finds the
+    optimum, which pvb reaches at a point mip_point_violation accepts."""
+    assert milp_mip(*case) == ("optimal", objective)
+    c, a, senses, rhs, lower, upper, integer = case
+    mip = build(c, list(zip(a, senses, rhs)), lower, upper, integer)
+    for mode in ("fixed", "dynamic"):
+        result = solve(mip, SolverConfig(mode=mode, node_limit=NODE_LIMIT))
+        assert result.status == "optimal"
+        check_result(result, ("optimal", objective), case)
+
+
 @settings(
     max_examples=400, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.too_slow],

@@ -23,6 +23,7 @@ from pvb.abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_d
 from pvb.distributions import GainAccumulator
 from pvb.gains import is_zero_gain
 from pvb.lookahead import (
+    BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
     ENTRY_BUDGET,
     LOOKAHEAD_EXHAUSTED,
@@ -202,7 +203,7 @@ def trial_cases(draw):
     """Pools, gaps and knobs where the array engine is easiest to get wrong.
 
     Gains from 1e-6 (depth 1e9 at the largest gap) to 10, zero runs longer
-    than the first 64-reveal window, all-equal nonzeros (a degenerate
+    than a block's first window of reveals, all-equal nonzeros (a degenerate
     Pareto fit), pools with one nonzero gain, and gaps up to 1e3 where
     best depths run past 52, where float64 loses the reveal term, and
     past the 1022 guard.
@@ -306,6 +307,56 @@ def test_a_trial_does_not_depend_on_the_trials_in_its_block(case):
             alone = run_trial(inst, gap, strategy, rng, fixed, prob)
             assert (alone.reveals, alone.stop_reason) == (reveals, reason)
             assert alone.final_tree_nodes == 2 ** (svb_depth(gap, best) + 1) - 1
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=trial_cases())
+def test_windows_a_few_reveals_wide_price_as_the_reference(budget, case):
+    """With ENTRY_BUDGET at 1, 2 and 3 the windows are one to three reveals
+    wide, so every step's carried state crosses window edges. Each trial of
+    a block of four, priced with its block and alone, is the reference
+    walk's."""
+    pool, gap, fixed, prob, seed = case
+    inst = make_instance(pool)
+    orders = np.array([np.random.default_rng(seed + t).permutation(len(pool)) for t in range(4)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "ENTRY_BUDGET", budget)
+        for strategy in ("fixed", "prob-exp", "prob-mixed-exp", "prob-mixed-pareto"):
+            whole = simulator._price(inst, gap, strategy, orders, fixed, prob)
+            for t, order in enumerate(orders):
+                alone = simulator._price(inst, gap, strategy, orders[t : t + 1], fixed, prob)
+                assert [x[0] for x in alone] == [x[t] for x in whole], (strategy, t)
+                want = reference_trial(pool, gap, strategy, PresetPermutation(order), fixed, prob)
+                assert (whole[0][t], svb_depth(gap, whole[1][t]), whole[2][t]) == (
+                    want["reveals"], want["depth"], want["stop_reason"]
+                ), (strategy, t)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+@pytest.mark.parametrize(
+    "L, K, order, want",
+    [
+        # the streak cap hits at reveal 1, the budget at 4, the first gain at 5
+        (1, 8, range(7), (5, 5.0, LOOKAHEAD_EXHAUSTED)),
+        # the budget hits at reveal 1, the first gain at 5
+        (2, 2, range(7), (5, 5.0, BUDGET_EXHAUSTED)),
+        # improvements at reveals 1 and 3, then a streak of 2 at 5
+        (2, 10**6, [5, 0, 6, 1, 2, 3, 4], (5, 2.0, LOOKAHEAD_EXHAUSTED)),
+    ],
+    ids=["streak-first", "budget-first", "last-improvement"],
+)
+def test_fixed_carries_its_state_across_window_edges(monkeypatch, budget, L, K, order, want):
+    """Windows of one to three reveals split what the fixed step carries:
+    the reveal of the last improvement, and the first hit's reason through
+    a stop deferred to the first nonzero gain."""
+    monkeypatch.setattr(simulator, "ENTRY_BUDGET", budget)
+    inst = make_instance([0.0, 0.0, 0.0, 0.0, 5.0, 1.0, 2.0])
+    orders = np.array([list(order), [4, 5, 6, 0, 1, 2, 3], [6, 0, 1, 2, 3, 4, 5]])
+    fixed = FixedLookaheadConfig(L=L, K=K)
+    for block in (orders, orders[:1]):
+        got = simulator._price(inst, 7.0, "fixed", block, fixed, None)
+        assert tuple(x[0] for x in got) == want
 
 
 def test_a_straggler_is_priced_across_windows_as_it_is_alone():
