@@ -23,14 +23,14 @@ over every reveal, zeros included.
 
 Campaigns cut the trials, not the cells, into chunks: every trial in one
 chunk with one worker and four chunks per worker with more, each capped
-so its permutation block stays within 1 MB. A chunk draws trial t's permutation
-from the rng stream seeded by seed xor t once and prices every (gap,
-strategy) cell on that block; one run_trial call prices a `full` cell's
-chunk. The chunk seeds its streams as arrays: numpy's SeedSequence hash of
-every seed in uint32 arithmetic, then PCG64's seeding step per trial on one
-reused generator, which shuffles one reused arange buffer into the trial's
-row; the chunk's first row is checked against default_rng. Each distinct
-best gain of a cell is priced into its tree once.
+so its order block stays within 1 MB. Trial t reveals in a uniform random
+permutation drawn from the SplitMix64 stream keyed by seed xor t, so it
+depends on (seed, t, n) alone; the swap index at each of its first 64
+positions p is uniform up to a relative (n - p) / 2**32 bias. A chunk's
+_Orders settles each row only as deep as a cell reads it, and every (gap,
+strategy) cell of the chunk reads and extends the same rows; one run_trial
+call prices a `full` cell's chunk, which draws nothing. Each distinct best
+gain of a cell is priced into its tree once.
 Chunk sums are exact ints, so the means do not depend on execution order
 or worker count.
 """
@@ -70,15 +70,18 @@ _PROB_FITS = {
     "prob-mixed-pareto": ("pareto", True),
 }
 
-# bytes of a chunk's permutation block, at its dtype
+# bytes of a chunk's order block, at its dtype
 _BLOCK_BYTES = 1 << 20
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# an order's positions drawn one Fisher-Yates swap at a time; a row read
+# past them is settled whole
+_SWAPS = 64
+
+# SplitMix64's increment and finalizer, as uint64 scalars so that every
+# step is uint64 array arithmetic on numpy 1.x and 2.x alike
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_R27, _R30, _R31, _R32 = np.uint64([27, 30, 31, 32])
 
 
 class UnclosableError(RuntimeError):
@@ -293,7 +296,7 @@ def run_trial(
     some nonzero gain makes a tree buildable. The gap argument overrides
     the instance's base gap so one pool serves a whole gap grid. `full`
     draws nothing from rng, which may then be None; every other strategy
-    draws one permutation.
+    draws rng.permutation(n), and a None rng is a ValueError.
     Raises svb_tree_size's CapacityError when the final depth exceeds
     abstract_tree.MAX_FINAL_DEPTH.
     """
@@ -301,74 +304,67 @@ def run_trial(
         raise ValueError(f"gap must be positive and finite, got {gap!r}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if rng is None and strategy != "full":
+        raise ValueError(f"strategy {strategy!r} needs an rng to draw its order")
     n = len(instance.pool)
     order = np.arange(n) if strategy == "full" else rng.permutation(n)
     reveals, best, reasons = _price(instance, gap, strategy, order[None], fixed, prob)
     return TrialResult(strategy, gap, int(reveals[0]), reasons[0], _tree_nodes(gap, best))
 
 
-def _hasher(init, mult):
-    """SeedSequence's hashmix: xor the constant, step it, multiply, fold."""
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    return hashmix
+def _mix64(z):
+    """SplitMix64's output function of a uint64 array."""
+    z = (z ^ (z >> _R30)) * _MIX1
+    z = (z ^ (z >> _R27)) * _MIX2
+    return z ^ (z >> _R31)
 
 
-def _seed_words(seeds):
-    """SeedSequence(s).generate_state(4, np.uint64) for each uint64 s, one row each.
+class _Orders:
+    """Trial t's reveal order as row t - start, t in start..stop-1, settled
+    only as deep as it is read: orders[rows, lo:hi] settles the rows to hi.
 
-    The entropy is s's low and high uint32 word, zero-padded to the pool of
-    4 (so a seed below 2**32, one word, hashes the same); every pool word
-    is mixed into every other, and the pool is hashed cyclically into 8
-    output words, read in little-endian pairs.
+    Trial t's stream is u_k = mix64(mix64(seed ^ t) + (k + 1) * gamma),
+    SplitMix64 keyed by seed ^ t. Position p < _SWAPS swaps in the element
+    at p + ((u_p >> 32) * (n - p) >> 32), a partial Fisher-Yates shuffle
+    whose swap index has each value's probability within a relative
+    (n - p) / 2**32 of uniform. A row read past _SWAPS gets all its other
+    positions at once: its remaining elements, sorted by the outputs at
+    counters _SWAPS + element, in groups of rows of at most ENTRY_BUDGET
+    entries. mix64 is a bijection, so a row's keys are distinct and every
+    sort is the stable one. A row is so a uniform random permutation of
+    range(n) that depends on (seed, t, n) alone, whatever windows read it.
     """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    low, high = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
-    pool = [hashmix(w.astype(np.uint32)) for w in (low, high, zero, zero)]
-    for src, dst in product(range(4), repeat=2):
-        if src != dst:
-            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-            pool[dst] = mixed ^ (mixed >> _XSHIFT)
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    out = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype(np.uint64)
-    return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
 
+    def __init__(self, seed, start, stop, n):
+        self.states = _mix64(np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed))
+        self.steps = np.arange(1, _SWAPS + n + 1, dtype=np.uint64) * _GAMMA
+        row = np.arange(n, dtype=np.min_scalar_type(n))
+        self.block = np.broadcast_to(row, (stop - start, n)).copy()
+        self.depth, self.shape = np.zeros(stop - start, dtype=int), self.block.shape
 
-def _draw_orders(seed, start, stop, n):
-    """Rows t - start of default_rng(seed ^ t).permutation(n) for t in start..stop-1.
+    def __len__(self):
+        return len(self.block)
 
-    permutation(n) is shuffle(arange(n)), so each row is drawn by one reused
-    generator shuffling one reused buffer reset from arange(n). Shuffling
-    the narrower row in place draws the same order, but numpy swaps
-    elements of any width but its index type's more slowly.
-    """
-    orders = np.empty((stop - start, n), dtype=np.min_scalar_type(n))
-    bits = np.random.PCG64()
-    shuffle = np.random.Generator(bits).shuffle
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    identity, perm = np.arange(n), np.arange(n)
-    words = _seed_words(np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(orders, words.tolist()):
-        # pcg64_set_seed: one step from 0, add the initial state, one more step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        pcg["inc"] = inc
-        bits.state = state
-        perm[:] = identity
-        shuffle(perm)
-        row[:] = perm
-    if not np.array_equal(orders[0], np.random.default_rng(seed ^ start).permutation(n)):
-        raise RuntimeError("numpy's default_rng no longer seeds as this module derives it")
-    return orders
+    def __getitem__(self, index):
+        block, flat, n = self.block, self.block.reshape(-1), self.shape[1]
+        depth, rows = index[1].indices(n)[1], np.arange(len(self))[index[0]]
+        rows = rows[self.depth[rows] < depth]
+        at = self.depth[rows]
+        for p in range(at.min(initial=depth), min(depth, _SWAPS)):
+            r = rows[at <= p]
+            u = _mix64(self.states[r] + self.steps[p])
+            here = r * n + p
+            there = here + ((u >> _R32) * np.uint64(n - p) >> _R32).astype(int)
+            flat[here], flat[there] = flat[there], flat[here]
+        if depth > _SWAPS:
+            group = max(1, ENTRY_BUDGET // (n - _SWAPS))
+            for g in (rows[lo : lo + group] for lo in range(0, rows.size, group)):
+                rest = block[g, _SWAPS:]
+                keys = _mix64(self.states[g, None] + self.steps[_SWAPS:][rest])
+                block[g, _SWAPS:] = np.take_along_axis(rest, keys.argsort(1), 1)
+            depth = n
+        self.depth[rows] = depth
+        return block[index]
 
 
 def _chunk_sums(args):
@@ -377,7 +373,7 @@ def _chunk_sums(args):
     spec, start, stop, fixed, prob = args
     count = stop - start
     if set(spec.strategies) != {"full"}:
-        orders = _draw_orders(spec.seed, start, stop, len(spec.instance.pool))
+        orders = _Orders(spec.seed, start, stop, len(spec.instance.pool))
     sums = []
     for gap, strategy in product(spec.gaps, spec.strategies):
         try:
@@ -402,11 +398,14 @@ def run_campaign(
 ) -> list[CampaignRow]:
     """Mean total and SB nodes per (gap, strategy) cell over seeded trials.
 
-    Trial t always uses the rng stream seeded by seed xor t, a seed in
-    [0, 2**64), so every strategy and gap sees the same permutation in
-    trial t. With one worker a chunk holds every trial, and with more
+    Trial t always reveals in the order of _Orders' SplitMix64 stream
+    keyed by seed xor t, a seed in [0, 2**64): a uniform random
+    permutation, up to a relative (n - p) / 2**32 bias in the swap index
+    at each position p < _SWAPS, so every strategy and gap sees the same
+    permutation in trial t, whatever the workers, chunks and cells. With
+    one worker a chunk holds every trial, and with more
     ceil(trials / (4 * workers)), which balances the load; either way
-    fewer if the chunk's permutation block would pass _BLOCK_BYTES. A pool
+    fewer if the chunk's order block would pass _BLOCK_BYTES. A pool
     with no nonzero gain, an empty one included, raises UnclosableError
     before any chunk is cut. A tree too deep to price raises the
     CapacityError of the first such trial in the first such cell.

@@ -202,14 +202,19 @@ def linprog_lp(c, a, senses, rhs, lower, upper):
     raise RuntimeError(f"linprog status {res.status}: {res.message}")
 
 
-def milp_mip(c, a, senses, rhs, lower, upper, integer):
+MILP_TIME_LIMIT = 30.0  # seconds per scipy.optimize.milp call
+
+
+def milp_mip(c, a, senses, rhs, lower, upper, integer, time_limit=MILP_TIME_LIMIT):
     """MIP reference via scipy.optimize.milp (HiGHS), solved to a zero
     gap. Returns (status, objective).
 
     HiGHS presolve can call a feasible MIP infeasible, and can leave it
     "infeasible or unbounded" (status 4), so either answer is re-solved
     without presolve and called infeasible only if that solve agrees, as
-    linprog_lp does for LPs.
+    linprog_lp does for LPs. Each solve stops after time_limit seconds, so
+    a tree HiGHS cannot close (free integer columns) raises RuntimeError
+    instead of holding the process and its memory.
     """
     import scipy.optimize
 
@@ -227,7 +232,7 @@ def milp_mip(c, a, senses, rhs, lower, upper, integer):
             integrality=np.asarray(integer, dtype=int),
             bounds=scipy.optimize.Bounds(lower, upper),
             constraints=constraints,
-            options={"presolve": presolve, "mip_rel_gap": 0.0},
+            options={"presolve": presolve, "mip_rel_gap": 0.0, "time_limit": time_limit},
         )
 
     res = highs(True)
@@ -239,6 +244,8 @@ def milp_mip(c, a, senses, rhs, lower, upper, integer):
         return "infeasible", None
     if res.status == 3:
         return "unbounded", None
+    if res.status == 1:
+        raise RuntimeError(f"milp hit its time_limit of {time_limit} s: {res.message}")
     raise RuntimeError(f"milp status {res.status}: {res.message}")
 
 
@@ -498,3 +505,33 @@ def reference_trial(pool, gap, strategy, rng, fixed=None, prob=None):
         "sb_nodes": 2 * session.iteration,
         "total_nodes": None if final is None else final + 2 * session.iteration,
     }
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix(z):
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def splitmix_order(seed, t, n, swaps):
+    """Trial t's campaign reveal order of range(n), walked in Python ints.
+
+    u_k = mix(mix(seed ^ t) + (k + 1) * gamma) is SplitMix64 keyed by
+    seed ^ t; positions below `swaps` are Fisher-Yates swaps whose index
+    comes from u_p's high 32 bits, and the rest of the order is sorted by
+    u at counter swaps + element.
+    """
+    state = _splitmix(seed ^ t)
+
+    def u(k):
+        return _splitmix((state + (k + 1) * 0x9E3779B97F4A7C15) & _MASK64)
+
+    order = list(range(n))
+    for p in range(min(swaps, n)):
+        j = p + ((u(p) >> 32) * (n - p) >> 32)
+        order[p], order[j] = order[j], order[p]
+    order[swaps:] = sorted(order[swaps:], key=lambda e: u(swaps + e))
+    return order

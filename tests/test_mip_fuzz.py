@@ -18,6 +18,7 @@ it must still report a bound no solution beats.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -161,6 +162,22 @@ def test_a_presolve_verdict_is_checked_without_presolve(case, objective):
         result = solve(mip, SolverConfig(mode=mode, node_limit=NODE_LIMIT))
         assert result.status == "optimal"
         check_result(result, ("optimal", objective), case)
+
+
+def test_a_tree_highs_cannot_close_stops_at_the_time_limit():
+    """A small_mips draw (random.Random seed 2707 fed to its draws, found
+    with the limit set) whose row -200 y + 200 z = 500 has no integer
+    point, over integer columns unbounded below: HiGHS cannot close its
+    tree, so milp_mip raises at its time limit instead of running on."""
+    case = (
+        [-1.0, -4.0, -3.0], [[-1.0, -2.0, 2.0], [0.0, -200.0, 200.0]], [">=", "="],
+        [-1.0, 500.0], [-math.inf, -math.inf, -math.inf], [0.0, -3.0, math.inf],
+        [True, True, True],
+    )
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="time_limit of 0.5 s"):
+        milp_mip(*case, time_limit=0.5)
+    assert time.perf_counter() - start < 5.0
 
 
 @settings(

@@ -3,10 +3,11 @@
 The exact-value cases drive trials with preset permutations so every
 arithmetic step is checkable by hand; the fuzz cases hold the array engine,
 trial by trial and summed over campaign cells, to the per-reveal reference
-walk in tests/oracles.py; the stream cases hold every drawn block to
-default_rng(seed ^ t), and the chunk cases one worker's chunks to two
-workers'; the trend case reproduces the qualitative strategy ordering on
-a synthetic Pareto pool.
+walk in tests/oracles.py; the order cases hold every row of a chunk's
+order source to the Python-int SplitMix64 walk in tests/oracles.py, to
+one eager read and to uniform frequencies, and the chunk cases one
+worker's chunks to two workers'; the trend case reproduces the
+qualitative strategy ordering on a synthetic Pareto pool.
 """
 
 import hashlib
@@ -40,7 +41,7 @@ from pvb.simulator import (
     run_trial,
 )
 
-from oracles import reference_trial
+from oracles import reference_trial, splitmix_order
 
 
 class PresetPermutation:
@@ -52,6 +53,11 @@ class PresetPermutation:
     def permutation(self, n):
         assert n == len(self.order)
         return self.order
+
+
+def campaign_rng(seed, t, n):
+    """A Generator stand-in that draws trial t's campaign order."""
+    return PresetPermutation(splitmix_order(seed, t, n, simulator._SWAPS))
 
 
 def make_instance(pool):
@@ -258,8 +264,9 @@ def campaign_cases(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(campaign_cases(), st.integers(1, 2))
 def test_campaign_sums_match_the_per_reveal_reference(case, workers):
-    """Every cell's sums are those of the reference walk over the streams
-    seed ^ t, and a tree past the 1022 guard raises as a trial would."""
+    """Every cell's sums are those of the reference walk over trial t's
+    SplitMix64 order, and a tree past the 1022 guard raises as a trial
+    would."""
     pool, gaps, fixed, prob, seed, trials = case
     spec = CampaignSpec(make_instance(pool), gaps, trials=trials, seed=seed)
     want, too_deep = [], False
@@ -267,7 +274,7 @@ def test_campaign_sums_match_the_per_reveal_reference(case, workers):
         for strategy in STRATEGIES:
             total = sb = 0
             for t in range(trials):
-                rng = np.random.default_rng((seed ^ t) & 0xFFFFFFFFFFFFFFFF)
+                rng = campaign_rng(seed, t, len(pool))
                 r = reference_trial(pool, gap, strategy, rng, fixed, prob)
                 too_deep |= r["final_tree_nodes"] is None
                 total += r["total_nodes"] or 0
@@ -569,24 +576,142 @@ def test_seeds_outside_64_bits_are_refused(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 424242 + (9 << 32), 2**64 - 1])
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 500, 65536])
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 255, 256, 500, 65536])
 def test_drawn_blocks_are_the_default_rng_streams(seed, n):
-    """Every row of a chunk's block is default_rng(seed ^ t).permutation(n),
-    for seeds that fill the low, the high and both words, for uint8,
-    uint16 and uint32 blocks, and for chunks that do not start at 0."""
+    """Every row of a chunk's block, read whole, is trial t's SplitMix64
+    order as the Python-int walk in tests/oracles.py draws it, for seeds
+    that fill the low, the high and both words, for n at and past
+    _SWAPS, for uint8, uint16 and uint32 blocks, and for chunks that do
+    not start at 0. (The rows were default_rng(seed ^ t) permutations
+    when the test was named.)"""
     for start, stop in ((0, 3), (1, 4), (997, 1000), (2**32 - 1, 2**32 + 1)):
-        orders = simulator._draw_orders(seed, start, stop, n)
-        assert orders.dtype == np.min_scalar_type(n)
-        for row, t in zip(orders, range(start, stop)):
-            want = np.random.default_rng((seed ^ t) % 2**64).permutation(n)
-            assert np.array_equal(row, want), (start, t)
+        orders = simulator._Orders(seed, start, stop, n)
+        block = orders[:, 0:n]
+        assert block.dtype == np.min_scalar_type(n)
+        for row, t in zip(block, range(start, stop)):
+            assert row.tolist() == splitmix_order(seed, t, n, simulator._SWAPS), (start, t)
+
+
+# trials 0..2 at seed 424242: at n = 12 every position is a swap, at
+# n = 70 the last 6 positions come from the sort
+_GOLDEN_ORDERS = {
+    12: [
+        [3, 10, 0, 9, 11, 2, 5, 1, 4, 6, 7, 8],
+        [10, 3, 11, 8, 0, 1, 4, 9, 5, 2, 7, 6],
+        [2, 5, 11, 9, 3, 10, 1, 8, 0, 6, 7, 4],
+    ],
+    70: [
+        [19, 58, 9, 49, 66, 42, 41, 3, 4, 0, 21, 61, 35, 15, 54, 17, 13, 37, 56, 25, 10, 52,
+         69, 28, 48, 7, 22, 23, 27, 11, 68, 5, 2, 8, 18, 59, 51, 64, 24, 63, 31, 67, 14, 50,
+         40, 62, 53, 45, 33, 6, 46, 55, 34, 26, 30, 36, 38, 65, 29, 16, 1, 60, 12, 39, 44,
+         43, 32, 47, 57, 20],
+        [62, 17, 63, 40, 59, 36, 51, 3, 19, 66, 6, 39, 42, 9, 43, 57, 16, 18, 37, 52, 46,
+         25, 34, 23, 14, 47, 27, 24, 2, 48, 38, 12, 65, 33, 22, 26, 68, 67, 30, 41, 55, 5,
+         13, 21, 56, 1, 0, 44, 49, 45, 54, 50, 4, 69, 60, 29, 7, 35, 8, 20, 64, 58, 10, 61,
+         11, 28, 53, 15, 32, 31],
+        [14, 31, 68, 51, 52, 4, 56, 28, 6, 44, 46, 48, 30, 10, 57, 61, 13, 7, 53, 65, 54,
+         63, 58, 66, 33, 39, 21, 11, 38, 36, 67, 37, 40, 19, 1, 15, 55, 17, 50, 59, 8, 32,
+         45, 0, 47, 49, 41, 43, 2, 26, 9, 29, 69, 60, 3, 62, 24, 27, 34, 20, 12, 25, 42, 22,
+         35, 5, 23, 18, 16, 64],
+    ],
+}
+
+
+def test_orders_match_a_literal_golden():
+    """A few rows for n below and above _SWAPS, as literals, so that the
+    stream cannot move with numpy's version or SIMD targets unseen."""
+    for n, rows in _GOLDEN_ORDERS.items():
+        assert simulator._Orders(424242, 0, 3, n)[:, 0:n].tolist() == rows, n
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 130, 500])
+def test_rows_are_permutations_and_windows_read_one_order(n):
+    """Reads of random rows in random windows, shrinking as _advance's do,
+    see the one eager read of the whole block, and every row is a
+    permutation of range(n)."""
+    rng = np.random.default_rng(n)
+    eager = simulator._Orders(11, 40, 340, n)[:, 0:n]
+    assert (np.sort(eager, axis=1) == np.arange(n)).all()
+    for _ in range(5):
+        orders, alive, done = simulator._Orders(11, 40, 340, n), np.arange(300), 0
+        while alive.size and done < n:
+            width = int(rng.integers(1, max(2, n // 3)))
+            window = orders[alive, done : done + width]
+            assert np.array_equal(window, eager[alive, done : done + width])
+            alive, done = alive[rng.random(alive.size) < 0.8], done + width
+
+
+@pytest.mark.parametrize("n", [9, 200])
+def test_a_sub_block_holds_the_rows_of_a_larger_block(n):
+    whole = simulator._Orders(2**63 + 5, 100, 400, n)[:, 0:n]
+    for start, stop in ((100, 101), (150, 157), (399, 400)):
+        part = simulator._Orders(2**63 + 5, start, stop, n)
+        assert np.array_equal(part[:, 0:n], whole[start - 100 : stop - 100])
+
+
+def test_the_cells_of_a_chunk_read_one_order(monkeypatch):
+    """The cells of one chunk stop at different depths and extend the same
+    rows; every window any cell reads is that of one eager read."""
+    reads = []
+    getitem = simulator._Orders.__getitem__
+
+    def recorded(self, index):
+        window = getitem(self, index)
+        reads.append((self, index, window.copy()))
+        return window
+
+    monkeypatch.setattr(simulator._Orders, "__getitem__", recorded)
+    spec = CampaignSpec(
+        _pareto_pool(71, 60, 140), (4.0, 30.0), trials=400, seed=8,
+        strategies=("fixed", "prob-mixed-pareto", "prob-exp"),
+    )
+    run_campaign(spec)
+    monkeypatch.undo()
+    assert len({id(orders) for orders, _, _ in reads}) == 1
+    depths = {index[1].stop for _, index, _ in reads}
+    assert min(depths) < simulator._SWAPS < max(depths)
+    n = len(spec.instance.pool)
+    eager = simulator._Orders(8, 0, 400, n)[:, 0:n]
+    for _, index, window in reads:
+        assert np.array_equal(window, eager[index])
+
+
+def _chi2_p(counts):
+    """Upper tail of a chi-squared statistic for uniform counts, by the
+    Wilson-Hilferty cube-root normal approximation."""
+    counts = np.asarray(counts, dtype=float).ravel()
+    k, expected = counts.size - 1, counts.mean()
+    stat = float(((counts - expected) ** 2).sum() / expected)
+    z = ((stat / k) ** (1 / 3) - (1 - 2 / (9 * k))) / math.sqrt(2 / (9 * k))
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+@pytest.mark.parametrize("n", [50, 80])
+def test_orders_are_uniform_by_position_and_by_leading_pair(n):
+    """Over 200k trials, the element at each position and the (position 0,
+    position 1) pair are uniform by chi-squared; at n = 80 positions 64..79
+    come from the sort."""
+    block = simulator._Orders(20260, 0, 200_000, n)[:, 0:n]
+    p_values = [_chi2_p(np.bincount(block[:, p], minlength=n)) for p in range(n)]
+    assert min(p_values) > 1e-4, min(p_values)
+    pairs = np.bincount(block[:, 0].astype(int) * n + block[:, 1], minlength=n * n)
+    off_diagonal = np.delete(pairs, np.arange(n) * (n + 1))
+    assert pairs[np.arange(n) * (n + 1)].sum() == 0
+    assert _chi2_p(off_diagonal) > 1e-4
+
+
+def test_a_trial_without_an_rng_is_refused_unless_full():
+    inst = make_instance([0.0, 2.0, 3.0])
+    for strategy in set(STRATEGIES) - {"full"}:
+        with pytest.raises(ValueError, match=f"strategy {strategy!r}"):
+            run_trial(inst, 7.0, strategy, None)
 
 
 def test_a_campaign_draws_no_block_for_full_alone(monkeypatch):
     def refuse(*args):
         raise AssertionError("a `full` cell drew a permutation block")
 
-    monkeypatch.setattr(simulator, "_draw_orders", refuse)
+    monkeypatch.setattr(simulator, "_Orders", refuse)
     spec = CampaignSpec(
         _pareto_pool(73, 8, 22), (6.0, 14.0), trials=30, seed=3, strategies=("full",)
     )
@@ -630,7 +755,7 @@ def test_the_first_capacity_error_is_the_first_trials_in_the_first_cell(workers)
     first = None
     for t in range(spec.trials):
         try:
-            run_trial(spec.instance, 8.0, "fixed", np.random.default_rng(77 ^ t))
+            run_trial(spec.instance, 8.0, "fixed", campaign_rng(77, t, len(pool)))
         except CapacityError as exc:
             first = t, str(exc)
             break
@@ -663,11 +788,12 @@ class TestCampaignGolden:
     `prob-mixed-pareto` and `full`.
 
     The digest was taken before the campaign priced its trials as one
-    block of permutations per chunk; any change to a decision, a count or
-    a mean moves it.
+    block of permutations per chunk, and re-pinned once when trial orders
+    moved from default_rng to the SplitMix64 stream; any change to a
+    decision, a count, a mean or a trial's order moves it.
     """
 
-    DIGEST = "bd163a7201447247234f684583fda5afed3fe81e632ddeeae9c60596659ed627"
+    DIGEST = "0e897e506cab2fbee98eeb3db86fa48fbd52201134b680514b003a5d3cc37ff8"
 
     @staticmethod
     def spec(strategies):
