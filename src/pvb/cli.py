@@ -3,7 +3,8 @@
 Every command validates its whole configuration before doing any work
 and is deterministic given its arguments, input files, and seed. Exit
 codes are a stable scripting contract: 0 success, 1 internal failure,
-2 user or input error. Numeric output always goes through one
+2 user or input error, which is an InputError (MpsError and GainFileError
+among them) by the time it reaches main. Numeric output always goes through one
 formatter so CSV files and the aligned stdout tables stay byte-stable
 across runs and worker counts.
 
@@ -30,19 +31,16 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
+from . import InputError, read_lines
 from .abstract_tree import CapacityError, PvbInstance
 from .distributions import FAMILIES, fit_report
-from .gains import GainFileError, load_gain_series
+from .gains import load_gain_series
 from .lookahead import FixedLookaheadConfig, ProbLookaheadConfig
 from .mini_bnb import MpsError, SolveCache, SolverConfig, SolverError, load_mps, solve
 from .simulator import STRATEGIES, CampaignSpec, UnclosableError, run_campaign
 
 NODE_GEO_SHIFT = 100.0
 LP_GEO_SHIFT = 1.0
-
-
-class CliError(Exception):
-    """User or input error; reported on stderr with exit code 2."""
 
 
 def _num(value) -> str:
@@ -86,17 +84,17 @@ def _write_csv(path, header, rows) -> None:
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 fh.truncate()
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_list(text: str, kind, what: str) -> tuple:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
-        raise CliError(f"{what} must name at least one entry")
+        raise InputError(f"{what} must name at least one entry")
     try:
         return tuple(kind(t) for t in items)
     except ValueError as exc:
-        raise CliError(f"bad {what} {text!r}: {exc}") from None
+        raise InputError(f"bad {what} {text!r}: {exc}") from None
 
 
 # Every setting a command may take: key -> (type, help). The same key
@@ -113,29 +111,23 @@ SETTINGS = {
 def _load_config_file(path, keys) -> dict:
     """key=value lines; # starts a comment; a key not in keys is refused."""
     values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise InputError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in keys:
-            raise CliError(
+            raise InputError(
                 f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(keys)})"
             )
         if key in values:
-            raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = SETTINGS[key][0](text)
         except ValueError:
-            raise CliError(f"{path}:{lineno}: bad value {text!r} for {key}") from None
+            raise InputError(f"{path}:{lineno}: bad value {text!r} for {key}") from None
     return values
 
 
@@ -160,33 +152,24 @@ def _checked():
     try:
         yield
     except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _load_series(path):
-    try:
-        return load_gain_series(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except GainFileError as exc:
-        raise CliError(str(exc)) from None
+        raise InputError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- fit
 
 
 def cmd_fit(args) -> int:
-    all_series = _load_series(args.gainfile)
+    all_series = load_gain_series(args.gainfile)
     if not all_series:
-        raise CliError(f"{args.gainfile}: no gain rows")
+        raise InputError(f"{args.gainfile}: no gain rows")
     families = (
         _parse_list(args.families, str, "families") if args.families else FAMILIES
     )
     for family in families:
         if family not in FAMILIES:
-            raise CliError(f"unknown family {family!r} (known: {', '.join(FAMILIES)})")
+            raise InputError(f"unknown family {family!r} (known: {', '.join(FAMILIES)})")
     if not 0.0 < args.alpha < 1.0:
-        raise CliError(f"alpha must be in (0,1), got {args.alpha!r}")
+        raise InputError(f"alpha must be in (0,1), got {args.alpha!r}")
     rows = []
     for series in all_series:
         for report in fit_report(series, families, alpha=args.alpha):
@@ -213,21 +196,21 @@ def cmd_fit(args) -> int:
 
 
 def _pick_series(args):
-    all_series = _load_series(args.instance)
+    all_series = load_gain_series(args.instance)
     if not all_series:
-        raise CliError(f"{args.instance}: no gain rows")
+        raise InputError(f"{args.instance}: no gain rows")
     by_node = {s.node_id: s for s in all_series}
     if args.node is not None:
         try:
             return by_node[args.node]
         except KeyError:
-            raise CliError(
+            raise InputError(
                 f"{args.instance}: no node {args.node!r}"
                 f" (has: {', '.join(sorted(by_node))})"
             ) from None
     if len(all_series) == 1:
         return all_series[0]
-    raise CliError(
+    raise InputError(
         f"{args.instance}: {len(all_series)} node series; pick one with"
         f" --node (has: {', '.join(sorted(by_node))})"
     )
@@ -241,7 +224,7 @@ def cmd_simulate(args) -> int:
         _parse_list(args.strategies, str, "strategies") if args.strategies else STRATEGIES
     )
     if args.workers < 1:
-        raise CliError(f"workers must be >= 1, got {args.workers!r}")
+        raise InputError(f"workers must be >= 1, got {args.workers!r}")
     with _checked():
         spec = CampaignSpec(
             instance=PvbInstance(gap=gaps[0], pool=series.geomeans),
@@ -255,7 +238,7 @@ def cmd_simulate(args) -> int:
     try:
         table = run_campaign(spec, workers=args.workers, fixed=fixed, prob=prob)
     except (UnclosableError, CapacityError) as exc:
-        raise CliError(f"{args.instance}: node {series.node_id!r}: {exc}") from None
+        raise InputError(f"{args.instance}: node {series.node_id!r}: {exc}") from None
     header = ("gap", "strategy", "mean_total_nodes", "mean_sb_nodes")
     rows = [
         (_num(r.gap), r.strategy, _num(r.mean_total_nodes), _num(r.mean_sb_nodes))
@@ -282,17 +265,12 @@ def _solver_config(mode: str, settings: dict, args) -> SolverConfig:
 
 def cmd_solve(args) -> int:
     settings = _settings(args)
-    try:
-        mip = load_mps(args.instance)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.instance}: {exc.strerror or exc}") from None
-    except MpsError as exc:
-        raise CliError(str(exc)) from None
+    mip = load_mps(args.instance)
     config = _solver_config(args.mode, settings, args)
     try:
         result = solve(mip, config)
     except SolverError as exc:
-        raise CliError(f"{args.instance}: solver failed: {exc}") from None
+        raise InputError(f"{args.instance}: solver failed: {exc}") from None
     header = (
         "instance", "mode", "status", "objective", "bound",
         "nodes", "sb_lps", "sb_iters",
@@ -337,12 +315,12 @@ def _sweep_solve(job):
 def cmd_sweep(args) -> int:
     paths = sorted(Path(args.instance_dir).glob("*.mps"))
     if not paths:
-        raise CliError(f"no .mps files in {args.instance_dir}")
+        raise InputError(f"no .mps files in {args.instance_dir}")
     modes = _parse_list(args.modes, str, "modes")
     l_grid = _parse_list(args.L_grid, int, "L grid")
     k_grid = _parse_list(args.K_grid, int, "K grid")
     if args.workers < 1:
-        raise CliError(f"workers must be >= 1, got {args.workers!r}")
+        raise InputError(f"workers must be >= 1, got {args.workers!r}")
     settings = _settings(args)
     cells = [(mode, L, K) for mode in modes for L in l_grid for K in k_grid]
     configs = [
@@ -354,9 +332,7 @@ def cmd_sweep(args) -> int:
     for path in paths:
         try:
             mips.append((path.name, load_mps(path)))
-        except OSError as exc:
-            parse_failures.append((path.name, f"cannot read: {exc.strerror or exc}"))
-        except MpsError as exc:
+        except MpsError as exc:  # unreadable or malformed: failed in every cell
             parse_failures.append((path.name, str(exc)))
     # one job per instance, so its cells share their LPs; outcomes[i][c]
     # is instance i in cell c
@@ -403,19 +379,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.csvfile, newline="", encoding="utf-8-sig") as fh:
-            table = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise CliError(f"cannot read {args.csvfile}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{args.csvfile}: not UTF-8 text: {exc}") from None
+    table = [row for row in csv.reader(read_lines(args.csvfile)) if row]
     if not table:
-        raise CliError(f"{args.csvfile}: empty CSV")
+        raise InputError(f"{args.csvfile}: empty CSV")
     width = len(table[0])
     for lineno, row in enumerate(table, start=1):
         if len(row) != width:
-            raise CliError(
+            raise InputError(
                 f"{args.csvfile}:{lineno}: expected {width} columns, got {len(row)}"
             )
     print(render_table(table[0], table[1:]))
@@ -506,11 +476,11 @@ def main(argv=None) -> int:
         out = getattr(args, "out", None)
         if out is not None:
             if not Path(out).parent.is_dir():
-                raise CliError(f"cannot write {out}: no directory {Path(out).parent}")
+                raise InputError(f"cannot write {out}: no directory {Path(out).parent}")
             if Path(out).is_dir():
-                raise CliError(f"cannot write {out}: it is a directory")
+                raise InputError(f"cannot write {out}: it is a directory")
         return args.func(args)
-    except CliError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the 0/1/2 contract needs a catch-all

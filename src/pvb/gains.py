@@ -18,14 +18,16 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import InputError, read_lines
+
 DEFAULT_EPSILON = 1e-6
 ZERO_TOL = 1e-9
 
 GAIN_FILE_HEADER = ("node_id", "variable_id", "downgain", "upgain")
 
 
-class GainFileError(ValueError):
-    """Malformed gain file; the message names the offending line."""
+class GainFileError(InputError):
+    """Unreadable or malformed gain file; the message names it (and the line)."""
 
 
 def is_zero_gain(value: float) -> bool:
@@ -91,17 +93,13 @@ def load_gain_series(path: str) -> list[GainSeries]:
 
     Entry order within a series follows file order. Each row is collapsed
     as it is read, so a pair whose geometric mean overflows is refused
-    with its line rather than on first use of GainSeries.geomeans. Errors
-    carry the 1-based line number of the offending row.
+    with its line rather than on first use of GainSeries.geomeans. Raises
+    GainFileError, carrying the 1-based line number of the offending row,
+    also for a file it cannot open or decode.
     """
     by_node: dict[str, list[tuple[str, GainPair]]] = {}
     seen_keys: set[tuple[str, str]] = set()
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise GainFileError(f"{path}: not UTF-8 text: {exc}") from None
-    reader = csv.reader(lines)
+    reader = csv.reader(read_lines(path, GainFileError))
     try:
         header = next(reader)
     except StopIteration:

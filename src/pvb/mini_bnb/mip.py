@@ -14,13 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .. import InputError, read_lines
+
 SENSES = ("<=", "=", ">=")
 
 _ROW_TYPES = {"L": "<=", "E": "=", "G": ">="}
 
 
-class MpsError(ValueError):
-    """Malformed or unsupported MPS content; message carries path:line."""
+class MpsError(InputError):
+    """Unreadable, malformed or unsupported MPS file; the message names the
+    path, and path:line for a fault in the content."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,8 @@ def _tokens(line: str):
 
 
 def load_mps(path) -> MiniMip:
-    """Parse the MPS subset; every complaint carries path:line."""
+    """Parse the MPS subset. Every complaint is an MpsError, also for a
+    file that cannot be opened or decoded."""
     name = ""
     section = None
     obj_row = None
@@ -100,15 +104,10 @@ def load_mps(path) -> MiniMip:
     def fail(lineno, msg):
         raise MpsError(f"{path}:{lineno}: {msg}")
 
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
-    except UnicodeDecodeError as exc:
-        raise MpsError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path, MpsError), start=1):
         if saw_end:
             break
-        line = raw.rstrip("\n")
+        line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("*"):
             continue
         if line[0] not in (" ", "\t"):

@@ -147,9 +147,10 @@ class _ChildStart(NamedTuple):
 
 def _gather(index):
     """A function of a list that returns its items at index, as a tuple
-    (itemgetter returns a single item bare)."""
-    get = itemgetter(*index)
-    return get if len(index) > 1 else lambda items: (get(items),)
+    (itemgetter returns a single item bare and takes no empty index)."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    return lambda items: tuple(map(items.__getitem__, index))
 
 
 class _BasisArrays(NamedTuple):
@@ -395,7 +396,8 @@ class _Tableau:
             slope = direction * d
             if free.size:
                 slope[free] = -np.abs(d[free])
-            if bland:
+            # Bland's scan also serves a system with no column, where argmin has none
+            if bland or not slope.size:
                 (eligible,) = (slope < -_COST_TOL).nonzero()
                 if not eligible.size:
                     return OPTIMAL
@@ -495,7 +497,7 @@ class _Tableau:
                 self.certified = (
                     self.iterations < cap
                     and math.isfinite(sum(d))
-                    and min(map(mul, side, d)) >= -_COST_TOL
+                    and min(map(mul, side, d), default=0.0) >= -_COST_TOL
                 )
                 return True
             if self.iterations >= cap:

@@ -5,6 +5,7 @@ tables, and written CSVs are all observable. Determinism cases compare
 raw output bytes; statistical cases reuse the seeded corpus and pools.
 """
 
+import argparse
 import hashlib
 import math
 import os
@@ -14,14 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvb import cli
+from pvb import InputError, cli
 from pvb.cli import main, render_table, shifted_geomean_stat
-from pvb.gains import GainPair, GainSeries
-from pvb.mini_bnb import load_mps, save_mps, solve, sparse_multiknapsack
+from pvb.gains import GainFileError, GainPair, GainSeries, load_gain_series
+from pvb.mini_bnb import MpsError, load_mps, save_mps, solve, sparse_multiknapsack
 
 from helpers import save_gain_series, toy_corpus
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "instances"
+
+# an MPS file with an objective row and nothing else
+EMPTY_MODEL = "NAME X\nROWS\n N COST\nENDATA\n"
 
 
 def run(capsys, *argv):
@@ -626,6 +630,15 @@ class TestSolve:
             assert code == 0, stderr
             assert "optimal" in stdout and "-7.5" in stdout
 
+    @pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+    def test_an_empty_model_is_optimal_at_one_node(self, tmp_path, capsys, mode):
+        # once an internal error (exit 1): argmin of the LP engine's empty slopes
+        path = tmp_path / "empty.mps"
+        path.write_text(EMPTY_MODEL)
+        code, stdout, stderr = run(capsys, "solve", str(path), "--mode", mode)
+        assert code == 0, stderr
+        assert stdout.splitlines()[1].split() == ["X", mode, "optimal", "0", "0", "1", "0", "0"]
+
     def test_broken_mps_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.mps"
         path.write_text("NAME X\nROWS\n N OBJ\n")
@@ -928,6 +941,17 @@ class TestSweep:
         assert faulty[2] == "fixed,9,1000000,0,10,,"
         assert faulty[:2] + faulty[3:] == clean[:2] + clean[3:]
 
+    def test_an_empty_model_is_a_solved_instance(self, tmp_path, capsys):
+        directory = tmp_path / "insts"
+        directory.mkdir()
+        (directory / "empty.mps").write_text(EMPTY_MODEL)
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(capsys, "sweep", str(directory), "--seed", "1", "--out", str(out))
+        assert code == 0 and stderr == ""
+        assert out.read_text().splitlines()[1:] == [
+            "fixed,9,1000000,1,0,1,0", "dynamic,9,1000000,1,0,1,0",
+        ]
+
     def test_undecodable_or_unreadable_mps_is_a_parse_failure(self, tmp_path, capsys):
         directory = tmp_path / "insts"
         directory.mkdir()
@@ -1133,3 +1157,73 @@ def test_a_leading_utf8_bom_is_accepted(tmp_path, capsys, command):
     code, stdout, stderr = run(capsys, *argv(marked))
     assert code == 0, stderr
     assert stdout == plain_stdout
+
+
+def unreadable(tmp_path, fault, source):
+    """A path that cannot be read as UTF-8 text: missing, a directory, or
+    source's bytes with a 0xff byte."""
+    path = tmp_path / "input"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not-utf8":
+        write_non_utf8(path, source)
+    return path
+
+
+READERS = {
+    # reader: (a call that reads a path, its error type, the argv that reads it)
+    "mps": (load_mps, MpsError, lambda p: ("solve", p)),
+    "gains": (load_gain_series, GainFileError, lambda p: ("fit", p, "--out", p + ".csv")),
+    "config": (
+        lambda p: cli._load_config_file(p, ("L",)),
+        InputError,
+        lambda p: ("solve", str(EXAMPLES / "tiny-knapsack.mps"), "--config", p),
+    ),
+    "report": (
+        lambda p: cli.cmd_report(argparse.Namespace(csvfile=p)),
+        InputError,
+        lambda p: ("report", p),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_every_reader_reports_an_unreadable_file_as_its_input_error(
+    tmp_path, capsys, reader, fault
+):
+    read, error, argv = READERS[reader]
+    path = str(unreadable(tmp_path, fault, EXAMPLES / "tiny-knapsack.mps"))
+    with pytest.raises(error) as caught:
+        read(path)
+    assert isinstance(caught.value, InputError)
+    message = str(caught.value)
+    assert message.startswith(f"cannot read {path}: " if fault != "not-utf8" else f"{path}: ")
+    code, stdout, stderr = run(capsys, *argv(path))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "solve", "report"])
+def test_a_plain_value_error_in_an_engine_is_still_internal(
+    tmp_path, capsys, monkeypatch, command
+):
+    # InputError is a ValueError, so main must catch InputError alone;
+    # TestSweep.test_internal_fault_in_a_solve_exits_1 covers sweep
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    pool = str(write_pool(tmp_path / "pool.csv", 5))
+    out = str(tmp_path / "o.csv")
+    engine, argv = {
+        "fit": ("fit_report", ("fit", pool, "--out", out)),
+        "simulate": (
+            "run_campaign",
+            ("simulate", "--instance", pool, "--gaps", "8", "--seed", "1", "--out", out),
+        ),
+        "solve": ("solve", ("solve", str(EXAMPLES / "tiny-knapsack.mps"))),
+        "report": ("render_table", ("report", pool)),
+    }[command]
+    monkeypatch.setattr(cli, engine, broken)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 1 and stderr == "internal error: broken invariant\n"

@@ -320,6 +320,18 @@ class TestSimplex:
             res = solve_bounded_lp(lp_system(cost, np.zeros((0, 1)), [], []), lower, upper)
             assert res.status == UNBOUNDED
 
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (1, 0), (3, 0)])
+    def test_an_empty_shape_is_optimal_cold_and_warm_from_its_own_basis(self, m, n):
+        # 0 x 0 once failed in numpy's argmin of the primal loop's empty
+        # slopes, and its warm start in the gather and the optimality test
+        system = lp_system([1.0] * n, np.zeros((m, n)), ["<="] * m, [2.0] * m)
+        cold = solve_bounded_lp(system, [-1.0] * n, [4.0] * n)
+        warm = solve_bounded_lp(system, [-1.0] * n, [4.0] * n, warm_start=cold.basis)
+        for res in (cold, warm):
+            assert res.status == OPTIMAL and res.basis is not None
+            assert res.x.tolist() == [-1.0] * n and res.objective == -float(n)
+        assert warm.iterations == 0
+
     def test_iteration_limit_keeps_feasible_point(self):
         # slacks seat the all-zero start, so the single allowed pivot
         # lands on a feasible but suboptimal vertex
@@ -1311,6 +1323,20 @@ class TestSolve:
         assert res.objective == pytest.approx(-5.0)
         assert res.nodes == 1 and res.sb_lp_solves == 0
         assert res.decisions == ()
+        # the shapes of an MPS file with no column or no constraint row;
+        # the 0 x 0 model once ended in an internal error of the LP engine
+        for objective, rows, optimum in (
+            ([], [], 0.0),
+            ([], [([], "<=", 1.0), ([], ">=", -1.0)], 0.0),
+            ([-1.0, 2.0], [], -4.0),
+        ):
+            for mode in ("fixed", "dynamic"):
+                mip = build(objective, rows, upper=4.0, integer=False)
+                res = solve(mip, SolverConfig(mode=mode))
+                assert res.status == "optimal"
+                assert res.objective == optimum and res.bound == optimum
+                assert res.nodes == 1 and res.sb_lp_solves == 0
+                assert res.decisions == ()
 
     def test_parity_instance_is_infeasible(self):
         mip = build(

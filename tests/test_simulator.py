@@ -73,6 +73,13 @@ def test_single_candidate_pool_costs_seventeen_for_every_strategy():
         assert r.reveals == 1
         assert r.sb_nodes == 2
         assert r.stop_reason == CANDIDATES_EXHAUSTED
+    # and through the campaign, which sizes its chunks by the pool; at gap
+    # 1e3 the depth is 250, a tree of 2**251 - 1 nodes
+    spec = CampaignSpec(inst, (10.0, 1e3), trials=3, strategies=STRATEGIES)
+    for workers in (1, 2):
+        for row in run_campaign(spec, workers=workers):
+            total = 17.0 if row.gap == 10.0 else 2.0**251 - 1 + 2
+            assert (row.mean_total_nodes, row.mean_sb_nodes) == (total, 2.0)
 
 
 def test_all_zero_pool_is_unclosable():
