@@ -2,6 +2,8 @@
 probabilistic-lookahead stopping, simulation harness, and a miniature
 branch-and-bound solver wired to the same branching rule."""
 
+import csv
+
 __version__ = "0.1.0"
 
 
@@ -21,3 +23,13 @@ def read_lines(path, error=InputError) -> list[str]:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_csv(path, error=InputError) -> list[list[str]]:
+    """The rows of a CSV file read by read_lines; a row that csv cannot
+    parse, such as one with an over-long field, raises error with path:line."""
+    reader = csv.reader(read_lines(path, error))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise error(f"{path}:{reader.line_num}: {exc}") from None

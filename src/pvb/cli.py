@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from . import InputError, read_lines
+from . import InputError, read_csv, read_lines
 from .abstract_tree import CapacityError, PvbInstance
 from .distributions import FAMILIES, fit_report
 from .gains import load_gain_series
@@ -379,7 +379,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table = [row for row in csv.reader(read_lines(args.csvfile)) if row]
+    table = [row for row in read_csv(args.csvfile) if row]
     if not table:
         raise InputError(f"{args.csvfile}: empty CSV")
     width = len(table[0])

@@ -13,12 +13,11 @@ arithmetic cannot be trusted past that resolution.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import InputError, read_lines
+from . import InputError, read_csv
 
 DEFAULT_EPSILON = 1e-6
 ZERO_TOL = 1e-9
@@ -95,21 +94,20 @@ def load_gain_series(path: str) -> list[GainSeries]:
     as it is read, so a pair whose geometric mean overflows is refused
     with its line rather than on first use of GainSeries.geomeans. Raises
     GainFileError, carrying the 1-based line number of the offending row,
-    also for a file it cannot open or decode.
+    also for a file it cannot open, decode or parse as CSV.
     """
     by_node: dict[str, list[tuple[str, GainPair]]] = {}
     seen_keys: set[tuple[str, str]] = set()
-    reader = csv.reader(read_lines(path, GainFileError))
-    try:
-        header = next(reader)
-    except StopIteration:
+    rows = read_csv(path, GainFileError)
+    if not rows:
         return []
+    header = rows[0]
     if tuple(cell.strip() for cell in header) != GAIN_FILE_HEADER:
         raise GainFileError(
             f"{path}:1: expected header {','.join(GAIN_FILE_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 4:

@@ -27,10 +27,12 @@ so its order block stays within 1 MB. Trial t reveals in a uniform random
 permutation drawn from the SplitMix64 stream keyed by seed xor t, so it
 depends on (seed, t, n) alone; the swap index at each of its first 64
 positions p is uniform up to a relative (n - p) / 2**32 bias. A chunk's
-_Orders settles each row only as deep as a cell reads it, and every (gap,
-strategy) cell of the chunk reads and extends the same rows; one run_trial
-call prices a `full` cell's chunk, which draws nothing. Each distinct best
-gain of a cell is priced into its tree once.
+_Orders settles each row only as deep as a cell reads it, drawing a read's
+swap indices per group of entries; a window ends at position 64, so only
+trials that reveal past it are sorted. Every (gap, strategy) cell of the
+chunk reads and extends the same rows; one run_trial call prices a `full`
+cell's chunk, which draws nothing. Each distinct best gain of a cell is
+priced into its tree once.
 Chunk sums are exact ints, so the means do not depend on execution order
 or worker count.
 """
@@ -41,7 +43,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import pairwise, product
 
 import numpy as np
 
@@ -153,16 +155,20 @@ def _advance(orders, step, state, reveals, best_out, reasons):
     """Write each trial's first stopping entry into the outputs.
 
     The running trials advance a window of reveals at a time, as wide as
-    ENTRY_BUDGET allows for their number. step(idx, i, state) reads the
-    window's pool indices, its reveal counts i and state, one column per
-    trial; it returns the stopping entries, every entry's running best,
-    the stop reason (one, or one per trial) and the new state, whose last
-    column the trials that go on carry into the next window.
+    ENTRY_BUDGET allows for their number and ending at _SWAPS, so only the
+    trials that go on past it read their orders past it. step(idx, i,
+    state) reads the window's pool indices, its reveal counts i and state,
+    one column per trial; it returns the stopping entries, every entry's
+    running best, the stop reason (one, or one per trial) and the new
+    state, whose last column the trials that go on carry into the next
+    window.
     """
     alive, done, n = np.arange(len(orders)), 0, orders.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while alive.size and done < n:
             width = min(n - done, max(1, ENTRY_BUDGET // alive.size))
+            if done < _SWAPS < done + width:
+                width = _SWAPS - done
             i = np.arange(done + 1, done + width + 1)
             stop, best, reason, state = step(orders[alive, done : done + width], i, state)
             first, hit = stop.argmax(axis=1), stop.any(axis=1)
@@ -327,12 +333,16 @@ class _Orders:
     SplitMix64 keyed by seed ^ t. Position p < _SWAPS swaps in the element
     at p + ((u_p >> 32) * (n - p) >> 32), a partial Fisher-Yates shuffle
     whose swap index has each value's probability within a relative
-    (n - p) / 2**32 of uniform. A row read past _SWAPS gets all its other
-    positions at once: its remaining elements, sorted by the outputs at
-    counters _SWAPS + element, in groups of rows of at most ENTRY_BUDGET
-    entries. mix64 is a bijection, so a row's keys are distinct and every
-    sort is the stable one. A row is so a uniform random permutation of
-    range(n) that depends on (seed, t, n) alone, whatever windows read it.
+    (n - p) / 2**32 of uniform. A read draws the outputs of all its swaps
+    in one mix64 call per group of at most ENTRY_BUDGET, so only the swaps
+    themselves run position by position. A row read past _SWAPS gets all
+    its other positions at once: its remaining elements, sorted by the
+    outputs at counters _SWAPS + element, in groups of rows of at most
+    ENTRY_BUDGET entries; _advance ends a window at _SWAPS, so only rows
+    of trials that reveal past it are sorted. mix64 is a bijection, so a
+    row's keys are distinct and every sort is the stable one. A row is so
+    a uniform random permutation of range(n) that depends on (seed, t, n)
+    alone, whatever windows read it.
     """
 
     def __init__(self, seed, start, stop, n):
@@ -349,13 +359,22 @@ class _Orders:
         block, flat, n = self.block, self.block.reshape(-1), self.shape[1]
         depth, rows = index[1].indices(n)[1], np.arange(len(self))[index[0]]
         rows = rows[self.depth[rows] < depth]
-        at = self.depth[rows]
-        for p in range(at.min(initial=depth), min(depth, _SWAPS)):
-            r = rows[at <= p]
+        # rows by depth, so that swap position p settles the first settled[p]
+        rows = rows[np.argsort(self.depth[rows], kind="stable")]
+        settled = np.searchsorted(self.depth[rows], np.arange(min(depth, _SWAPS)), "right")
+        ends = settled.cumsum()
+        # the read's (position, row) swaps, position-major, a group at a time
+        for lo in range(0, int(settled.sum()), ENTRY_BUDGET):
+            e = np.arange(lo, min(lo + ENTRY_BUDGET, ends[-1]))
+            p = np.searchsorted(ends, e, "right")
+            r = rows[e - ends[p] + settled[p]]
             u = _mix64(self.states[r] + self.steps[p])
             here = r * n + p
-            there = here + ((u >> _R32) * np.uint64(n - p) >> _R32).astype(int)
-            flat[here], flat[there] = flat[there], flat[here]
+            there = here + ((u >> _R32) * (n - p).astype(np.uint64) >> _R32).astype(int)
+            # position by position: a swap may move what an earlier one placed
+            for a, b in pairwise([0, *(np.flatnonzero(np.diff(p)) + 1).tolist(), p.size]):
+                h, t = here[a:b], there[a:b]
+                flat[h], flat[t] = flat[t], flat[h]
         if depth > _SWAPS:
             group = max(1, ENTRY_BUDGET // (n - _SWAPS))
             for g in (rows[lo : lo + group] for lo in range(0, rows.size, group)):

@@ -6,6 +6,7 @@ raw output bytes; statistical cases reuse the seeded corpus and pools.
 """
 
 import argparse
+import csv
 import hashlib
 import math
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvb import InputError, cli
+from pvb import InputError, cli, read_csv
 from pvb.cli import main, render_table, shifted_geomean_stat
 from pvb.gains import GainFileError, GainPair, GainSeries, load_gain_series
 from pvb.mini_bnb import MpsError, load_mps, save_mps, solve, sparse_multiknapsack
@@ -1227,3 +1228,46 @@ def test_a_plain_value_error_in_an_engine_is_still_internal(
     monkeypatch.setattr(cli, engine, broken)
     code, _, stderr = run(capsys, *argv)
     assert code == 1 and stderr == "internal error: broken invariant\n"
+
+
+def csv_refuses_nul():
+    """Whether this Python's csv.reader raises on a NUL byte (3.10 does)."""
+    try:
+        list(csv.reader(["a\0b\n"]))
+    except csv.Error:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("fault", ["long-field", "nul-byte"])
+@pytest.mark.parametrize("command", ["fit", "simulate", "report"])
+def test_a_row_that_csv_cannot_parse_is_an_input_fault(tmp_path, capsys, command, fault):
+    """A field past csv's 131,072-character limit, and on Python 3.10 a
+    NUL byte, makes csv.reader raise csv.Error; the gain file and report
+    readers raise their InputError with path:line, and main exits 2."""
+    path = tmp_path / "pool.csv"
+    lines = write_pool(path, 5, n=4).read_text().splitlines(keepends=True)
+    lines.insert(3, "root,{},1,1\n".format("x" * 140_000 if fault == "long-field" else "v\0"))
+    path.write_text("".join(lines))
+    out = str(tmp_path / "o.csv")
+    argv = {
+        "fit": ("fit", str(path), "--out", out),
+        "simulate": (
+            "simulate", "--instance", str(path), "--gaps", "8", "--trials", "2",
+            "--seed", "1", "--out", out,
+        ),
+        "report": ("report", str(path)),
+    }[command]
+    code, stdout, stderr = run(capsys, *argv)
+    if fault == "nul-byte" and not csv_refuses_nul():
+        assert code == 0, stderr
+        return
+    read = load_gain_series if command != "report" else read_csv
+    with pytest.raises(InputError) as caught:
+        read(str(path))
+    message = str(caught.value)
+    assert message.startswith(f"{path}:4: ")
+    assert "field larger than field limit" in message or "NUL" in message
+    assert isinstance(caught.value, GainFileError) == (command != "report")
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n"

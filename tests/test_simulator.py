@@ -683,6 +683,77 @@ def test_the_cells_of_a_chunk_read_one_order(monkeypatch):
         assert np.array_equal(window, eager[index])
 
 
+# (rows, lo, hi) of successive reads of a 12-row chunk: each read but the
+# last settles rows that earlier reads left at different depths below
+# _SWAPS, and the last crosses it on every row
+_MIXED_READS = [
+    ([0, 3, 6, 9], 0, 5),
+    ([1, 2, 3, 4, 9], 2, 17),
+    ([0, 1, 2, 3, 4, 5], 10, 40),
+    ([7, 8], 0, 63),
+    ([2, 8, 10], 30, 64),
+    ([1, 3, 4, 6, 11], 20, 41),
+    (list(range(12)), 60, None),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 3])
+@pytest.mark.parametrize("n", [70, 300])
+def test_rows_read_at_mixed_depths_settle_one_order(monkeypatch, budget, n):
+    """Each window of reads that find their rows at mixed depths is the
+    Python-int walk's order and one eager read's. A read draws its swap
+    indices in groups of at most ENTRY_BUDGET entries, so with the budget
+    at 1 to 3 the draw splits at every edge: no draw holds more entries,
+    and a read takes as many draws as its entries fill."""
+    if budget is not None:
+        monkeypatch.setattr(simulator, "ENTRY_BUDGET", budget)
+    budget = simulator.ENTRY_BUDGET
+    seed, start = 2**40 + 9, 500
+    eager = simulator._Orders(seed, start, start + 12, n)[:, 0:n]
+    orders, depth = simulator._Orders(seed, start, start + 12, n), np.zeros(12, int)
+    draws, mix64 = [], simulator._mix64
+
+    def counted(z):
+        if z.ndim == 1:  # a swap draw; the sort's keys are 2-d
+            draws.append(z.size)
+        return mix64(z)
+
+    monkeypatch.setattr(simulator, "_mix64", counted)
+    for rows, lo, hi in _MIXED_READS:
+        hi = n if hi is None else hi
+        entries = np.clip(min(hi, simulator._SWAPS) - depth[rows], 0, None).sum()
+        del draws[:]
+        window = orders[np.array(rows), lo:hi]
+        assert sum(draws) == entries and len(draws) == -(-entries // budget)
+        assert max(draws, default=0) <= budget
+        assert np.array_equal(window, eager[rows, lo:hi]), (rows, lo, hi)
+        for row, got in zip(rows, window.tolist()):
+            assert got == splitmix_order(seed, start + row, n, simulator._SWAPS)[lo:hi]
+        depth[rows] = np.maximum(depth[rows], hi)
+    assert (orders.depth == n).all()
+
+
+def test_only_trials_revealing_past_the_swaps_are_sorted():
+    """A window ends at _SWAPS, so after a fixed cell and a
+    prob-mixed-pareto cell read one fresh chunk, exactly the rows of the
+    trials that reveal past _SWAPS in either cell are settled whole; the
+    others stay at or above their reveals and at or below _SWAPS."""
+    rng = np.random.default_rng(97)
+    pool = np.concatenate([np.zeros(150), rng.pareto(2.0, size=350) + 1.0])
+    rng.shuffle(pool)
+    inst, n = make_instance(pool), len(pool)
+    for gap in (16.0, 48.0):
+        orders = simulator._Orders(424242, 0, 1000, n)
+        fixed = simulator._price(inst, gap, "fixed", orders, None, None)[0]
+        prob = simulator._price(inst, gap, "prob-mixed-pareto", orders, None, None)[0]
+        late = np.maximum(fixed, prob)
+        assert 0 < (late > simulator._SWAPS).sum() < 1000, gap
+        assert np.array_equal(orders.depth == n, late > simulator._SWAPS), gap
+        early = late <= simulator._SWAPS
+        assert (orders.depth[early] >= late[early]).all()
+        assert (orders.depth[early] <= simulator._SWAPS).all()
+
+
 def _chi2_p(counts):
     """Upper tail of a chi-squared statistic for uniform counts, by the
     Wilson-Hilferty cube-root normal approximation."""
