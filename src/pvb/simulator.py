@@ -11,11 +11,13 @@ lookahead.ENTRY_BUDGET allows for their number, so no strategy's
 temporaries pass that many entries. A step carries its rule's state as
 one column per trial, takes each running value as an accumulate over the
 carried column and the window (the per-reveal update's float operations
-in its order), and marks the (trial, reveal) entries that stop; a trial
-stops at its first stopping entry and leaves.
+in its order; a maximum, minimum, logical or or count, which is exact in
+any order, folds the carried column into the window's accumulate), and
+marks the (trial, reveal) entries that stop; a trial stops at its first
+stopping entry and leaves. Stop reasons are built only for run_trial.
 `fixed` carries the running best, the reveal of the last improvement and
-whether, and why, a streak or budget cap was first hit; a hit before any
-nonzero gain waits for the first one. A probabilistic step carries the
+whether a streak or budget cap was hit, and for a reason which was hit
+first; a hit before any nonzero gain waits for the first one. A probabilistic step carries the
 running sums of a GainAccumulator that its family's fit reads, fits as
 GainAccumulator.fit does, and decides a window in one lookahead.prob_stops
 call. `prob-exp` fits without a mass point: p0 = 0 and an exponential rate
@@ -31,8 +33,8 @@ _Orders settles each row only as deep as a cell reads it, drawing a read's
 swap indices per group of entries; a window ends at position 64, so only
 trials that reveal past it are sorted. Every (gap, strategy) cell of the
 chunk reads and extends the same rows; one run_trial call prices a `full`
-cell's chunk, which draws nothing. Each distinct best gain of a cell is
-priced into its tree once.
+cell's chunk, which draws nothing. Each distinct depth of a cell's best
+gains is priced into its tree once.
 Chunk sums are exact ints, so the means do not depend on execution order
 or worker count.
 """
@@ -47,7 +49,7 @@ from itertools import pairwise, product
 
 import numpy as np
 
-from .abstract_tree import CapacityError, PvbInstance, svb_depth, svb_tree_size
+from .abstract_tree import CapacityError, PvbInstance, svb_tree_size
 from .lookahead import (
     BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
@@ -132,6 +134,8 @@ class CampaignSpec:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r} (known: {', '.join(STRATEGIES)})")
+        if len(set(self.gaps)) != len(self.gaps):
+            raise ValueError("duplicate gaps")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("duplicate strategies")
         if not 0 <= check_int("seed", self.seed) < 2**64:
@@ -151,17 +155,27 @@ def _running(ufunc, carried, window):
     return ufunc.accumulate(np.hstack((carried, window)), axis=1)[:, 1:]
 
 
+def _folded(ufunc, carried, window):
+    """_running for a ufunc whose value does not depend on the order of its
+    operands (maximum, minimum, logical_or, a count): the window's
+    accumulate, in the carried column's dtype, with the carried column
+    folded in by one call."""
+    out = ufunc.accumulate(window, axis=1, dtype=carried.dtype)
+    return ufunc(out, carried, out=out)
+
+
 def _advance(orders, step, state, reveals, best_out, reasons):
-    """Write each trial's first stopping entry into the outputs.
+    """Write each trial's first stopping entry into the outputs, and its
+    stop reason into reasons unless that is None.
 
     The running trials advance a window of reveals at a time, as wide as
     ENTRY_BUDGET allows for their number and ending at _SWAPS, so only the
     trials that go on past it read their orders past it. step(idx, i,
     state) reads the window's pool indices, its reveal counts i and state,
     one column per trial; it returns the stopping entries, every entry's
-    running best, the stop reason (one, or one per trial) and the new
-    state, whose last column the trials that go on carry into the next
-    window.
+    running best, the stop reason (one, one per trial, or None when
+    reasons is None) and the new state, whose last column the trials that
+    go on carry into the next window.
     """
     alive, done, n = np.arange(len(orders)), 0, orders.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -174,33 +188,38 @@ def _advance(orders, step, state, reveals, best_out, reasons):
             first, hit = stop.argmax(axis=1), stop.any(axis=1)
             at, keep = alive[hit], ~hit
             reveals[at], best_out[at] = done + first[hit] + 1, best[hit, first[hit]]
-            reasons[at] = np.broadcast_to(reason, hit.shape)[hit]
+            if reasons is not None:
+                reasons[at] = np.broadcast_to(reason, hit.shape)[hit]
             alive, done = alive[keep], done + width
             state = tuple(x[keep, -1:] for x in state)
 
 
-def _fixed_step(gains, fixed, rows):
+def _fixed_step(gains, fixed, rows, reasons):
     """The fixed rule's step and start state: L_max = L, gamma_max = K.
 
-    A trial carries its running best, the reveal of its last improvement,
-    whether a streak or budget cap has been hit and whether that first
-    hit was the streak cap. A hit stops the trial at its first nonzero
-    gain, with the first hit's reason.
+    A trial carries its running best, the reveal of its last improvement
+    and whether a streak or budget cap has been hit; with reasons, also
+    whether that first hit was the streak cap. A hit stops the trial at
+    its first nonzero gain, with the first hit's reason.
     """
 
     def step(idx, i, state):
-        top, last, hit, capped = state
+        top, last, hit, *capped = state
         v = gains[idx]
-        best = _running(np.maximum, top, v)
-        last = _running(np.maximum, last, np.where(v > np.hstack((top, best[:, :-1])), i, 0))
+        best = _folded(np.maximum, top, v)
+        last = _folded(np.maximum, last, np.where(v > np.hstack((top, best[:, :-1])), i, 0))
         streak = i - last >= fixed.L
         hits = streak | (2.0 * i >= fixed.K)
-        capped = np.where(hit, capped, np.take_along_axis(streak, hits.argmax(axis=1)[:, None], 1))
-        hit = _running(np.logical_or, hit, hits)
-        reason = np.where(capped[:, 0], LOOKAHEAD_EXHAUSTED, BUDGET_EXHAUSTED)
-        return hit & (best > 0.0), best, reason, (best, last, hit, capped)
+        reason = None
+        if reasons:
+            first = np.take_along_axis(streak, hits.argmax(axis=1)[:, None], 1)
+            capped = [np.where(hit, capped[0], first)]
+            reason = np.where(capped[0][:, 0], LOOKAHEAD_EXHAUSTED, BUDGET_EXHAUSTED)
+        hit = _folded(np.logical_or, hit, hits)
+        return hit & (best > 0.0), best, reason, (best, last, hit, *capped)
 
-    return step, (np.zeros((rows, 1)), np.zeros((rows, 1), int), *np.zeros((2, rows, 1), bool))
+    flags = np.zeros((1 + bool(reasons), rows, 1), bool)
+    return step, (np.zeros((rows, 1)), np.zeros((rows, 1), int), *flags)
 
 
 def _prob_step(gains, logs, gap, strategy, prob, rows):
@@ -223,14 +242,14 @@ def _prob_step(gains, logs, gap, strategy, prob, rows):
         best, n1, *tail = state
         v = gains[idx]
         nonzero = v > 0.0
-        best, n1 = _running(np.maximum, best, v), _running(np.add, n1, nonzero)
+        best, n1 = _folded(np.maximum, best, v), _folded(np.add, n1, nonzero)
         depth = np.ceil(gap / best)  # inf before the first nonzero gain or on overflow
         p0 = (i - n1) / i if mass_point else np.zeros(v.shape)
         if pareto:
             lg, (log_sum, lowest, log_lowest) = logs[idx], tail
             log_sum = _running(np.add, log_sum, lg)
-            lowest = _running(np.minimum, lowest, np.where(nonzero, v, np.inf))
-            log_lowest = _running(np.minimum, log_lowest, np.where(nonzero, lg, np.inf))
+            lowest = _folded(np.minimum, lowest, np.where(nonzero, v, np.inf))
+            log_lowest = _folded(np.minimum, log_lowest, np.where(nonzero, lg, np.inf))
             tail = log_sum, lowest, log_lowest
             log_ratio_sum = log_sum - n1 * log_lowest
             theta = (lowest, n1 / log_ratio_sum)
@@ -258,31 +277,38 @@ def _closable_arrays(instance: PvbInstance):
     return gains, logs
 
 
-def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob):
-    """Reveals, best gains and stop reasons of trials revealing in the orders' rows."""
+def _price(instance: PvbInstance, gap, strategy, orders, fixed, prob, reasons=True):
+    """Reveals, best gains and stop reasons (None unless reasons) of trials
+    revealing in the orders' rows."""
     gains, logs = _closable_arrays(instance)
+    rows = len(orders)
     # a trial that never stops reveals every gain and ends with the largest
-    reasons = np.full(len(orders), CANDIDATES_EXHAUSTED, dtype=object)
-    out = np.full(len(orders), orders.shape[1]), np.full(len(orders), gains.max()), reasons
+    stops = np.full(rows, CANDIDATES_EXHAUSTED, dtype=object) if reasons else None
+    out = np.full(rows, orders.shape[1]), np.full(rows, gains.max()), stops
     if strategy == "fixed":
-        _advance(orders, *_fixed_step(gains, fixed or FixedLookaheadConfig(), len(orders)), *out)
+        fixed = fixed or FixedLookaheadConfig()
+        _advance(orders, *_fixed_step(gains, fixed, rows, reasons), *out)
     elif strategy in _PROB_FITS:
         prob = prob or ProbLookaheadConfig()
-        _advance(orders, *_prob_step(gains, logs, gap, strategy, prob, len(orders)), *out)
+        _advance(orders, *_prob_step(gains, logs, gap, strategy, prob, rows), *out)
     return out
 
 
 def _tree_nodes(gap, best) -> int:
     """Summed final trees of trials with these best gains, or the first CapacityError.
 
-    Each distinct best is priced once. A Counter keeps its keys in the
-    order of their first trials, so the error raised is the first failing
-    trial's.
+    A best is a nonzero gain of reveal_arrays, never classified zero, so
+    its svb_depth is ceil(gap / best), inf when that overflows; each
+    distinct depth is priced once. A Counter keeps its keys in the order
+    of their first trials, so the error raised is the first failing trial's.
     """
+    with np.errstate(over="ignore"):
+        depths = Counter(np.ceil(gap / best).tolist())
     try:
+        # an int depth, as svb_depth returns, is what the error names
         return sum(
-            svb_tree_size(svb_depth(gap, b)) * count
-            for b, count in Counter(best.tolist()).items()
+            svb_tree_size(int(d) if math.isfinite(d) else d) * count
+            for d, count in depths.items()
         )
     except CapacityError as exc:
         raise CapacityError(f"gap {gap!r}: best {exc}") from None
@@ -401,7 +427,9 @@ def _chunk_sums(args):
                 r = run_trial(spec.instance, gap, strategy, None, fixed, prob)
                 sums.append((r.total_nodes * count, r.sb_nodes * count))
             else:
-                reveals, best, _ = _price(spec.instance, gap, strategy, orders, fixed, prob)
+                reveals, best, _ = _price(
+                    spec.instance, gap, strategy, orders, fixed, prob, reasons=False
+                )
                 sb = 2 * int(reveals.sum())
                 sums.append((_tree_nodes(gap, best) + sb, sb))
         except CapacityError as exc:
@@ -436,7 +464,7 @@ def run_campaign(
     step = max(1, min(per_chunk, _BLOCK_BYTES // (n * np.min_scalar_type(n).itemsize)))
     starts = range(0, spec.trials, step)
     chunks = [(spec, lo, min(lo + step, spec.trials), fixed, prob) for lo in starts]
-    if workers == 1:
+    if workers == 1 or len(chunks) == 1:
         sums = list(map(_chunk_sums, chunks))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as executor:

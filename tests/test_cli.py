@@ -242,6 +242,21 @@ class TestSimulate:
             assert code == 2 and "internal error" not in stderr
             assert f"{path}: node 'r': gap 1e+300: best depth inf exceeds 1022" in stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--gaps", "8,16,8.0", "duplicate gaps"),
+            ("--strategies", "full,full", "duplicate strategies"),
+        ],
+    )
+    def test_a_repeated_gap_or_strategy_exits_2(self, tmp_path, capsys, flag, value, message):
+        # a repeated gap would price each of its cells twice and print each row twice
+        pool = write_pool(tmp_path / "pool.csv", 5)
+        out = tmp_path / "o.csv"
+        code, stdout, stderr = self.simulate(capsys, pool, out, flag, value)
+        assert code == 2 and message in stderr and "internal error" not in stderr
+        assert stdout == "" and not out.exists()
+
     def test_unknown_strategy(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 5)
         code, _, stderr = self.simulate(

@@ -13,6 +13,7 @@ qualitative strategy ordering on a synthetic Pareto pool.
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvb import lookahead, simulator
-from pvb.abstract_tree import MAX_FINAL_DEPTH, CapacityError, PvbInstance, svb_depth
+from pvb.abstract_tree import (
+    MAX_FINAL_DEPTH,
+    CapacityError,
+    PvbInstance,
+    svb_depth,
+    svb_tree_size,
+)
 from pvb.distributions import GainAccumulator
 from pvb.gains import is_zero_gain
 from pvb.lookahead import (
@@ -262,9 +269,9 @@ def test_array_engine_matches_the_per_reveal_reference(case):
 
 @st.composite
 def campaign_cases(draw):
-    """A trial_cases pool with a second gap and a handful of trials."""
+    """A trial_cases pool with a second, other gap and a handful of trials."""
     pool, gap, fixed, prob, seed = draw(trial_cases())
-    gaps = (gap, 10.0 ** draw(st.floats(-1.0, 3.0)))
+    gaps = (gap, 10.0 ** draw(st.floats(-1.0, 3.0).filter(lambda e: 10.0**e != gap)))
     return pool, gaps, fixed, prob, seed, draw(st.integers(1, 9))
 
 
@@ -401,6 +408,85 @@ def test_a_straggler_is_priced_across_windows_as_it_is_alone():
             ), (strategy, t)
 
 
+@pytest.mark.parametrize("budget", [1, 2, 3, ENTRY_BUDGET])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=trial_cases())
+def test_pricing_without_reasons_gives_the_same_reveals_and_bests(budget, case):
+    """A campaign cell prices without stop reasons, so the fixed step
+    carries no first-hit flag. In windows of one to three reveals and at
+    the full budget, every trial of a block of eight reveals as often and
+    ends with the same best as when its reasons are built."""
+    pool, gap, fixed, prob, seed = case
+    inst = make_instance(pool)
+    orders = np.array([np.random.default_rng(seed + t).permutation(len(pool)) for t in range(8)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "ENTRY_BUDGET", budget)
+        for strategy in ("fixed", "prob-exp", "prob-mixed-exp", "prob-mixed-pareto"):
+            reveals, best, reasons = simulator._price(inst, gap, strategy, orders, fixed, prob)
+            bare = simulator._price(inst, gap, strategy, orders, fixed, prob, reasons=False)
+            assert reasons.shape == (8,) and bare[2] is None
+            assert bare[0].tobytes() == reveals.tobytes(), strategy
+            assert bare[1].tobytes() == best.tobytes(), strategy
+
+
+@pytest.mark.parametrize(
+    "ufunc, carried, window",
+    [
+        (np.maximum, [0.0, 1.5, 3.0, np.inf], [0.0, 0.0, 1.5, 1.5, 3.0, np.inf]),
+        (np.minimum, [0.0, 1.5, np.inf], [0.0, 1.5, 1.5, 3.0, np.inf, np.inf]),
+        (np.maximum, [0, 4, 9], [0, 0, 4, 4, 9]),
+        (np.logical_or, [False, True], [False, False, True]),
+        (np.add, [0.0, 1.0, 7.0], [False, True]),
+    ],
+    ids=["best", "lowest", "last-improvement", "hit", "nonzero-count"],
+)
+def test_the_folded_accumulate_is_the_hstack_accumulate(ufunc, carried, window):
+    """_folded, the window's accumulate with the carried column folded in
+    afterwards, is _running's accumulate over the hstacked carried column
+    bit for bit, dtype included, for each running value it serves, on
+    windows that hold ties, zeros and inf."""
+    rng = np.random.default_rng(5)
+    for rows, width in ((1, 1), (3, 1), (1, 7), (40, 5), (200, 41)):
+        c = rng.choice(np.array(carried), (rows, 1))
+        w = rng.choice(np.array(window), (rows, width))
+        want = simulator._running(ufunc, c, w)
+        got = simulator._folded(ufunc, c, w)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (rows, width)
+
+
+def _tree_nodes_by_best(gap, best):
+    """The summed trees priced once per distinct best through svb_depth."""
+    try:
+        counts = Counter(best.tolist())
+        return sum(svb_tree_size(svb_depth(gap, b)) * count for b, count in counts.items())
+    except CapacityError as exc:
+        raise CapacityError(f"gap {gap!r}: best {exc}") from None
+
+
+def test_pricing_by_depth_is_pricing_by_best():
+    """Blocks of bests at depths 1021 to 1023, and past the float range (a
+    gap of 1e300 over 2e-9, a gain a pool keeps nonzero), sum to the same
+    trees, or raise the same first CapacityError, priced once per distinct
+    depth as once per distinct best."""
+
+    def outcome(tree_nodes, best):
+        try:
+            return tree_nodes(1e300, best)
+        except CapacityError as exc:
+            return str(exc)
+
+    rng = np.random.default_rng(17)
+    seen = Counter()
+    for _ in range(400):
+        size = int(rng.integers(1, 16))
+        depth = rng.uniform(rng.choice([1.0, 1019.5, 1020.0]), 1023.0, size)
+        best = np.where(rng.random(size) < 0.1, 2e-9, 1e300 / depth)
+        got = outcome(simulator._tree_nodes, best)
+        assert got == outcome(_tree_nodes_by_best, best), best
+        seen[got.split(" exceeds")[0] if isinstance(got, str) else "sum"] += 1
+    assert set(seen) == {"sum", "gap 1e+300: best depth 1023", "gap 1e+300: best depth inf"}
+
+
 def test_expected_size_test_runs_past_depth_512_up_to_the_one_guard():
     # best depth 600 from the first gain; every later gain is tiny, so the
     # fitted tail's mass past G/599 falls like exp(-k) after k reveals and
@@ -492,9 +578,10 @@ def test_campaign_means_do_not_depend_on_worker_count():
     assert run_campaign(spec, workers=1) == run_campaign(spec, workers=2)
 
 
-def test_the_pool_is_capped_at_the_number_of_chunks(monkeypatch):
-    # a fork pool starts every worker it is asked for, so workers past the
-    # chunk count would only sit idle; the stand-in starts no process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool run_campaign asks for, through
+    a stand-in that starts no process."""
     asked = []
 
     class Recording:
@@ -511,9 +598,23 @@ def test_the_pool_is_capped_at_the_number_of_chunks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", Recording)
+    return asked
+
+
+def test_the_pool_is_capped_at_the_number_of_chunks(pool_sizes):
+    # a fork pool starts every worker it is asked for, so workers past the
+    # chunk count would only sit idle
     spec = CampaignSpec(_pareto_pool(73, 8, 22), (6.0, 14.0), trials=3, seed=5151)
     assert run_campaign(spec, workers=8) == run_campaign(spec, workers=1)
-    assert asked == [3]
+    assert pool_sizes == [3]
+
+
+def test_a_single_chunk_runs_in_process(pool_sizes):
+    """One trial is one chunk, so two workers ask for no pool and price it
+    as one worker does."""
+    spec = CampaignSpec(_pareto_pool(73, 8, 22), (6.0, 14.0), trials=1, seed=5151)
+    assert run_campaign(spec, workers=2) == run_campaign(spec, workers=1)
+    assert pool_sizes == []
 
 
 def test_strategy_ordering_on_a_synthetic_pareto_pool():
@@ -556,8 +657,10 @@ def test_campaign_spec_validation():
         CampaignSpec(instance=inst, gaps=(1.0,), trials=0)
     with pytest.raises(ValueError):
         CampaignSpec(instance=inst, gaps=(1.0,), strategies=("sb-magic",))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate strategies"):
         CampaignSpec(instance=inst, gaps=(1.0,), strategies=("fixed", "full", "fixed"))
+    with pytest.raises(ValueError, match="duplicate gaps"):
+        CampaignSpec(instance=inst, gaps=(8.0, 16.0, 8))
     with pytest.raises(ValueError):
         run_campaign(CampaignSpec(instance=inst, gaps=(1.0,)), workers=0)
 
