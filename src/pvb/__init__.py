@@ -3,6 +3,7 @@ probabilistic-lookahead stopping, simulation harness, and a miniature
 branch-and-bound solver wired to the same branching rule."""
 
 import csv
+from concurrent.futures import ProcessPoolExecutor
 
 __version__ = "0.1.0"
 
@@ -33,3 +34,13 @@ def read_csv(path, error=InputError) -> list[list[str]]:
         return list(reader)
     except csv.Error as exc:
         raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def pool_map(fn, jobs, workers: int) -> list:
+    """[fn(job) for job in jobs]: in this process when min(workers, len(jobs))
+    <= 1, else in a ProcessPoolExecutor of that many workers, in order."""
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return list(map(fn, jobs))
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(fn, jobs))

@@ -26,12 +26,11 @@ import math
 import os
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from . import InputError, read_csv, read_lines
+from . import InputError, pool_map, read_csv, read_lines
 from .abstract_tree import CapacityError, PvbInstance
 from .distributions import FAMILIES, fit_report
 from .gains import load_gain_series
@@ -337,12 +336,8 @@ def cmd_sweep(args) -> int:
     # one job per instance, so its cells share their LPs; outcomes[i][c]
     # is instance i in cell c
     jobs = [(name, mip, configs) for name, mip in mips]
-    workers = min(args.workers, len(jobs))
-    if workers <= 1:
-        outcomes = [_sweep_solve(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            outcomes = list(executor.map(_sweep_solve, jobs))
+    # perfbench's tracer wraps _sweep_solve on this module, so it is looked up here
+    outcomes = pool_map(_sweep_solve, jobs, args.workers)
 
     for name, message in parse_failures:
         print(f"failed {name}: {message}", file=sys.stderr)
@@ -412,7 +407,7 @@ def _add_solver_flags(parser, with_mode: bool = True) -> None:
         help="branchings per direction before pseudocosts are trusted",
     )
     parser.add_argument(
-        "--node-limit", dest="node_limit", type=int, default=1_000_000,
+        "--node-limit", dest="node_limit", type=int, default=SolverConfig.node_limit,
         help="stop with status node_limit after this many nodes; a tree may never close",
     )
 

@@ -14,9 +14,9 @@ ks_test and the stopping rule's depth probabilities
 (lookahead.depth_probabilities) all call them.
 
 Fits are O(1)-updatable: GainAccumulator keeps the running sums (count,
-sum, sum of logs, min, max, squared sums) from which every family's MLE is
-recomputed, so the solver can refit after each reveal without rescanning
-its history.
+sum, sum of logs, min, max, least log, squared sums) from which its tail
+method, each family's one MLE, refits after each reveal without rescanning
+the history: for one sample through fit, or per trial in the campaign.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ class GainAccumulator:
     sum_sq_logs: float = 0.0
     nonzero_min: float = field(default=math.inf)
     nonzero_max: float = 0.0
+    log_min: float = field(default=math.inf)  # least math.log of a nonzero gain
 
     @property
     def n_nonzero(self) -> int:
@@ -196,54 +197,52 @@ class GainAccumulator:
         self.sum_sq_logs += lg * lg
         self.nonzero_min = min(self.nonzero_min, value)
         self.nonzero_max = max(self.nonzero_max, value)
+        self.log_min = min(self.log_min, lg)
 
     def extend(self, values) -> None:
         for v in values:
             self.add(v)
 
-    def fit(self, family: str) -> MixedGainDistribution:
-        """Closed-form MLE of p0 and the tail from the running sums.
+    def tail(self, family: str):
+        """The tail's closed-form MLE, as (theta, defined), from float sums (one
+        sample, as add keeps them) or arrays that broadcast together (one entry
+        per sample, as the campaign engine fills them). defined is False where
+        the MLE is undefined or leaves the float range: no nonzero gain (no
+        positive sum, for exponential); no spread, by the exact min and max, for
+        pareto, lognormal and normal (equal gains leave residue in the sums); a
+        pareto log ratio sum that is not positive (distinct gains may share a
+        log); a sum or variance that is not finite. theta is unread there: None
+        for float sums, before a formula divides by zero, and for arrays what
+        the formulas give under the caller's np.errstate."""
+        n1 = self.n_nonzero
+        if family == "uniform":
+            return (self.nonzero_max,), n1 > 0
+        if family == "exponential":
+            defined = (0.0 < self.nonzero_sum) & (self.nonzero_sum < math.inf)
+            return (None if defined is False else (n1 / self.nonzero_sum,)), defined
+        spread = self.nonzero_min < self.nonzero_max  # False without a nonzero gain
+        if family == "pareto":
+            ratio = self.sum_logs - n1 * self.log_min
+            defined = spread & (ratio > 0)
+            return (None if defined is False else (self.nonzero_min, n1 / ratio)), defined
+        if spread is False:
+            return None, spread
+        lognormal = family == "lognormal"  # else normal
+        mean = (self.sum_logs if lognormal else self.nonzero_sum) / n1
+        var = (self.sum_sq_logs if lognormal else self.nonzero_sum_sq) / n1 - mean * mean
+        defined = spread & (0 < var) & (var < math.inf)
+        return (None if defined is False else (mean, np.sqrt(var))), defined
 
-        theta is None wherever the tail's MLE is undefined or leaves the
-        float range: no nonzero gain, fewer than 2 for pareto or
-        lognormal, nonzero gains without spread, or a sum or a variance
-        that is not finite. "Without spread" is decided from the exact
-        minimum and maximum, since equal gains leave rounding residue in
-        the sums.
-        Raises ValueError only for an unknown family or an empty sample.
-        """
+    def fit(self, family: str) -> MixedGainDistribution:
+        """p0, the zero fraction, and tail's theta, None where it is undefined.
+        Raises ValueError only for an unknown family or an empty sample."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if self.count == 0:
             raise ValueError("cannot fit an empty sample")
-        n1 = self.n_nonzero
+        theta, defined = self.tail(family)
         p0 = self.zero_count / self.count
-        if n1 == 0 or (
-            family in ("pareto", "lognormal", "normal")
-            and self.nonzero_min == self.nonzero_max
-        ):
-            return MixedGainDistribution(p0, family, None)
-        theta = None
-        if family == "exponential":
-            if self.nonzero_sum < math.inf:
-                theta = (n1 / self.nonzero_sum,)
-        elif family == "pareto":
-            log_ratio_sum = self.sum_logs - n1 * math.log(self.nonzero_min)
-            if log_ratio_sum > 0:
-                theta = (self.nonzero_min, n1 / log_ratio_sum)
-        elif family == "lognormal":
-            mu = self.sum_logs / n1
-            var = self.sum_sq_logs / n1 - mu * mu
-            if 0 < var < math.inf:
-                theta = (mu, math.sqrt(var))
-        elif family == "uniform":
-            theta = (self.nonzero_max,)
-        else:  # normal
-            mean = self.nonzero_sum / n1
-            var = self.nonzero_sum_sq / n1 - mean * mean
-            if 0 < var < math.inf:
-                theta = (mean, math.sqrt(var))
-        return MixedGainDistribution(p0, family, theta)
+        return MixedGainDistribution(p0, family, theta if defined else None)
 
 
 def kolmogorov_pvalue(lam: float) -> float:

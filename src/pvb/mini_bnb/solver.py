@@ -180,13 +180,13 @@ class SolverConfig:
     fixed: FixedLookaheadConfig = FixedLookaheadConfig()
     prob: ProbLookaheadConfig = ProbLookaheadConfig()
     reliability_threshold: int = 2
-    node_limit: int | None = None
+    node_limit: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.node_limit is not None and check_int("node_limit", self.node_limit) < 1:
-            raise ValueError("node_limit must be >= 1 when set")
+        if check_int("node_limit", self.node_limit) < 1:
+            raise ValueError("node_limit must be >= 1")
         if check_int("reliability_threshold", self.reliability_threshold) < 0:
             raise ValueError("reliability_threshold must be >= 0")
 
@@ -358,11 +358,10 @@ def select_branching_variable(
     scores = {
         j: pseudocost.predicted_score(j, fracs[j]) for j in candidates
     }
-    unreliable = [j for j in candidates if not pseudocost.reliable(j)]
-
-    if not unreliable:
-        best = min(candidates, key=lambda j: (-scores[j], j))
-        return ScanOutcome(best, PSEUDOCOST_ONLY, 0, 0)
+    # only unreliable columns are evaluated, and only evaluated columns
+    # change their counts, so the reliable set is final before the scan
+    final = {j: scores[j] for j in candidates if pseudocost.reliable(j)}
+    unreliable = [j for j in candidates if j not in final]
 
     order = sorted(unreliable, key=lambda j: (-scores[j], j))[:MAX_SB_CANDIDATES]
     armed = config.mode == "dynamic" and gap is not None and gap > 0.0
@@ -372,9 +371,8 @@ def select_branching_variable(
         uninit_fraction=len(unreliable) / len(candidates), samples=samples,
     )
 
-    final: dict[int, float] = {}
     evaluated: dict[int, SbEval] = {}
-    reason = CANDIDATES_EXHAUSTED
+    reason = CANDIDATES_EXHAUSTED if unreliable else PSEUDOCOST_ONLY
     best = None
     for j in order:
         ev = known.get(j)
@@ -404,9 +402,6 @@ def select_branching_variable(
 
     sb_iterations = sum(ev.iterations for ev in evaluated.values())
     if best is None:
-        for j in candidates:
-            if j not in evaluated and pseudocost.reliable(j):
-                final[j] = scores[j]
         best = min(final, key=lambda j: (-final[j], j))
     return ScanOutcome(best, reason, len(evaluated), sb_iterations, evaluated.get(best))
 
@@ -473,7 +468,7 @@ def solve(
     status: str | None = None
 
     while heap:
-        if config.node_limit is not None and nodes >= config.node_limit:
+        if nodes >= config.node_limit:
             status = NODE_LIMIT
             break
         if incumbent_obj is not None and heap[0][0] >= incumbent_obj - _PRUNE_TOL:

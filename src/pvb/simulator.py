@@ -17,10 +17,12 @@ marks the (trial, reveal) entries that stop; a trial stops at its first
 stopping entry and leaves. Stop reasons are built only for run_trial.
 `fixed` carries the running best, the reveal of the last improvement and
 whether a streak or budget cap was hit, and for a reason which was hit
-first; a hit before any nonzero gain waits for the first one. A probabilistic step carries the
-running sums of a GainAccumulator that its family's fit reads, fits as
-GainAccumulator.fit does, and decides a window in one lookahead.prob_stops
-call. `prob-exp` fits without a mass point: p0 = 0 and an exponential rate
+first; a hit before any nonzero gain waits for the first one. A
+probabilistic step carries the running sums that its family's MLE reads,
+fits a window through one GainAccumulator.tail call on them, the MLE of
+the solver and of `pvb fit`, and decides the window in one
+lookahead.prob_stops call. `prob-exp` fits without a mass point: its
+accumulator's zero count is 0, so p0 = 0 and the exponential rate runs
 over every reveal, zeros included.
 
 Campaigns cut the trials, not the cells, into chunks: every trial in one
@@ -43,13 +45,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import pairwise, product
 
 import numpy as np
 
+from . import pool_map
 from .abstract_tree import CapacityError, PvbInstance, svb_tree_size
+from .distributions import GainAccumulator
 from .lookahead import (
     BUDGET_EXHAUSTED,
     CANDIDATES_EXHAUSTED,
@@ -231,39 +234,37 @@ def _prob_step(gains, logs, gap, strategy, prob, rows):
     is expected to pay, which is how it escapes the fixed rule's blowup at
     large gaps. The solver's variant with hard caps is should_continue.
 
-    A trial carries its best, nonzero count and tail statistics: the log
-    sum, the lowest and the lowest log (the log of the lowest, as math.log
-    is monotone) for pareto, the gain sum (a zero adds 0.0) for exponential.
+    A trial carries its best, zero count and the running sums that its
+    family's GainAccumulator.tail reads: the log sum, the lowest and the
+    lowest log for pareto, the gain sum (a zero adds 0.0) for exponential.
+    Each window's entries fill one GainAccumulator of arrays, whose tail
+    gives theta and where it is defined; prob-exp's zero count is 0.
     """
     family, mass_point = _PROB_FITS[strategy]
     pareto = family == "pareto"
 
     def step(idx, i, state):
-        best, n1, *tail = state
+        best, zeros, *tail = state
         v = gains[idx]
-        nonzero = v > 0.0
-        best, n1 = _folded(np.maximum, best, v), _folded(np.add, n1, nonzero)
+        zero = v == 0.0
+        best, zeros = _folded(np.maximum, best, v), _folded(np.add, zeros, zero)
         depth = np.ceil(gap / best)  # inf before the first nonzero gain or on overflow
-        p0 = (i - n1) / i if mass_point else np.zeros(v.shape)
+        acc = GainAccumulator(i, zeros if mass_point else 0, nonzero_max=best)
         if pareto:
             lg, (log_sum, lowest, log_lowest) = logs[idx], tail
-            log_sum = _running(np.add, log_sum, lg)
-            lowest = _folded(np.minimum, lowest, np.where(nonzero, v, np.inf))
-            log_lowest = _folded(np.minimum, log_lowest, np.where(nonzero, lg, np.inf))
-            tail = log_sum, lowest, log_lowest
-            log_ratio_sum = log_sum - n1 * log_lowest
-            theta = (lowest, n1 / log_ratio_sum)
-            # spread in the nonzero gains (so at least 2), as GainAccumulator.fit
-            fitted = (best > lowest) & (log_ratio_sum > 0.0)
+            acc.sum_logs = _running(np.add, log_sum, lg)
+            acc.nonzero_min = _folded(np.minimum, lowest, np.where(zero, np.inf, v))
+            acc.log_min = _folded(np.minimum, log_lowest, np.where(zero, np.inf, lg))
+            tail = acc.sum_logs, acc.nonzero_min, acc.log_min
         else:
-            tail = (_running(np.add, tail[0], v),)
-            theta = ((n1 if mass_point else i) / tail[0],)
-            # an overflowing sum leaves no rate, as GainAccumulator.fit
-            fitted = np.isfinite(tail[0])
-        ready = (n1 >= prob.min_nonzero_samples) & fitted
+            acc.nonzero_sum = _running(np.add, tail[0], v)
+            tail = (acc.nonzero_sum,)
+        theta, defined = acc.tail(family)
+        ready = (zeros <= i - prob.min_nonzero_samples) & defined
         theta = tuple(t.ravel() for t in theta)
+        p0 = zeros / i if mass_point else np.zeros(v.shape)
         stop = prob_stops(gap, depth.ravel(), ready.ravel(), p0.ravel(), family, theta)
-        return stop.reshape(v.shape), best, NO_EXPECTED_IMPROVEMENT, (best, n1, *tail)
+        return stop.reshape(v.shape), best, NO_EXPECTED_IMPROVEMENT, (best, zeros, *tail)
 
     zeros, inf = np.zeros((rows, 1)), np.full((rows, 1), np.inf)
     return step, (zeros, zeros, *((zeros, inf, inf) if pareto else (zeros,)))
@@ -464,11 +465,7 @@ def run_campaign(
     step = max(1, min(per_chunk, _BLOCK_BYTES // (n * np.min_scalar_type(n).itemsize)))
     starts = range(0, spec.trials, step)
     chunks = [(spec, lo, min(lo + step, spec.trials), fixed, prob) for lo in starts]
-    if workers == 1 or len(chunks) == 1:
-        sums = list(map(_chunk_sums, chunks))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as executor:
-            sums = list(executor.map(_chunk_sums, chunks))
+    sums = pool_map(_chunk_sums, chunks, workers)
     rows = []
     for (gap, strategy), cell in zip(product(spec.gaps, spec.strategies), zip(*sums)):
         for s in cell:

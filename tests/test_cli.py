@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pvb
 from pvb import InputError, cli, read_csv
 from pvb.cli import main, render_table, shifted_geomean_stat
 from pvb.gains import GainFileError, GainPair, GainSeries, load_gain_series
@@ -629,8 +630,10 @@ class TestSolve:
     )
     def test_the_node_limit_defaults_to_a_million(self, command):
         # 57x the largest tree a shipped instance or test builds:
-        # 17,479 nodes for sparse_multiknapsack(60, 30, 1)
-        assert cli.build_parser().parse_args(command).node_limit == 1_000_000
+        # 17,479 nodes for sparse_multiknapsack(60, 30, 1); a library
+        # solve() stops there too
+        limit = cli.build_parser().parse_args(command).node_limit
+        assert limit == cli.SolverConfig().node_limit == 1_000_000
 
     def test_instance_without_rows_is_solved(self, tmp_path, capsys):
         # once an internal error (exit 1) from the LP engine
@@ -897,13 +900,13 @@ class TestSweep:
         for seed in (1, 2):
             save_mps(sparse_multiknapsack(14, 8, seed), directory / f"i{seed}.mps")
         asked = []
-        real = cli.ProcessPoolExecutor
+        real = pvb.ProcessPoolExecutor
 
         def recording(max_workers):
             asked.append(max_workers)
             return real(max_workers=max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(pvb, "ProcessPoolExecutor", recording)
         code, _, stderr = run(
             capsys, "sweep", str(directory), "--seed", "1", "--workers", "8",
             "--out", str(tmp_path / "sweep.csv"),

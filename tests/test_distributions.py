@@ -17,7 +17,7 @@ from pvb.distributions import (
     tail_cdf,
     tail_survival,
 )
-from pvb.gains import GainPair, GainSeries
+from pvb.gains import GainPair, GainSeries, is_zero_gain
 
 from oracles import ks_brute, sample_mixed, sample_tail, tail_cdf_mp
 
@@ -145,6 +145,105 @@ class TestAccumulator:
             acc.add(-1.0)
         with pytest.raises(ValueError):
             acc.add(float("nan"))
+
+
+def _columns(rows, zero_count=True):
+    """A GainAccumulator of arrays whose entry (r, k) holds the sums of
+    rows[r][:k + 1] as add keeps them, in add's order of operations; with
+    zero_count False it has none, and every gain enters nonzero_sum."""
+    zero = np.array([[is_zero_gain(x) for x in row] for row in rows])
+    v = np.where(zero, 0.0, np.array(rows, dtype=float))
+    lg = np.array([[0.0 if z else math.log(x) for x, z in zip(*pair)] for pair in zip(v, zero)])
+    count = np.arange(1, v.shape[1] + 1)
+    with np.errstate(over="ignore"):  # sums past the float range are inf, as add's
+        if not zero_count:
+            return GainAccumulator(count, nonzero_sum=np.add.accumulate(v, 1))
+        return GainAccumulator(
+            count=count,
+            zero_count=np.cumsum(zero, 1, dtype=float),
+            nonzero_sum=np.add.accumulate(v, 1),
+            nonzero_sum_sq=np.add.accumulate(v * v, 1),
+            sum_logs=np.add.accumulate(lg, 1),
+            sum_sq_logs=np.add.accumulate(lg * lg, 1),
+            nonzero_min=np.minimum.accumulate(np.where(zero, np.inf, v), 1),
+            nonzero_max=np.maximum.accumulate(v, 1),
+            log_min=np.minimum.accumulate(np.where(zero, np.inf, lg), 1),
+        )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTailColumns:
+    """GainAccumulator.tail on array sums, as the campaign engine calls it,
+    is fit on each prefix, bit for bit: one MLE for both."""
+
+    ABOVE_1E300 = float(np.nextafter(1e300, np.inf))
+    ROWS = {
+        "no nonzero gain": [0.0, 0.0, 5e-10, 0.0, 0.0, 0.0],
+        "one nonzero gain": [0.0, 3.0, 0.0, 0.0, 0.0, 0.0],
+        "equal gains": [3.3] * 6,
+        "normal sums overflow": [1e154, 1.2e154, 0.0, 0.9e154, 1.1e154, 1e154],
+        "gain sum overflows": [1e308, 0.0, 1.7e308, 3.0, 1e308, 2.0],
+        "pareto logs equal": [1e300, ABOVE_1E300, 0.0, 1e300, ABOVE_1E300, 1e300],
+        "mixed": [0.0, 2.5, 0.7, 0.0, 13.0, 1.0001],
+        "tiny and huge": [1e-8, 0.0, 4e7, 2e-8, 0.0, 9.5],
+    }
+
+    def test_tail_on_columns_is_fit_on_each_prefix(self):
+        rows = list(self.ROWS.values())
+        cols = _columns(rows)
+        for family in FAMILIES:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta, defined = cols.tail(family)
+            for r, row in enumerate(rows):
+                for k in range(len(row)):
+                    acc = GainAccumulator()
+                    acc.extend(row[: k + 1])
+                    dist = acc.fit(family)
+                    assert defined[r, k] == (not dist.degenerate), (family, r, k)
+                    if not dist.degenerate:
+                        assert _bits([t[r, k] for t in theta]) == _bits(dist.theta), (family, r, k)
+
+    def test_the_rows_reach_every_undefined_case(self):
+        rows = list(self.ROWS.values())
+        cols = _columns(rows)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tails = {family: cols.tail(family)[1] for family in FAMILIES}
+        none, one, equal, normal, total, logs = range(6)
+        assert not any(d[none].any() for d in tails.values())
+        assert tails["uniform"][one, 1] and tails["exponential"][one, 1]
+        assert not tails["pareto"][one].any()
+        for family in ("pareto", "lognormal", "normal"):
+            assert not tails[family][equal].any()
+        # though their sums leave a log ratio sum and variances of rounding size
+        assert cols.sum_logs[equal, 5] - 6 * cols.log_min[equal, 5] > 0
+        for sums, squares in ((cols.nonzero_sum, cols.nonzero_sum_sq),
+                              (cols.sum_logs, cols.sum_sq_logs)):
+            mean = sums[equal, 2] / 3
+            assert squares[equal, 2] / 3 - mean * mean > 0
+        assert tails["lognormal"][normal, -1] and not tails["normal"][normal, 1:].any()
+        assert tails["exponential"][total, 0] and not tails["exponential"][total, 2:].any()
+        # distinct gains, so a spread, but one log: no pareto tail
+        assert (cols.nonzero_min[logs, 1:] < cols.nonzero_max[logs, 1:]).all()
+        assert not tails["pareto"][logs].any()
+
+    def test_tail_without_a_zero_count_is_the_rate_over_every_reveal(self):
+        """prob-exp's form: p0 = 0 and the rate i / sum over all i reveals,
+        zeros included; a sum that is 0 or overflows leaves no rate."""
+        rows = list(self.ROWS.values())
+        cols = _columns(rows, zero_count=False)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            (rate,), defined = cols.tail("exponential")
+        for r, row in enumerate(rows):
+            total = 0.0
+            for k, x in enumerate(row):
+                total += 0.0 if is_zero_gain(x) else x
+                assert defined[r, k] == (0.0 < total < math.inf), (r, k)
+                if total > 0.0:
+                    dist = GainAccumulator(count=k + 1, nonzero_sum=total).fit("exponential")
+                    assert dist.p0 == 0.0
+                    if defined[r, k]:
+                        assert _bits([rate[r, k]]) == _bits(dist.theta), (r, k)
+                        assert _bits([rate[r, k]]) == _bits([(k + 1) / total]), (r, k)
 
 
 class TestCdf:

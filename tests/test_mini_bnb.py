@@ -1274,6 +1274,7 @@ def test_solver_config_rejects_a_nonpositive_or_infinite_epsilon(epsilon):
         {"reliability_threshold": 2.5},
         {"node_limit": math.nan},
         {"node_limit": 10.0},
+        {"node_limit": None},
     ],
 )
 def test_solver_config_refuses_non_integer_counts(kwargs):

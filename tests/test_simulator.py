@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvb
 from pvb import lookahead, simulator
 from pvb.abstract_tree import (
     MAX_FINAL_DEPTH,
@@ -597,7 +598,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(pvb, "ProcessPoolExecutor", Recording)
     return asked
 
 
