@@ -4,9 +4,10 @@ Every command validates its whole configuration before doing any work
 and is deterministic given its arguments, input files, and seed. Exit
 codes are a stable scripting contract: 0 success, 1 internal failure,
 2 user or input error, which is an InputError (MpsError and GainFileError
-among them) by the time it reaches main. Numeric output always goes through one
-formatter so CSV files and the aligned stdout tables stay byte-stable
-across runs and worker counts.
+among them) by the time it reaches main, and 141, the status of a
+writer killed by SIGPIPE, when the reader of stdout has closed it.
+Numeric output always goes through one formatter so CSV files and the
+aligned stdout tables stay byte-stable across runs and worker counts.
 
 Settings take one path from the command line to the engines. SETTINGS
 gives each setting's type; a command registers a flag and a --config
@@ -87,13 +88,17 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _parse_list(text: str, kind, what: str) -> tuple:
+    """A comma list's entries as kind, refused when empty or repeated."""
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise InputError(f"{what} must name at least one entry")
     try:
-        return tuple(kind(t) for t in items)
+        values = tuple(kind(t) for t in items)
     except ValueError as exc:
         raise InputError(f"bad {what} {text!r}: {exc}") from None
+    if len(set(values)) != len(values):
+        raise InputError(f"duplicate {what}")
+    return values
 
 
 # Every setting a command may take: key -> (type, help). The same key
@@ -158,24 +163,20 @@ def _checked():
 
 
 def cmd_fit(args) -> int:
-    all_series = load_gain_series(args.gainfile)
-    if not all_series:
-        raise InputError(f"{args.gainfile}: no gain rows")
-    families = (
-        _parse_list(args.families, str, "families") if args.families else FAMILIES
-    )
+    pools = load_gain_series(args.gainfile)
+    families = _parse_list(args.families, str, "families")
     for family in families:
         if family not in FAMILIES:
             raise InputError(f"unknown family {family!r} (known: {', '.join(FAMILIES)})")
     if not 0.0 < args.alpha < 1.0:
         raise InputError(f"alpha must be in (0,1), got {args.alpha!r}")
     rows = []
-    for series in all_series:
-        for report in fit_report(series, families, alpha=args.alpha):
+    for node_id, pool in pools.items():
+        for report in fit_report(pool, families, alpha=args.alpha):
             theta = report.distribution.theta or ()
             rows.append(
                 (
-                    series.node_id,
+                    node_id,
                     report.distribution.family,
                     _num(report.distribution.p0),
                     _num(theta[0]) if len(theta) > 0 else "",
@@ -194,39 +195,35 @@ def cmd_fit(args) -> int:
 # ----------------------------------------------------------- simulate
 
 
-def _pick_series(args):
-    all_series = load_gain_series(args.instance)
-    if not all_series:
-        raise InputError(f"{args.instance}: no gain rows")
-    by_node = {s.node_id: s for s in all_series}
+def _pick_pool(args):
+    """(node_id, pool) of the node the gain file and --node name."""
+    pools = load_gain_series(args.instance)
     if args.node is not None:
         try:
-            return by_node[args.node]
+            return args.node, pools[args.node]
         except KeyError:
             raise InputError(
                 f"{args.instance}: no node {args.node!r}"
-                f" (has: {', '.join(sorted(by_node))})"
+                f" (has: {', '.join(sorted(pools))})"
             ) from None
-    if len(all_series) == 1:
-        return all_series[0]
+    if len(pools) == 1:
+        return next(iter(pools.items()))
     raise InputError(
-        f"{args.instance}: {len(all_series)} node series; pick one with"
-        f" --node (has: {', '.join(sorted(by_node))})"
+        f"{args.instance}: {len(pools)} node series; pick one with"
+        f" --node (has: {', '.join(sorted(pools))})"
     )
 
 
 def cmd_simulate(args) -> int:
     settings = _settings(args)
-    series = _pick_series(args)
+    node_id, pool = _pick_pool(args)
     gaps = _parse_list(args.gaps, float, "gaps")
-    strategies = (
-        _parse_list(args.strategies, str, "strategies") if args.strategies else STRATEGIES
-    )
+    strategies = _parse_list(args.strategies, str, "strategies")
     if args.workers < 1:
         raise InputError(f"workers must be >= 1, got {args.workers!r}")
     with _checked():
         spec = CampaignSpec(
-            instance=PvbInstance(gap=gaps[0], pool=series.geomeans),
+            instance=PvbInstance(gap=gaps[0], pool=pool),
             gaps=gaps,
             trials=args.trials,
             seed=args.seed,
@@ -237,7 +234,7 @@ def cmd_simulate(args) -> int:
     try:
         table = run_campaign(spec, workers=args.workers, fixed=fixed, prob=prob)
     except (UnclosableError, CapacityError) as exc:
-        raise InputError(f"{args.instance}: node {series.node_id!r}: {exc}") from None
+        raise InputError(f"{args.instance}: node {node_id!r}: {exc}") from None
     header = ("gap", "strategy", "mean_total_nodes", "mean_sb_nodes")
     rows = [
         (_num(r.gap), r.strategy, _num(r.mean_total_nodes), _num(r.mean_sb_nodes))
@@ -422,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit gain distributions and screen them with KS")
     p.add_argument("gainfile", help="gain CSV: node_id,variable_id,downgain,upgain")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--families", help="comma list; default: all families")
+    p.add_argument(
+        "--families", default=",".join(FAMILIES), help="comma list; default: all families"
+    )
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=cmd_fit)
 
@@ -432,7 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True, help="comma list of gap targets")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--strategies", help=f"comma list; default: {','.join(STRATEGIES)}")
+    p.add_argument(
+        "--strategies", default=",".join(STRATEGIES),
+        help=f"comma list; default: {','.join(STRATEGIES)}",
+    )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="campaign CSV path")
     _add_setting_flags(p, ("L", "K", "min_nonzero_samples"))
@@ -474,10 +476,17 @@ def main(argv=None) -> int:
                 raise InputError(f"cannot write {out}: no directory {Path(out).parent}")
             if Path(out).is_dir():
                 raise InputError(f"cannot write {out}: it is a directory")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout (`| head`) is gone: end as a writer killed by
+        # SIGPIPE would, and keep the interpreter's last flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001 - the 0/1/2 contract needs a catch-all
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,9 @@ Fits are O(1)-updatable: GainAccumulator keeps the running sums (count,
 sum, sum of logs, min, max, least log, squared sums) from which its tail
 method, each family's one MLE, refits after each reveal without rescanning
 the history: for one sample through fit, or per trial in the campaign.
+fit_report fits every requested family to one node's pool, the tuple of
+geometric-mean gains that gains.load_gain_series reads, and screens each
+fit with KS.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gains import GainSeries, is_zero_gain
+from .gains import is_zero_gain
 
 FAMILIES = ("exponential", "pareto", "lognormal", "uniform", "normal")
 STOPPING_FAMILIES = ("exponential", "pareto", "lognormal")
@@ -285,29 +288,24 @@ def ks_test(nonzero_samples, dist: MixedGainDistribution) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fit plus goodness-of-fit summary for one (series, family) pair."""
+    """Fit plus goodness-of-fit summary for one (pool, family) pair."""
 
     distribution: MixedGainDistribution
-    n_zero: int
-    n_nonzero: int
     ks_statistic: float | None
     ks_p_value: float | None
     verdict: str  # degenerate | insufficient | rejected | not-rejected
 
 
-def fit_report(
-    series: GainSeries,
-    families=FAMILIES,
-    alpha: float = 0.05,
-) -> list[FitReport]:
-    """Fit every requested family to one series and screen it with KS.
+def fit_report(pool, families=FAMILIES, alpha: float = 0.05) -> list[FitReport]:
+    """Fit every requested family to one node's pool of geometric-mean
+    gains and screen it with KS.
 
-    Series with fewer than MIN_REPORT_NONZERO nonzero gains keep their
+    Pools with fewer than MIN_REPORT_NONZERO nonzero gains keep their
     numbers but are flagged `insufficient` rather than judged.
     """
     acc = GainAccumulator()
-    acc.extend(series.geomeans)
-    nonzero = [v for v in series.geomeans if not is_zero_gain(v)]
+    acc.extend(pool)
+    nonzero = [v for v in pool if not is_zero_gain(v)]
     reports = []
     for family in families:
         dist = acc.fit(family)
@@ -320,5 +318,5 @@ def fit_report(
                 verdict = "insufficient"
             else:
                 verdict = "not-rejected" if p > alpha else "rejected"
-        reports.append(FitReport(dist, acc.zero_count, acc.n_nonzero, d, p, verdict))
+        reports.append(FitReport(dist, d, p, verdict))
     return reports

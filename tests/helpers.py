@@ -14,7 +14,7 @@ import csv
 import numpy as np
 
 from pvb.abstract_tree import UNBOUNDED, svb_tree_size
-from pvb.gains import GAIN_FILE_HEADER, GainSeries
+from pvb.gains import GAIN_FILE_HEADER
 from pvb.lookahead import SbSession
 from pvb.mini_bnb import MiniMip, sparse_multiknapsack
 
@@ -37,14 +37,14 @@ def nodes_if_stop(session: SbSession) -> int:
 # ---------------------------------------------------------------- gains
 
 
-def save_gain_series(path: str, series: list[GainSeries]) -> None:
-    """Write series back to the CSV schema with 17 significant digits."""
+def save_gain_series(path: str, rows) -> None:
+    """Write (node_id, variable_id, down, up) rows in the gain-file schema,
+    gains with 17 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GAIN_FILE_HEADER)
-        for s in series:
-            for var_id, pair in s.entries:
-                writer.writerow([s.node_id, var_id, f"{pair.down:.17g}", f"{pair.up:.17g}"])
+        for node_id, var_id, down, up in rows:
+            writer.writerow([node_id, var_id, f"{down:.17g}", f"{up:.17g}"])
 
 
 # ------------------------------------------------------------ instances

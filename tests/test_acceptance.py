@@ -32,7 +32,6 @@ from oracles import (
 from pvb.abstract_tree import PvbInstance, svb_depth, svb_tree_size
 from pvb.cli import main, shifted_geomean_stat
 from pvb.distributions import GainAccumulator, MixedGainDistribution, ks_test
-from pvb.gains import GainPair, GainSeries
 from pvb.lookahead import (
     ProbLookaheadConfig,
     SbSession,
@@ -363,11 +362,8 @@ def test_criterion_8_cli_outputs_are_byte_deterministic(tmp_path, capsys):
     pool_rng = np.random.default_rng(2024)
     values = pool_rng.pareto(2.0, size=250) + 1.0
     values[pool_rng.random(250) < 0.3] = 0.0
-    series = GainSeries(
-        "root", tuple((f"g{i}", GainPair(v, v)) for i, v in enumerate(values))
-    )
     gainfile = tmp_path / "pool.gains"
-    save_gain_series(str(gainfile), [series])
+    save_gain_series(str(gainfile), [("root", f"g{i}", v, v) for i, v in enumerate(values)])
 
     sim_csv, sim_stdout = set(), set()
     for tag, workers in (("a", 1), ("b", 1), ("c", 8)):

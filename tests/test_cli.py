@@ -1,8 +1,10 @@
 """Command line contract tests.
 
 Every command runs in process through main(argv) so exit codes, stdout
-tables, and written CSVs are all observable. Determinism cases compare
-raw output bytes; statistical cases reuse the seeded corpus and pools.
+tables, and written CSVs are all observable; only the closed-stdout cases
+run `python -m pvb.cli`, since they need a real pipe. Determinism cases
+compare raw output bytes; statistical cases reuse the seeded corpus and
+pools.
 """
 
 import argparse
@@ -11,6 +13,8 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,7 @@ import pytest
 import pvb
 from pvb import InputError, cli, read_csv
 from pvb.cli import main, render_table, shifted_geomean_stat
-from pvb.gains import GainFileError, GainPair, GainSeries, load_gain_series
+from pvb.gains import GainFileError, load_gain_series
 from pvb.mini_bnb import MpsError, load_mps, save_mps, solve, sparse_multiknapsack
 
 from helpers import save_gain_series, toy_corpus
@@ -65,7 +69,7 @@ def no_work(*args, **kwargs):
 
 def write_pool(path, seed, n=300, zero_frac=0.3, tail="pareto", node="root"):
     rng = np.random.default_rng(seed)
-    entries = []
+    rows = []
     for i in range(n):
         if rng.random() < zero_frac:
             value = 0.0
@@ -73,8 +77,8 @@ def write_pool(path, seed, n=300, zero_frac=0.3, tail="pareto", node="root"):
             value = float(rng.pareto(2.0) + 1.0)
         else:
             value = float(rng.exponential(0.5))
-        entries.append((f"v{i}", GainPair(value, value)))
-    save_gain_series(path, [GainSeries(node, tuple(entries))])
+        rows.append((node, f"v{i}", value, value))
+    save_gain_series(path, rows)
     return path
 
 
@@ -198,11 +202,7 @@ class TestSimulate:
 
     def test_multi_series_needs_node_flag(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
-        series = [
-            GainSeries("n1", (("v0", GainPair(1.0, 1.0)),)),
-            GainSeries("n2", (("v0", GainPair(2.0, 2.0)),)),
-        ]
-        save_gain_series(path, series)
+        save_gain_series(path, [("n1", "v0", 1.0, 1.0), ("n2", "v0", 2.0, 2.0)])
         code, _, stderr = self.simulate(capsys, path, tmp_path / "o.csv")
         assert code == 2 and "n1" in stderr and "n2" in stderr
         code, _, _ = self.simulate(capsys, path, tmp_path / "o.csv", "--node", "n2")
@@ -212,16 +212,16 @@ class TestSimulate:
         # a gain below 1e-9 counts as zero, as everywhere in the engine
         for gains in ((0.0, 0.0), (1e-10, 0.0)):
             path = tmp_path / "zero.csv"
-            entries = tuple((f"v{i}", GainPair(g, g)) for i, g in enumerate(gains))
-            save_gain_series(path, [GainSeries("root", entries)])
+            save_gain_series(path, [("root", f"v{i}", g, g) for i, g in enumerate(gains)])
             code, _, stderr = self.simulate(capsys, path, tmp_path / "o.csv")
             assert code == 2
             assert f"{path}: node 'root': every pool gain is zero" in stderr
 
     def test_tree_too_deep_for_a_float_mean_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.csv"
-        entries = tuple((f"v{i}", GainPair(g, g)) for i, g in enumerate((0.5, 0.0, 1.0)))
-        save_gain_series(path, [GainSeries("root", entries)])
+        save_gain_series(
+            path, [("root", f"v{i}", g, g) for i, g in enumerate((0.5, 0.0, 1.0))]
+        )
         code, _, stderr = run(
             capsys, "simulate", "--instance", str(path), "--gaps", "2000",
             "--trials", "3", "--seed", "1", "--out", str(tmp_path / "o.csv"),
@@ -346,8 +346,7 @@ class TestSimulateGolden:
     @pytest.mark.parametrize("extra", list(GOLDEN))
     def test_csv_and_stdout_match_pinned_digests(self, tmp_path, capsys, extra):
         path = tmp_path / "pool.gains"
-        entries = tuple((f"v{i}", GainPair(v, v)) for i, v in enumerate(self.pool()))
-        save_gain_series(path, [GainSeries("root", entries)])
+        save_gain_series(path, [("root", f"v{i}", v, v) for i, v in enumerate(self.pool())])
         out = tmp_path / "golden.csv"
         code, stdout, stderr = run(
             capsys, "simulate", "--instance", str(path), "--gaps", "1.5,6,24,30",
@@ -1289,3 +1288,84 @@ def test_a_row_that_csv_cannot_parse_is_an_input_fault(tmp_path, capsys, command
     assert isinstance(caught.value, GainFileError) == (command != "report")
     assert code == 2 and stdout == ""
     assert stderr == f"error: {message}\n"
+
+
+LIST_FLAGS = {
+    # flag: (the command's argv without it, the name its errors use)
+    "--families": (lambda d: ("fit", str(d / "pool.csv")), "families"),
+    "--gaps": (
+        lambda d: ("simulate", "--instance", str(d / "pool.csv"), "--seed", "1"),
+        "gaps",
+    ),
+    "--strategies": (
+        lambda d: ("simulate", "--instance", str(d / "pool.csv"), "--gaps", "8", "--seed", "1"),
+        "strategies",
+    ),
+    "--modes": (lambda d: ("sweep", str(EXAMPLES), "--seed", "1"), "modes"),
+    "--L-grid": (lambda d: ("sweep", str(EXAMPLES), "--seed", "1"), "L grid"),
+    "--K-grid": (lambda d: ("sweep", str(EXAMPLES), "--seed", "1"), "K grid"),
+}
+REPEATED = {
+    "--families": "pareto,exponential,pareto",
+    "--gaps": "4, 4",
+    "--strategies": "fixed,full,fixed",
+    "--modes": "fixed,fixed",
+    "--L-grid": "9, 9",
+    "--K-grid": "5,05",
+}
+
+
+@pytest.mark.parametrize("entries", ["empty", "blank", "repeated"])
+@pytest.mark.parametrize("flag", list(LIST_FLAGS))
+def test_a_list_flag_with_no_entry_or_a_repeated_one_exits_2(tmp_path, capsys, flag, entries):
+    # "" once meant every family or strategy, and a repeated family, mode
+    # or grid value once printed its rows twice
+    argv, what = LIST_FLAGS[flag]
+    write_pool(tmp_path / "pool.csv", 5)
+    value = {"empty": "", "blank": " , ", "repeated": REPEATED[flag]}[entries]
+    out = tmp_path / "o.csv"
+    code, stdout, stderr = run(capsys, *argv(tmp_path), flag, value, "--out", str(out))
+    message = f"duplicate {what}" if entries == "repeated" else f"{what} must name at least one entry"
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`pvb ... | head`) ends the command
+    as SIGPIPE would end a writer: exit 141, nothing on stderr, and every
+    --out file complete. The pipe's read end is closed before the command
+    starts, so its first write to stdout fails: inside print when stdout is
+    unbuffered, and at the final flush of a buffered table."""
+
+    @staticmethod
+    def run_into_closed_pipe(argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(Path(pvb.__file__).parent.parent), env.get("PYTHONPATH")))
+        )
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pvb.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        return done.returncode, done.stderr.decode()
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_solve_exits_141_quietly(self, unbuffered):
+        argv = ("solve", str(EXAMPLES / "tiny-knapsack.mps"))
+        assert self.run_into_closed_pipe(argv, unbuffered) == (141, "")
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_sweep_writes_its_whole_csv_first(self, tmp_path, capsys, unbuffered):
+        argv = ("sweep", str(EXAMPLES), "--seed", "1", "--L-grid", "7,8", "--modes", "fixed")
+        want = tmp_path / "want.csv"
+        assert run(capsys, *argv, "--out", str(want))[0] == 0
+        out = tmp_path / "x.csv"
+        assert self.run_into_closed_pipe((*argv, "--out", str(out)), unbuffered) == (141, "")
+        assert out.read_bytes() == want.read_bytes()
