@@ -26,14 +26,20 @@ def read_lines(path, error=InputError) -> list[str]:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def read_csv(path, error=InputError) -> list[list[str]]:
-    """The rows of a CSV file read by read_lines; a row that csv cannot
-    parse, such as one with an over-long field, raises error with path:line."""
+def read_csv(path, error=InputError) -> list[tuple[int, list[str]]]:
+    """(line, row) for each row of a CSV file read by read_lines, blank rows
+    included, line the 1-based number of the row's first physical line (a
+    quoted field may span lines); a row that csv cannot parse, such as one
+    with an over-long field, raises error with path:line."""
     reader = csv.reader(read_lines(path, error))
+    rows, line = [], 1
     try:
-        return list(reader)
+        for row in reader:
+            rows.append((line, row))
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise error(f"{path}:{reader.line_num}: {exc}") from None
+    return rows
 
 
 def pool_map(fn, jobs, workers: int) -> list:

@@ -71,8 +71,10 @@ def svb_depth(gap: float, gain: float) -> float:
 def svb_tree_size(depth: int) -> int:
     """Perfect binary tree size 2**(depth+1) - 1, an exact int."""
     if depth > MAX_FINAL_DEPTH:  # UNBOUNDED included
+        # a depth may have 309 digits; past 1e15 it is shown to 6 figures
+        shown = depth if depth < 1e15 else f"{depth:.6g}"
         raise CapacityError(
-            f"depth {depth} exceeds {MAX_FINAL_DEPTH}: a tree of 2**(depth+1) - 1"
+            f"depth {shown} exceeds {MAX_FINAL_DEPTH}: a tree of 2**(depth+1) - 1"
             " nodes has no float mean"
         )
     if depth < 1:

@@ -371,16 +371,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table = [row for row in read_csv(args.csvfile) if row]
+    table = [(lineno, row) for lineno, row in read_csv(args.csvfile) if row]
     if not table:
         raise InputError(f"{args.csvfile}: empty CSV")
-    width = len(table[0])
-    for lineno, row in enumerate(table, start=1):
-        if len(row) != width:
+    (_, header), *body = table
+    for lineno, row in body:
+        if len(row) != len(header):
             raise InputError(
-                f"{args.csvfile}:{lineno}: expected {width} columns, got {len(row)}"
+                f"{args.csvfile}:{lineno}: expected {len(header)} columns, got {len(row)}"
             )
-    print(render_table(table[0], table[1:]))
+    print(render_table(header, [row for _, row in body]))
     return 0
 
 

@@ -58,18 +58,18 @@ def load_gain_series(path: str) -> dict[str, tuple[float, ...]]:
     A row is refused where it is read: a side that is not a finite gain
     >= 0, a pair whose geometric mean overflows, or a (node_id,
     variable_id) seen before. Raises GainFileError, carrying the 1-based
-    line number of the offending row, also for a file it cannot open,
+    number of the offending row's first line, also for a file it cannot open,
     decode or parse as CSV, and for one without a gain row.
     """
     pools: dict[str, list[float]] = {}
     seen_keys: set[tuple[str, str]] = set()
     rows = read_csv(path, GainFileError)
-    if rows and tuple(cell.strip() for cell in rows[0]) != GAIN_FILE_HEADER:
+    if rows and tuple(cell.strip() for cell in rows[0][1]) != GAIN_FILE_HEADER:
         raise GainFileError(
             f"{path}:1: expected header {','.join(GAIN_FILE_HEADER)!r}, "
-            f"got {','.join(rows[0])!r}"
+            f"got {','.join(rows[0][1])!r}"
         )
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 4:

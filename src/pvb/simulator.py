@@ -8,13 +8,15 @@ one-row case. `full` reveals every gain, in any order, in closed form.
 Every other strategy is a step function of one driver, which advances the
 trials still running a window of reveals at a time, as wide as
 lookahead.ENTRY_BUDGET allows for their number, so no strategy's
-temporaries pass that many entries. A step carries its rule's state as
-one column per trial, takes each running value as an accumulate over the
-carried column and the window (the per-reveal update's float operations
-in its order; a maximum, minimum, logical or or count, which is exact in
-any order, folds the carried column into the window's accumulate), and
-marks the (trial, reveal) entries that stop; a trial stops at its first
-stopping entry and leaves. Stop reasons are built only for run_trial.
+temporaries pass that many entries. A window is reveal-major, one row
+per reveal and one column per trial, and a step carries each value of
+its rule's state as one row. It takes each float sum as an accumulate
+down each column of the carried row and the window, the per-reveal
+update's float operations in its order, and each maximum, minimum,
+logical or or count, which is exact in any order, by a log-step scan of
+the window with the carried row folded in. It marks the (reveal, trial) entries that stop; a
+trial stops at its first stopping entry and leaves. Stop reasons are
+built only for run_trial.
 `fixed` carries the running best, the reveal of the last improvement and
 whether a streak or budget cap was hit, and for a reason which was hit
 first; a hit before any nonzero gain waits for the first one. A
@@ -154,17 +156,25 @@ class CampaignRow:
 
 
 def _running(ufunc, carried, window):
-    """ufunc's running value along each row of the window, from the carried column."""
-    return ufunc.accumulate(np.hstack((carried, window)), axis=1)[:, 1:]
+    """ufunc's running value down each column of the window, from the
+    carried row: one accumulate, the per-reveal float operations in order."""
+    return ufunc.accumulate(np.vstack((carried, window)), axis=0)[1:]
 
 
 def _folded(ufunc, carried, window):
     """_running for a ufunc whose value does not depend on the order of its
-    operands (maximum, minimum, logical_or, a count): the window's
-    accumulate, in the carried column's dtype, with the carried column
-    folded in by one call."""
-    out = ufunc.accumulate(window, axis=1, dtype=carried.dtype)
-    return ufunc(out, carried, out=out)
+    operands (maximum, minimum, logical_or, a count), in the carried row's
+    dtype: the carried row folded into the window's first, then a log-step
+    scan (Hillis and Steele), each step k = 1, 2, 4, ... one call of row r
+    against row r - k into a ping-pong buffer, rows before k copied."""
+    x = window.astype(carried.dtype)
+    ufunc(x[:1], carried, out=x[:1])
+    y, k = np.empty_like(x), 1
+    while k < len(x):
+        y[:k] = x[:k]
+        ufunc(x[k:], x[:-k], out=y[k:])
+        x, y, k = y, x, 2 * k
+    return x
 
 
 def _advance(orders, step, state, reveals, best_out, reasons):
@@ -173,12 +183,13 @@ def _advance(orders, step, state, reveals, best_out, reasons):
 
     The running trials advance a window of reveals at a time, as wide as
     ENTRY_BUDGET allows for their number and ending at _SWAPS, so only the
-    trials that go on past it read their orders past it. step(idx, i,
-    state) reads the window's pool indices, its reveal counts i and state,
-    one column per trial; it returns the stopping entries, every entry's
-    running best, the stop reason (one, one per trial, or None when
-    reasons is None) and the new state, whose last column the trials that
-    go on carry into the next window.
+    trials that go on past it read their orders past it. A window is
+    reveal-major: step(idx, i, state) reads the window's pool indices as a
+    C-contiguous (width, trials) array, its reveal counts i as a column and
+    state, each value a (1, trials) row; it returns the stopping entries,
+    every entry's running best, the stop reason (one, one per trial, or
+    None when reasons is None) and the new state, whose last row the
+    trials that go on carry into the next window.
     """
     alive, done, n = np.arange(len(orders)), 0, orders.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -186,15 +197,15 @@ def _advance(orders, step, state, reveals, best_out, reasons):
             width = min(n - done, max(1, ENTRY_BUDGET // alive.size))
             if done < _SWAPS < done + width:
                 width = _SWAPS - done
-            i = np.arange(done + 1, done + width + 1)
-            stop, best, reason, state = step(orders[alive, done : done + width], i, state)
-            first, hit = stop.argmax(axis=1), stop.any(axis=1)
+            i = np.arange(done + 1, done + width + 1)[:, None]
+            stop, best, reason, state = step(orders[alive, done : done + width].T.copy(), i, state)
+            first, hit = stop.argmax(axis=0), stop.any(axis=0)
             at, keep = alive[hit], ~hit
-            reveals[at], best_out[at] = done + first[hit] + 1, best[hit, first[hit]]
+            reveals[at], best_out[at] = done + first[hit] + 1, best[first[hit], hit]
             if reasons is not None:
                 reasons[at] = np.broadcast_to(reason, hit.shape)[hit]
             alive, done = alive[keep], done + width
-            state = tuple(x[keep, -1:] for x in state)
+            state = tuple(x[-1:, keep] for x in state)
 
 
 def _fixed_step(gains, fixed, rows, reasons):
@@ -210,19 +221,19 @@ def _fixed_step(gains, fixed, rows, reasons):
         top, last, hit, *capped = state
         v = gains[idx]
         best = _folded(np.maximum, top, v)
-        last = _folded(np.maximum, last, np.where(v > np.hstack((top, best[:, :-1])), i, 0))
+        last = _folded(np.maximum, last, np.where(v > np.vstack((top, best[:-1])), i, 0))
         streak = i - last >= fixed.L
         hits = streak | (2.0 * i >= fixed.K)
         reason = None
         if reasons:
-            first = np.take_along_axis(streak, hits.argmax(axis=1)[:, None], 1)
+            first = np.take_along_axis(streak, hits.argmax(axis=0)[None], 0)
             capped = [np.where(hit, capped[0], first)]
-            reason = np.where(capped[0][:, 0], LOOKAHEAD_EXHAUSTED, BUDGET_EXHAUSTED)
+            reason = np.where(capped[0][0], LOOKAHEAD_EXHAUSTED, BUDGET_EXHAUSTED)
         hit = _folded(np.logical_or, hit, hits)
         return hit & (best > 0.0), best, reason, (best, last, hit, *capped)
 
-    flags = np.zeros((1 + bool(reasons), rows, 1), bool)
-    return step, (np.zeros((rows, 1)), np.zeros((rows, 1), int), *flags)
+    flags = np.zeros((1 + bool(reasons), 1, rows), bool)
+    return step, (np.zeros((1, rows)), np.zeros((1, rows), int), *flags)
 
 
 def _prob_step(gains, logs, gap, strategy, prob, rows):
@@ -266,7 +277,7 @@ def _prob_step(gains, logs, gap, strategy, prob, rows):
         stop = prob_stops(gap, depth.ravel(), ready.ravel(), p0.ravel(), family, theta)
         return stop.reshape(v.shape), best, NO_EXPECTED_IMPROVEMENT, (best, zeros, *tail)
 
-    zeros, inf = np.zeros((rows, 1)), np.full((rows, 1), np.inf)
+    zeros, inf = np.zeros((1, rows)), np.full((1, rows), np.inf)
     return step, (zeros, zeros, *((zeros, inf, inf) if pareto else (zeros,)))
 
 

@@ -100,6 +100,32 @@ class TestHelpers:
         assert lines[2] == "longer  22"
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("report", "a,b\n\n1,2\n\n3\n", "5: expected 2 columns, got 1"),
+        ("report", 'a,b\n"two\nlines",1\n3\n', "4: expected 2 columns, got 1"),
+        ("report", 'a,b\n1,2\n"two\nlines"\n', "3: expected 2 columns, got 1"),
+        ("fit", "node_id,variable_id,downgain,upgain\n\nn0,x1,1,1\n\nn0,x2,-1,1\n",
+         "5: negative downgain: -1.0"),
+        ("fit", 'node_id,variable_id,downgain,upgain\nn0,"x\n1",1,1\nn0,x2,inf,1\n',
+         "4: non-finite downgain: inf"),
+    ],
+    ids=["report-blank-lines", "report-two-line-field", "report-two-line-row",
+         "fit-blank-lines", "fit-two-line-field"],
+)
+def test_a_row_error_names_the_row_s_first_line(tmp_path, capsys, command, text, message):
+    """Blank lines and a quoted field over two lines count as the lines they
+    are: a faulty row is named by the first physical line it starts on."""
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    argv = {
+        "report": ("report", str(path)),
+        "fit": ("fit", str(path), "--out", str(tmp_path / "o.csv")),
+    }[command]
+    assert run(capsys, *argv) == (2, "", f"error: {path}:{message}\n")
+
+
 class TestFit:
     def test_rows_are_series_times_families(self, tmp_path, capsys):
         pool = write_pool(tmp_path / "pool.csv", 3)
@@ -242,6 +268,30 @@ class TestSimulate:
             )
             assert code == 2 and "internal error" not in stderr
             assert f"{path}: node 'r': gap 1e+300: best depth inf exceeds 1022" in stderr
+
+    @pytest.mark.parametrize(
+        "gap, shown",
+        [
+            ("3466", "1733"),
+            ("1999999999999998", "999999999999999"),
+            ("2e15", "1e+15"),
+            ("1e308", "5e+307"),
+        ],
+    )
+    def test_a_depth_past_1e15_is_named_to_six_figures(self, tmp_path, capsys, gap, shown):
+        # the best gain is 2, so the depth is gap / 2: exact below 1e15, and
+        # from there in .6g form, not as an int of up to 309 digits
+        path = tmp_path / "two.csv"
+        path.write_text("node_id,variable_id,downgain,upgain\nr,a,2,2\nr,b,0,0\n")
+        code, stdout, stderr = run(
+            capsys, "simulate", "--instance", str(path), "--gaps", gap,
+            "--trials", "2", "--seed", "1", "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == (
+            f"error: {path}: node 'r': gap {float(gap)!r}: best depth {shown} exceeds"
+            " 1022: a tree of 2**(depth+1) - 1 nodes has no float mean\n"
+        )
 
     @pytest.mark.parametrize(
         "flag, value, message",

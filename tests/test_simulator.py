@@ -355,6 +355,35 @@ def test_windows_a_few_reveals_wide_price_as_the_reference(budget, case):
                 ), (strategy, t)
 
 
+def test_one_reveal_windows_and_436_reveal_windows_price_alike():
+    """On a pool of 150 zeros and 350 Pareto gains, trials that reveal past
+    position 64 are priced in windows of one to three reveals (ENTRY_BUDGET
+    at 1 to 3, a block of twelve trials) and as one-trial cells, whose
+    windows are 64 and then 436 reveals wide. Every trial's reveals, best
+    and stop reason agree bit for bit, and equal run_trial's, for `fixed`
+    and every probabilistic strategy."""
+    rng = np.random.default_rng(97)
+    pool = np.concatenate([np.zeros(150), rng.pareto(2.0, 350) + 1.0])
+    rng.shuffle(pool)
+    inst, gap, fixed = make_instance(pool), 200.0, FixedLookaheadConfig(L=40)
+    orders = np.array([np.random.default_rng(t).permutation(len(pool)) for t in range(12)])
+    for strategy in ("fixed", "prob-exp", "prob-mixed-exp", "prob-mixed-pareto"):
+        cells = [simulator._price(inst, gap, strategy, row[None], fixed, None) for row in orders]
+        reveals, best, reasons = (np.concatenate(x) for x in zip(*cells))
+        assert (reveals > 64).sum() >= 3, strategy
+        for t in range(12):
+            r = run_trial(inst, gap, strategy, np.random.default_rng(t), fixed)
+            assert (r.reveals, r.stop_reason) == (reveals[t], reasons[t]), (strategy, t)
+            assert r.final_tree_nodes == simulator._tree_nodes(gap, best[t : t + 1])
+        for budget in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulator, "ENTRY_BUDGET", budget)
+                narrow = simulator._price(inst, gap, strategy, orders, fixed, None)
+            assert narrow[0].tobytes() == reveals.tobytes(), (strategy, budget)
+            assert narrow[1].tobytes() == best.tobytes(), (strategy, budget)
+            assert narrow[2].tolist() == reasons.tolist(), (strategy, budget)
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3])
 @pytest.mark.parametrize(
     "L, K, order, want",
@@ -442,14 +471,16 @@ def test_pricing_without_reasons_gives_the_same_reveals_and_bests(budget, case):
     ids=["best", "lowest", "last-improvement", "hit", "nonzero-count"],
 )
 def test_the_folded_accumulate_is_the_hstack_accumulate(ufunc, carried, window):
-    """_folded, the window's accumulate with the carried column folded in
-    afterwards, is _running's accumulate over the hstacked carried column
+    """_folded, a log-step scan of the window with the carried row folded
+    in, is _running's accumulate down the vstacked carried row and window
     bit for bit, dtype included, for each running value it serves, on
-    windows that hold ties, zeros and inf."""
+    reveal-major windows that hold ties, zeros and inf. The widths end on
+    and just past each power of two, so every scan's last step shows."""
     rng = np.random.default_rng(5)
-    for rows, width in ((1, 1), (3, 1), (1, 7), (40, 5), (200, 41)):
-        c = rng.choice(np.array(carried), (rows, 1))
-        w = rng.choice(np.array(window), (rows, width))
+    widths = [*range(1, 10), 15, 16, 17, 31, 32, 33, 63, 64, 65, 300]
+    for rows, width in itertools.product((1, 3, 40, 200), widths):
+        c = rng.choice(np.array(carried), (1, rows))
+        w = rng.choice(np.array(window), (width, rows))
         want = simulator._running(ufunc, c, w)
         got = simulator._folded(ufunc, c, w)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (rows, width)
